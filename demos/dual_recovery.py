@@ -18,7 +18,7 @@ system = wf.assemble_dual(problem,
 print(f"system is {system.A.shape[0]} x {system.A.shape[1]}, "
       f"cond = {wf.condition_number(system.A):.1f}")
 
-sol = wf.least_squares(system)
+sol = wf.tikhonov_solve(system, wf.RegConfig())
 exact = wf.exact_force(5, g)
 
 rel_f = np.linalg.norm(sol.f - exact.f) / np.linalg.norm(exact.f)

@@ -17,7 +17,7 @@ print("-" * 48)
 for m in (10, 20, 40, 80):
     g = wf.GridSpec(1.0, 1.0, m, m)
     system = wf.assemble_single(wf.inverse_problem(1, g), wf.measured_flux(1, g))
-    f = wf.least_squares(system)
+    f = wf.tikhonov_solve(system, wf.RegConfig())
     exact = wf.exact_force(1, g)
     err = wf.accuracy_error(f, exact)
     rel = err / np.linalg.norm(exact.values)

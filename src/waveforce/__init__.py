@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatch,
     IncompatibleData,
     InvalidDimension,
-    RankDeficient,
     SingularSystem,
     UnderdeterminedSystem,
     UnknownExample,
@@ -41,7 +40,7 @@ from .model import (
 )
 from .fdm import flux, solve_direct
 from .noise import NoiseSpec, add_noise, noise_sigma
-from .inverse import InverseSystem, assemble_dual, assemble_single, least_squares
+from .inverse import InverseSystem, assemble_dual, assemble_single
 from .tikhonov import (
     RegConfig,
     accuracy_error,

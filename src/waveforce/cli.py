@@ -64,32 +64,35 @@ _TABLE_NOISE_PCT = (1, 3, 5)
 
 @dataclass
 class RunConfig:
-    """Fully resolved invocation: defaults, config file, and flags merged."""
+    """Fully resolved invocation: defaults, config file, and flags merged.
+
+    A field whose default is None is optional; _resolve turns N = None into N = M.
+    """
 
     command: str
-    example: int | None
-    M: int
-    N: int
-    L: float
-    T: float
-    c: float
-    noise_pct: float
-    seed: int
-    reg_order: int
-    lam: str
-    lambda_grid: list | None
-    out: str
-    data_refine: int
-    dump_system: bool
-    u0: str | None
-    v0: str | None
-    bc_left: str | None
-    bc_right: str | None
-    force: str | None
-    modulation: str | None
-    modulation2: str | None
-    measured_left: str | None
-    measured_right: str | None
+    example: int | None = None
+    M: int = 80
+    N: int | None = None
+    L: float = 1.0
+    T: float = 1.0
+    c: float = 1.0
+    noise_pct: float = 0.0
+    seed: int = 1
+    reg_order: int = 0
+    lam: str = "0"
+    lambda_grid: list | None = None
+    out: str = "out"
+    data_refine: int = 1
+    dump_system: bool = False
+    u0: str | None = None
+    v0: str | None = None
+    bc_left: str | None = None
+    bc_right: str | None = None
+    force: str | None = None
+    modulation: str | None = None
+    modulation2: str | None = None
+    measured_left: str | None = None
+    measured_right: str | None = None
 
     def grid(self) -> GridSpec:
         return GridSpec(self.L, self.T, self.M, self.N, self.c)
@@ -100,31 +103,15 @@ class RunConfig:
         return NoiseSpec(self.noise_pct / 100.0, self.seed)
 
 
-_DEFAULTS = {
-    "example": None,
-    "M": 80,
-    "N": None,  # defaults to M
-    "L": 1.0,
-    "T": 1.0,
-    "c": 1.0,
-    "noise_pct": 0.0,
-    "seed": 1,
-    "reg_order": 0,
-    "lam": "0",
-    "lambda_grid": None,
-    "out": "out",
-    "data_refine": 1,
-    "dump_system": False,
-    "u0": None,
-    "v0": None,
-    "bc_left": None,
-    "bc_right": None,
-    "force": None,
-    "modulation": None,
-    "modulation2": None,
-    "measured_left": None,
-    "measured_right": None,
-}
+def _weights(value) -> list:
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    return [float(v) for v in value]
+
+
+# RunConfig annotation (before any "| None") -> conversion of a flag or
+# config value
+_CONVERT = {"int": int, "float": float, "str": str, "bool": bool, "list": _weights}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -182,6 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
+    settings = [f for f in dc_fields(RunConfig) if f.name != "command"]
     from_file = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -189,36 +177,31 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise WaveforceError("config file must hold a JSON object")
+        names = {f.name for f in settings}
         for key, value in raw.items():
             dest = "lam" if key == "lambda" else key
-            if dest not in _DEFAULTS:
+            if dest not in names:
                 raise WaveforceError(f"unknown config key {key!r}")
             from_file[dest] = value
     merged = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else from_file.get(key, default)
+    for field in settings:
+        flag = getattr(args, field.name, None)
+        merged[field.name] = flag if flag is not None else from_file.get(field.name, field.default)
     if merged["N"] is None:
         merged["N"] = merged["M"]
-    for key in ("M", "N", "seed", "reg_order", "data_refine"):
-        merged[key] = int(merged[key])
-    if merged["example"] is not None:
-        merged["example"] = int(merged["example"])
-    for key in ("L", "T", "c", "noise_pct"):
-        merged[key] = float(merged[key])
+    for field in settings:
+        value = merged[field.name]
+        if value is None and field.default is None:
+            continue
+        name = "lambda" if field.name == "lam" else field.name
+        if value is None:
+            raise WaveforceError(f"{name!r} must not be null")
+        try:
+            merged[field.name] = _CONVERT[field.type.split(" |")[0]](value)
+        except (TypeError, ValueError) as exc:
+            raise WaveforceError(f"bad value for {name!r}: {exc}") from None
     if merged["noise_pct"] < 0:
         raise WaveforceError(f"noise percentage must be >= 0, got {merged['noise_pct']}")
-    merged["lam"] = str(merged["lam"])
-    grid = merged["lambda_grid"]
-    if isinstance(grid, str):
-        grid = [tok for tok in grid.split(",") if tok.strip()]
-    if grid is not None:
-        merged["lambda_grid"] = [float(v) for v in grid]
-    merged["dump_system"] = bool(merged["dump_system"])
-    for key in ("out", "u0", "v0", "bc_left", "bc_right", "force",
-                "modulation", "modulation2", "measured_left", "measured_right"):
-        if merged[key] is not None:
-            merged[key] = str(merged[key])
     return RunConfig(command=args.command, **merged)
 
 
@@ -382,8 +365,7 @@ def _run_tables(cfg: RunConfig, outdir: Path) -> list:
     rows = []
     for ex in wanted:
         for m in _TABLE_SIZES:
-            grid = GridSpec(1.0, 1.0, m, m, 1.0)
-            system, _ = _assemble_for_table(ex, grid)
+            system, _ = _assemble(RunConfig(cfg.command, example=ex, M=m, N=m))
             rows.append((str(ex), str(m), condition_number(system.A)))
     write_rows(outdir / "table1.csv", ["example", "M", "cond"], rows)
     artifacts.append("table1.csv")
@@ -404,9 +386,8 @@ def _run_tables(cfg: RunConfig, outdir: Path) -> list:
     for ex, name in ((2, "table4.csv"), (3, "table5.csv"), (4, "table6.csv")):
         if ex not in wanted:
             continue
-        grid = GridSpec(1.0, 1.0, 80, 80, 1.0)
-        system, exact = _assemble_for_table(ex, grid)
-        measured = measured_flux(ex, grid, LEFT)
+        system, exact = _assemble(RunConfig(cfg.command, example=ex, M=80, N=80))
+        measured = measured_flux(ex, system.grid, LEFT)
         rows = []
         for order in (0, 1, 2):
             for pct in _TABLE_NOISE_PCT:
@@ -419,12 +400,6 @@ def _run_tables(cfg: RunConfig, outdir: Path) -> list:
         write_rows(outdir / name, ["example", "reg_order", "noise_pct", "lambda", "accuracy_error"], rows)
         artifacts.append(name)
     return artifacts
-
-
-def _assemble_for_table(example_id: int, grid: GridSpec):
-    problem = inverse_problem(example_id, grid)
-    measured = measured_flux(example_id, grid, LEFT)
-    return assemble_single(problem, measured), exact_force(example_id, grid)
 
 
 _COMMANDS = {

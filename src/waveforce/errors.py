@@ -34,12 +34,8 @@ class UnderdeterminedSystem(WaveforceError):
     """Fewer observations than unknowns; the inverse system has no unique minimizer."""
 
 
-class RankDeficient(WaveforceError):
-    """least_squares found numerically dependent columns."""
-
-
 class SingularSystem(WaveforceError):
-    """Regularized solve cannot proceed (lambda = 0 with a rank-deficient matrix)."""
+    """Solve found numerically dependent columns (lambda = 0 with a rank-deficient A)."""
 
 
 class ZeroMatrix(WaveforceError):

@@ -1,5 +1,4 @@
-"""Reduction of the identification problem to a dense linear system, and
-plain least squares on it.
+"""Reduction of the identification problem to a dense linear system.
 
 The discrete map from a force profile to a boundary flux series is affine:
 flux(data, f) = flux(data, 0) + (linear response to f). Assembly therefore
@@ -28,12 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    RankDeficient,
-    UnderdeterminedSystem,
-    WaveforceError,
-)
+from .errors import DimensionMismatch, UnderdeterminedSystem, WaveforceError
 from .fdm import flux, solve_direct
 from .model import (
     LEFT,
@@ -41,16 +35,12 @@ from .model import (
     BoundaryData,
     DualSource,
     FluxSeries,
-    ForceVector,
     GridSpec,
     InitialData,
     SingleSource,
     WaveProblem,
 )
 from .noise import NoiseSpec, add_noise
-
-#: singular values below RANK_TOL * sv(1) count as zero in rank decisions
-RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,25 +85,28 @@ class InverseSystem:
         Avoids re-running the unit-force solves when sweeping seeds or
         swapping data on a fixed problem.
         """
-        scale = 2.0 * self.grid.dx
-        if self.components == 1:
-            if measured_right is not None:
-                raise DimensionMismatch("single-source system takes one measured series")
-            measured = _checked(measured, LEFT, self.grid.N)
-            if noise is not None:
-                measured = add_noise(measured, noise)
-            b = scale * (measured.values - self.background[0].values)
-        else:
-            if measured_right is None:
-                raise DimensionMismatch("dual-source system needs both measured series")
-            left = _checked(measured, LEFT, self.grid.N)
-            right = _checked(measured_right, RIGHT, self.grid.N)
-            if noise is not None:
-                left = add_noise(left, noise)
-                right = add_noise(right, noise)
-            b = scale * np.concatenate([left.values - self.background[0].values,
-                                        right.values - self.background[1].values])
+        series = (measured,) if measured_right is None else (measured, measured_right)
+        series = _checked_measurement(series, self.components, self.grid.N)
+        if noise is not None:
+            series = [add_noise(s, noise) for s in series]
+        b = 2.0 * self.grid.dx * np.concatenate(
+            [s.values - bg.values for s, bg in zip(series, self.background)])
         return replace(self, b=b, noise=noise)
+
+
+def _observed_ends(components):
+    """Ends whose flux a measurement covers: the left end for a single
+    source, left then right for a dual one."""
+    return (LEFT, RIGHT)[:components]
+
+
+def _checked_measurement(series, components, N):
+    """Validate one measured series per observed end, in end order."""
+    ends = _observed_ends(components)
+    if len(series) != len(ends):
+        raise DimensionMismatch(
+            f"a {components}-component system takes {len(ends)} measured series, got {len(series)}")
+    return [_checked(s, end, N) for s, end in zip(series, ends)]
 
 
 def _checked(series, end, N):
@@ -124,6 +117,44 @@ def _checked(series, end, N):
     if series.values.size != N:
         raise DimensionMismatch(f"measured series has {series.values.size} samples, grid needs {N}")
     return series
+
+
+def _assemble(problem, source_kind, measured, noise):
+    """Unit-force assembly shared by the single and dual systems.
+
+    Column c*(M-1) + k holds the flux response, at every observed end, to
+    the unit profile e_k in source component c; row block r belongs to the
+    r-th observed end. b comes from with_measurement.
+    """
+    if not isinstance(problem.source, source_kind):
+        raise WaveforceError(f"expected a problem with a {source_kind.__name__}, "
+                             f"got a {type(problem.source).__name__}")
+    g = problem.grid
+    if g.N < g.M - 1:
+        raise UnderdeterminedSystem(f"N={g.N} observations cannot determine M-1={g.M - 1} unknowns")
+    components = source_kind.unknowns
+    measured = _checked_measurement(measured, components, g.N)
+
+    m = g.M - 1
+    ends = _observed_ends(components)
+    zeros = [np.zeros(m)] * components
+    bg_field = solve_direct(problem.with_force(*zeros))
+    background = tuple(flux(bg_field, end) for end in ends)
+    hom = _homogeneous(problem)
+    scale = 2.0 * g.dx
+    A = np.empty((len(ends) * g.N, components * m))
+    e = np.zeros(m)
+    for c in range(components):
+        profiles = list(zeros)
+        profiles[c] = e
+        for k in range(m):
+            e[k] = 1.0
+            fld = solve_direct(hom.with_force(*profiles))
+            for r, end in enumerate(ends):
+                A[r * g.N:(r + 1) * g.N, c * m + k] = scale * flux(fld, end).values
+            e[k] = 0.0
+    system = InverseSystem(A, np.zeros(A.shape[0]), g, background, problem.source)
+    return system.with_measurement(*measured, noise=noise)
 
 
 def _homogeneous(problem):
@@ -154,26 +185,7 @@ def assemble_single(problem: WaveProblem, measured, noise: NoiseSpec | None = No
     UnderdeterminedSystem
         When N < M-1.
     """
-    if not isinstance(problem.source, SingleSource):
-        raise WaveforceError("assemble_single needs a problem with a SingleSource")
-    g = problem.grid
-    if g.N < g.M - 1:
-        raise UnderdeterminedSystem(f"N={g.N} observations cannot determine M-1={g.M - 1} unknowns")
-    measured = _checked(measured, LEFT, g.N)
-    if noise is not None:
-        measured = add_noise(measured, noise)
-
-    background = flux(solve_direct(problem.with_force(np.zeros(g.M - 1))), LEFT)
-    hom = _homogeneous(problem)
-    scale = 2.0 * g.dx
-    A = np.empty((g.N, g.M - 1))
-    e = np.zeros(g.M - 1)
-    for k in range(g.M - 1):
-        e[k] = 1.0
-        A[:, k] = scale * flux(solve_direct(hom.with_force(e)), LEFT).values
-        e[k] = 0.0
-    b = scale * (measured.values - background.values)
-    return InverseSystem(A, b, g, (background,), problem.source, noise)
+    return _assemble(problem, SingleSource, (measured,), noise)
 
 
 def assemble_dual(problem: WaveProblem, measured_left, measured_right,
@@ -188,52 +200,4 @@ def assemble_dual(problem: WaveProblem, measured_left, measured_right,
     InverseSystem
         2N x 2(M-1).
     """
-    if not isinstance(problem.source, DualSource):
-        raise WaveforceError("assemble_dual needs a problem with a DualSource")
-    g = problem.grid
-    if g.N < g.M - 1:
-        raise UnderdeterminedSystem(f"N={g.N} observations cannot determine M-1={g.M - 1} unknowns")
-    left = _checked(measured_left, LEFT, g.N)
-    right = _checked(measured_right, RIGHT, g.N)
-    if noise is not None:
-        left = add_noise(left, noise)
-        right = add_noise(right, noise)
-
-    zeros = np.zeros(g.M - 1)
-    bg_field = solve_direct(problem.with_force(zeros, zeros))
-    bg_left = flux(bg_field, LEFT)
-    bg_right = flux(bg_field, RIGHT)
-    hom = _homogeneous(problem)
-    scale = 2.0 * g.dx
-    m = g.M - 1
-    A = np.empty((2 * g.N, 2 * m))
-    e = np.zeros(m)
-    for k in range(m):
-        e[k] = 1.0
-        fld = solve_direct(hom.with_force(e, zeros))
-        A[: g.N, k] = scale * flux(fld, LEFT).values
-        A[g.N:, k] = scale * flux(fld, RIGHT).values
-        fld = solve_direct(hom.with_force(zeros, e))
-        A[: g.N, m + k] = scale * flux(fld, LEFT).values
-        A[g.N:, m + k] = scale * flux(fld, RIGHT).values
-        e[k] = 0.0
-    b = scale * np.concatenate([left.values - bg_left.values,
-                                right.values - bg_right.values])
-    return InverseSystem(A, b, g, (bg_left, bg_right), problem.source, noise)
-
-
-def least_squares(sys: InverseSystem) -> ForceVector:
-    """Minimizer of ||A f - b||_2 via a stable orthogonal factorization.
-
-    Raises
-    ------
-    RankDeficient
-        When any singular value falls below RANK_TOL * sv(1).
-    """
-    sol, _, _, sv = np.linalg.lstsq(sys.A, sys.b, rcond=None)
-    if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0]:
-        raise RankDeficient(
-            f"columns are numerically dependent (sv ratio {sv[-1] / sv[0]:.3e})"
-            if sv.size else "empty system"
-        )
-    return ForceVector(sol, sys.components)
+    return _assemble(problem, DualSource, (measured_left, measured_right), noise)

@@ -20,8 +20,11 @@ from .errors import (
     SingularSystem,
     ZeroMatrix,
 )
-from .inverse import RANK_TOL, InverseSystem
+from .inverse import InverseSystem
 from .model import ForceVector
+
+#: singular values below RANK_TOL * sv(1) count as zero in rank decisions
+RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,8 @@ def _penalty(sys: InverseSystem, order: int) -> np.ndarray:
 def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
     """Unique minimizer of ||A f - b||^2 + lambda ||D_k f||^2.
 
+    At lambda = 0 this is plain least squares on A f = b.
+
     Raises
     ------
     SingularSystem
@@ -96,17 +101,14 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
         stacked system itself is degenerate (possible only if A and D_k
         share a null space).
     """
-    if cfg.lam == 0.0:
-        sol, _, _, sv = np.linalg.lstsq(sys.A, sys.b, rcond=None)
-        if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0]:
-            raise SingularSystem("lambda = 0 needs a full-column-rank system")
-        return ForceVector(sol, sys.components)
-    D = _penalty(sys, cfg.order)
-    stacked = np.vstack([sys.A, np.sqrt(cfg.lam) * D])
-    rhs = np.concatenate([sys.b, np.zeros(D.shape[0])])
-    sol, _, _, sv = np.linalg.lstsq(stacked, rhs, rcond=None)
+    A, rhs = sys.A, sys.b
+    if cfg.lam > 0.0:
+        D = _penalty(sys, cfg.order)
+        A = np.vstack([sys.A, np.sqrt(cfg.lam) * D])
+        rhs = np.concatenate([sys.b, np.zeros(D.shape[0])])
+    sol, _, _, sv = np.linalg.lstsq(A, rhs, rcond=None)
     if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0]:
-        raise SingularSystem("regularized stack is rank-deficient")
+        raise SingularSystem(f"system is numerically rank-deficient at lambda = {cfg.lam:g}")
     return ForceVector(sol, sys.components)
 
 

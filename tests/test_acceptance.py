@@ -77,7 +77,7 @@ def test_criterion_4_exact_data_convergence(bench):
     errs = []
     for m in (10, 20, 40, 80):
         a = bench(1, m)
-        f = wf.least_squares(a.system)
+        f = wf.tikhonov_solve(a.system, wf.RegConfig())
         errs.append(wf.accuracy_error(f, a.exact))
     rel = errs[-1] / np.linalg.norm(bench(1, 80).exact.values)
     monotone = errs[0] > errs[1] > errs[2] > errs[3]
@@ -144,7 +144,7 @@ def test_criterion_7_lcurve_corners(bench):
 
 def test_criterion_8_dual_recovery(bench):
     a = bench(5, 80)
-    f = wf.least_squares(a.system)
+    f = wf.tikhonov_solve(a.system, wf.RegConfig())
     rel_f = np.linalg.norm(f.f - a.exact.f) / np.linalg.norm(a.exact.f)
     x = a.grid.interior_x
     band = (x >= 0.1 * a.grid.L) & (x <= 0.9 * a.grid.L)

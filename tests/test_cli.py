@@ -156,7 +156,7 @@ def test_error_reporting(tmp_path, capsys):
     assert "measured" in capsys.readouterr().err
 
 
-def test_config_file_with_flag_override(tmp_path):
+def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"example": 1, "M": 20, "N": 20, "lambda": 0}))
     out = tmp_path / "c"
@@ -168,8 +168,14 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 9
 
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"Mx": 3}))
-    assert run("invert", "--config", bad, "--out", tmp_path / "cb") == 1
+    for doc, key in (({"Mx": 3}, "Mx"), ({"M": None}, "M"), ({"M": [1]}, "M"),
+                     ({"lambda_grid": 5}, "lambda_grid")):
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("invert", "--config", bad, "--out", tmp_path / "cb") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("WaveforceError:") and err.count("\n") == 1
+        assert repr(key) in err
 
 
 def test_external_inversion_roundtrip(tmp_path):

@@ -58,7 +58,7 @@ def test_affinity_flux_decomposition(bench):
 def test_background_measurement_recovers_zero_force(bench):
     a = bench(2, 20)
     sys0 = a.system.with_measurement(a.system.background[0])
-    f = wf.least_squares(sys0)
+    f = wf.tikhonov_solve(sys0, wf.RegConfig())
     assert np.max(np.abs(f.values)) <= 1e-10
 
 
@@ -66,7 +66,7 @@ def test_matches_normal_equations_on_fabricated_system():
     rng = np.random.default_rng(123)
     A = rng.normal(size=(6, 3))
     b = rng.normal(size=6)
-    got = wf.least_squares(fabricated_system(A, b)).values
+    got = wf.tikhonov_solve(fabricated_system(A, b), wf.RegConfig()).values
     want = np.linalg.solve(A.T @ A, A.T @ b)
     assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -74,8 +74,8 @@ def test_matches_normal_equations_on_fabricated_system():
 def test_rank_deficient_detected():
     A = np.ones((5, 3))
     A[:, 1] = A[:, 0]  # duplicate column
-    with pytest.raises(wf.RankDeficient):
-        wf.least_squares(fabricated_system(A, np.ones(5)))
+    with pytest.raises(wf.SingularSystem):
+        wf.tikhonov_solve(fabricated_system(A, np.ones(5)), wf.RegConfig())
 
 
 def test_underdetermined_rejected():
@@ -135,14 +135,14 @@ def test_dual_same_mesh_identity_and_recovery():
     sys_ = wf.assemble_dual(prob, wf.flux(field, wf.LEFT), wf.flux(field, wf.RIGHT))
     resid = sys_.A @ exact.values - sys_.b
     assert np.max(np.abs(resid)) <= 1e-9 * max(1.0, np.max(np.abs(sys_.b)))
-    f = wf.least_squares(sys_)
+    f = wf.tikhonov_solve(sys_, wf.RegConfig())
     rel = np.linalg.norm(f.f - exact.f) / np.linalg.norm(exact.f)
     assert rel <= 0.05
 
 
 def test_exact_data_recovery_smooth_benchmark(bench):
     a = bench(1, 80)
-    f = wf.least_squares(a.system)
+    f = wf.tikhonov_solve(a.system, wf.RegConfig())
     rel = np.linalg.norm(f.values - a.exact.values) / np.linalg.norm(a.exact.values)
     assert rel <= 0.05
 
@@ -165,6 +165,37 @@ def test_with_measurement_equals_fresh_noisy_assembly(bench):
     assert rebuilt.A is a.system.A  # shared, not recomputed
     with pytest.raises(wf.DimensionMismatch):
         a.system.with_measurement(a.measured, measured_right=a.measured)
+
+    d = bench(5, 20)
+    rebuilt = d.system.with_measurement(d.measured, d.measured_right, noise=spec)
+    fresh = wf.assemble_dual(wf.inverse_problem(5, d.grid), d.measured, d.measured_right,
+                             noise=spec)
+    assert np.array_equal(rebuilt.b, fresh.b)
+    assert rebuilt.A is d.system.A
+    with pytest.raises(wf.DimensionMismatch):
+        d.system.with_measurement(d.measured)
+
+
+def test_bad_measurement_rejected_before_any_march(bench, monkeypatch):
+    a = bench(2, 10)
+    d = bench(5, 10)
+    single = wf.inverse_problem(2, a.grid)
+    dual = wf.inverse_problem(5, d.grid)
+
+    def no_march(problem):
+        raise AssertionError("assembly marched before validating the measurement")
+
+    monkeypatch.setattr("waveforce.inverse.solve_direct", no_march)
+    short = np.zeros(a.grid.N - 1)
+    right = wf.FluxSeries(wf.RIGHT, a.measured.values)
+    for call in (lambda: wf.assemble_single(single, short),
+                 lambda: wf.assemble_single(single, right),
+                 lambda: wf.assemble_dual(dual, short, d.measured_right),
+                 lambda: wf.assemble_dual(dual, d.measured, short),
+                 lambda: wf.assemble_dual(dual, d.measured_right, d.measured_right),
+                 lambda: wf.assemble_dual(dual, d.measured, d.measured)):
+        with pytest.raises(wf.DimensionMismatch):
+            call()
 
 
 def test_system_arrays_readonly(bench):
