@@ -109,9 +109,33 @@ def _weights(value) -> list:
     return [float(v) for v in value]
 
 
+def _integer(value) -> int:
+    # bool is an int subclass; a fractional float would be silently truncated
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    # bool("false") is True, so only real booleans are taken
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _check_lambda(lam: str) -> None:
+    try:
+        ok = lam == "lcurve" or 0.0 <= float(lam) < float("inf")  # False for nan
+    except ValueError:
+        ok = False
+    if not ok:
+        raise WaveforceError(f"'lambda' must be 'lcurve' or a finite number >= 0, got {lam!r}")
+
+
 # RunConfig annotation (before any "| None") -> conversion of a flag or
 # config value
-_CONVERT = {"int": int, "float": float, "str": str, "bool": bool, "list": _weights}
+_CONVERT = {"int": _integer, "float": float, "str": str, "bool": _boolean, "list": _weights}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,6 +226,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise WaveforceError(f"bad value for {name!r}: {exc}") from None
     if merged["noise_pct"] < 0:
         raise WaveforceError(f"noise percentage must be >= 0, got {merged['noise_pct']}")
+    _check_lambda(merged["lam"])
     return RunConfig(command=args.command, **merged)
 
 

@@ -1,12 +1,24 @@
 """Reduction of the identification problem to a dense linear system.
 
 The discrete map from a force profile to a boundary flux series is affine:
-flux(data, f) = flux(data, 0) + (linear response to f). Assembly therefore
-builds the system column by column from unit-force solves with homogeneous
-data, and moves the data contribution to the right-hand side:
+flux(data, f) = flux(data, 0) + (linear response to f). Column k of A is
+the flux response to the unit profile e_k with homogeneous data, and the
+data contribution moves to the right-hand side:
 
     column k of A ~ flux response to the unit profile e_k,
     b ~ measured flux - background flux (zero-force solve with true data).
+
+The columns are not marched one by one. The homogeneous scheme is linear
+and shift-invariant in time, and its interior operator (the constant-
+coefficient three-point stencil with Dirichlet ends) is symmetric. By
+reciprocity the flux stencil's response to an impulse at node k equals
+the response at node k to the stencil's weights used as an impulse. So one
+zero-data march per observed end, started from the flux stencil, yields
+the flux kernel of every node at once, and each column is the causal
+convolution of that kernel with the node's modulation (first time level
+at half weight, as in the first marched row). This relies on the symmetric
+constant-coefficient interior operator; a space-dependent wave speed or
+other boundary conditions would break it.
 
 Row convention: each row is stated in cleared-denominator stencil units,
 i.e. both the columns and b carry a factor 2*dx relative to raw flux units.
@@ -20,7 +32,6 @@ A dual measurement (both ends observed, two unknown profiles) stacks left
 flux rows then right flux rows, and first-component columns then
 second-component columns.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -37,6 +48,7 @@ from .model import (
     FluxSeries,
     GridSpec,
     InitialData,
+    KnownForce,
     SingleSource,
     WaveProblem,
 )
@@ -82,7 +94,7 @@ class InverseSystem:
         """New system sharing this one's A and backgrounds, with b rebuilt
         from a different measurement (and optional noise).
 
-        Avoids re-running the unit-force solves when sweeping seeds or
+        Avoids re-running the assembly marches when sweeping seeds or
         swapping data on a fixed problem.
         """
         series = (measured,) if measured_right is None else (measured, measured_right)
@@ -120,11 +132,13 @@ def _checked(series, end, N):
 
 
 def _assemble(problem, source_kind, measured, noise):
-    """Unit-force assembly shared by the single and dual systems.
+    """Reciprocity assembly shared by the single and dual systems.
 
     Column c*(M-1) + k holds the flux response, at every observed end, to
     the unit profile e_k in source component c; row block r belongs to the
-    r-th observed end. b comes from with_measurement.
+    r-th observed end. Each block is the causal convolution of the end's
+    flux kernel with the component's modulation. b comes from
+    with_measurement.
     """
     if not isinstance(problem.source, source_kind):
         raise WaveforceError(f"expected a problem with a {source_kind.__name__}, "
@@ -137,29 +151,44 @@ def _assemble(problem, source_kind, measured, noise):
 
     m = g.M - 1
     ends = _observed_ends(components)
-    zeros = [np.zeros(m)] * components
-    bg_field = solve_direct(problem.with_force(*zeros))
+    bg_field = solve_direct(problem.with_force(*[np.zeros(m)] * components))
     background = tuple(flux(bg_field, end) for end in ends)
-    hom = _homogeneous(problem)
-    scale = 2.0 * g.dx
-    A = np.empty((len(ends) * g.N, components * m))
-    e = np.zeros(m)
-    for c in range(components):
-        profiles = list(zeros)
-        profiles[c] = e
-        for k in range(m):
-            e[k] = 1.0
-            fld = solve_direct(hom.with_force(*profiles))
-            for r, end in enumerate(ends):
-                A[r * g.N:(r + 1) * g.N, c * m + k] = scale * flux(fld, end).values
-            e[k] = 0.0
+    kernels = [_flux_kernel(g, end) for end in ends]
+    src = problem.source
+    modulations = (src.modulation, src.modulation2) if components == 2 else (src.modulation,)
+    A = np.zeros((len(ends) * g.N, components * m))
+    for c, h in enumerate(modulations):
+        # force weights of the levels t_0..t_{N-1}, time-major; the first
+        # marched row takes the level-0 force at half weight
+        hw = h[1:g.M, :g.N].T.copy()
+        hw[0] *= 0.5
+        for r, G in enumerate(kernels):
+            blk = A[r * g.N:(r + 1) * g.N, c * m:(c + 1) * m]
+            for s in range(g.N):
+                blk[s:] += hw[s] * G[:g.N - s]
     system = InverseSystem(A, np.zeros(A.shape[0]), g, background, problem.source)
     return system.with_measurement(*measured, noise=noise)
 
 
-def _homogeneous(problem):
-    return WaveProblem(problem.grid, InitialData.zero(problem.grid),
-                       BoundaryData.zero(problem.grid), problem.source)
+def _flux_kernel(grid, end):
+    """Flux kernel of one observed end for every interior node at once.
+
+    G[n, k-1] is the 2*dx-scaled flux at t_{n+1} of a zero-data march whose
+    only input is a unit force at node k entering level t_1 at full weight
+    (u[k, 1] = dt^2). By reciprocity it equals the field at node k and
+    level n+1 of a zero-data march whose first marched row is dt^2 times
+    the flux stencil's weights; the boundary node's term drops out, its
+    value being zero. Returned as an N x (M-1) array.
+    """
+    M = grid.M
+    w = np.zeros(M + 1)
+    if end == LEFT:
+        w[1], w[2] = -4.0, 1.0
+    else:
+        w[M - 1], w[M - 2] = -4.0, 1.0
+    problem = WaveProblem(grid, InitialData(np.zeros(M + 1), grid.dt * w),
+                          BoundaryData.zero(grid), KnownForce(np.zeros((M + 1, grid.N + 1))))
+    return np.ascontiguousarray(solve_direct(problem).values[1:M, 1:].T)
 
 
 def assemble_single(problem: WaveProblem, measured, noise: NoiseSpec | None = None) -> InverseSystem:

@@ -169,13 +169,29 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
     bad = tmp_path / "bad.json"
     for doc, key in (({"Mx": 3}, "Mx"), ({"M": None}, "M"), ({"M": [1]}, "M"),
-                     ({"lambda_grid": 5}, "lambda_grid")):
+                     ({"lambda_grid": 5}, "lambda_grid"), ({"M": 10.9}, "M"),
+                     ({"dump_system": "false"}, "dump_system")):
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("invert", "--config", bad, "--out", tmp_path / "cb") == 1
         err = capsys.readouterr().err
         assert err.startswith("WaveforceError:") and err.count("\n") == 1
         assert repr(key) in err
+
+
+def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
+    def no_march(problem):
+        raise AssertionError("marched before validating --lambda")
+
+    monkeypatch.setattr("waveforce.inverse.solve_direct", no_march)
+    monkeypatch.setattr("waveforce.benchmarks.solve_direct", no_march)
+    for lam in ("abc", "-1", "nan", "inf"):
+        capsys.readouterr()
+        assert run("invert", "--example", 1, "--M", 10, "--lambda", lam,
+                   "--out", tmp_path / "bl") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("WaveforceError:") and err.count("\n") == 1
+        assert "'lambda'" in err
 
 
 def test_external_inversion_roundtrip(tmp_path):

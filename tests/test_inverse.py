@@ -198,6 +198,94 @@ def test_bad_measurement_rejected_before_any_march(bench, monkeypatch):
             call()
 
 
+def _column_oracle(problem):
+    """Slow predecessor of the reciprocity assembly: one homogeneous march
+    per unknown, each column read off the flux stencils of the observed ends."""
+    g = problem.grid
+    m = g.M - 1
+    components = problem.source.unknowns
+    ends = (wf.LEFT, wf.RIGHT)[:components]
+    hom = wf.WaveProblem(g, wf.InitialData.zero(g), wf.BoundaryData.zero(g), problem.source)
+    A = np.empty((len(ends) * g.N, components * m))
+    for c in range(components):
+        for k in range(m):
+            profiles = [np.zeros(m) for _ in range(components)]
+            profiles[c][k] = 1.0
+            fld = wf.solve_direct(hom.with_force(*profiles))
+            for r, end in enumerate(ends):
+                A[r * g.N:(r + 1) * g.N, c * m + k] = 2.0 * g.dx * wf.flux(fld, end).values
+    return A
+
+
+def _assemble_zero_data(problem):
+    # A does not depend on the measurement
+    zeros = [np.zeros(problem.grid.N)] * problem.source.unknowns
+    if isinstance(problem.source, wf.DualSource):
+        return wf.assemble_dual(problem, *zeros)
+    return wf.assemble_single(problem, *zeros)
+
+
+def _stretched_problem(dual):
+    # L, T and c away from 1 (r = 0.73), nonzero data, space-time modulations
+    g = wf.GridSpec(2.0, 1.5, 30, 40, 1.3)
+    h = wf.sample_grid(g, lambda x, t: np.cos(x) * (1.0 + t) + x * t)
+    h2 = wf.sample_grid(g, lambda x, t: np.exp(-t) * x)
+    source = wf.DualSource(h, h2) if dual else wf.SingleSource(h)
+    return wf.WaveProblem(g,
+                          wf.InitialData.from_callables(g, lambda x: np.sin(np.pi * x / 2), lambda x: x),
+                          wf.BoundaryData.from_callables(g, lambda t: 0.0 * t, lambda t: t),
+                          source)
+
+
+_ORACLE_CASES = {
+    **{f"scenario{ex}": (lambda ex=ex: wf.inverse_problem(ex, wf.GridSpec(1.0, 1.0, 40, 40)))
+       for ex in (1, 2, 3, 4, 5)},
+    "scenario3-N80": lambda: wf.inverse_problem(3, wf.GridSpec(1.0, 1.0, 40, 80)),
+    "scenario5-N57": lambda: wf.inverse_problem(5, wf.GridSpec(1.0, 1.0, 40, 57)),
+    "stretched-single": lambda: _stretched_problem(dual=False),
+    "stretched-dual": lambda: _stretched_problem(dual=True),
+}
+
+# Largest column-relative difference measured over these cases is 1.4e-14
+# (scenario3-N80); it grows with N (2.4e-14 at M = 40, N = 100, 4.9e-14 at
+# M = N = 320), since the convolution sums the march's products in another
+# order. The bound leaves room for another CPU, not for a wrong column.
+ORACLE_COLUMN_TOL = 1e-13
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_reciprocity_assembly_matches_column_oracle(case):
+    problem = _ORACLE_CASES[case]()
+    A = _assemble_zero_data(problem).A
+    want = _column_oracle(problem)
+    col_err = np.linalg.norm(A - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert np.max(col_err) <= ORACLE_COLUMN_TOL
+    assert np.array_equal(A == 0, want == 0)  # causal zeros stay exact
+
+
+@pytest.mark.parametrize("example, marches", [(2, 2), (5, 3)])
+def test_assembly_march_count_independent_of_M(example, marches, monkeypatch):
+    # background plus one kernel march per observed end, never one per column
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return wf.solve_direct(problem)
+
+    monkeypatch.setattr("waveforce.inverse.solve_direct", counting)
+    for m in (10, 40):
+        calls.clear()
+        _assemble_zero_data(wf.inverse_problem(example, wf.GridSpec(1.0, 1.0, m, m)))
+        assert len(calls) == marches
+
+
+def test_flux_affinity_at_M_640():
+    g = wf.GridSpec(1.0, 1.0, 640, 640)
+    system = wf.assemble_single(wf.inverse_problem(2, g), wf.measured_flux(2, g, wf.LEFT))
+    resid = system.A @ wf.exact_force(2, g).values - system.b
+    assert np.linalg.norm(resid) / np.linalg.norm(system.b) <= 1e-10
+
+
 def test_system_arrays_readonly(bench):
     s = bench(2, 10).system
     with pytest.raises(ValueError):
