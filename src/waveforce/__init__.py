@@ -27,13 +27,12 @@ from .model import (
     LEFT,
     RIGHT,
     BoundaryData,
-    DualSource,
     FluxSeries,
     ForceVector,
     GridSpec,
     InitialData,
     KnownForce,
-    SingleSource,
+    Source,
     WaveField,
     WaveProblem,
     sample_grid,
@@ -62,12 +61,10 @@ from .benchmarks import (
     REFERENCE_FLUX_TIMES,
     REFERENCE_LEFT_FLUX,
     REFERENCE_REGULARIZATION,
-    ExactSolution,
     ExampleSpec,
     direct_problem,
     exact_field,
     exact_force,
-    example,
     example_spec,
     inverse_problem,
     measured_flux,

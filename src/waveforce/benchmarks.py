@@ -38,14 +38,14 @@ from .model import (
     LEFT,
     RIGHT,
     BoundaryData,
-    DualSource,
     FluxSeries,
     ForceVector,
     GridSpec,
     InitialData,
-    SingleSource,
+    Source,
     WaveField,
     WaveProblem,
+    _integer,
     sample_grid,
 )
 
@@ -64,8 +64,9 @@ class ExampleSpec:
     """Closed forms defining one benchmark scenario.
 
     All callables take and return arrays (broadcasting scalars is fine).
-    modulation2/exact_force2 are set only for the dual scenario; exact_field
-    and the analytic flux closures only where a closed form exists.
+    modulations and exact_forces pair up: one modulation and one exact
+    profile per unknown component (two for the dual scenario). exact_field
+    and the analytic flux closures are set only where a closed form exists.
     """
 
     id: int
@@ -73,17 +74,11 @@ class ExampleSpec:
     v0: Callable
     left: Callable
     right: Callable
-    modulation: Callable
-    exact_force: Callable
-    modulation2: Callable | None = None
-    exact_force2: Callable | None = None
+    modulations: tuple
+    exact_forces: tuple
     exact_field: Callable | None = None
     flux_left: Callable | None = None
     flux_right: Callable | None = None
-
-    @property
-    def dual(self):
-        return self.modulation2 is not None
 
 
 _EXAMPLES = {
@@ -93,8 +88,8 @@ _EXAMPLES = {
         v0=lambda x: np.ones_like(x),
         left=lambda t: t + 0.5 * t * t,
         right=lambda t: t + 0.5 * t * t,
-        modulation=lambda x, t: np.ones(np.broadcast_shapes(np.shape(x), np.shape(t))),
-        exact_force=lambda x: 1.0 + np.pi ** 2 * np.sin(np.pi * x),
+        modulations=(lambda x, t: np.ones(np.broadcast_shapes(np.shape(x), np.shape(t))),),
+        exact_forces=(lambda x: 1.0 + np.pi ** 2 * np.sin(np.pi * x),),
         exact_field=lambda x, t: np.sin(np.pi * x) + t + 0.5 * t * t,
         flux_left=lambda t: np.full_like(np.asarray(t, dtype=float), -np.pi),
         flux_right=lambda t: np.full_like(np.asarray(t, dtype=float), -np.pi),
@@ -105,8 +100,8 @@ _EXAMPLES = {
         v0=lambda x: np.zeros_like(x),
         left=lambda t: np.zeros_like(t),
         right=lambda t: np.zeros_like(t),
-        modulation=lambda x, t: 1.0 + t + 0.0 * x,
-        exact_force=_hat,
+        modulations=(lambda x, t: 1.0 + t + 0.0 * x,),
+        exact_forces=(_hat,),
     ),
     3: ExampleSpec(
         id=3,
@@ -114,8 +109,8 @@ _EXAMPLES = {
         v0=lambda x: np.zeros_like(x),
         left=lambda t: np.zeros_like(t),
         right=lambda t: np.zeros_like(t),
-        modulation=lambda x, t: 1.0 + x + t,
-        exact_force=_hat,
+        modulations=(lambda x, t: 1.0 + x + t,),
+        exact_forces=(_hat,),
     ),
     4: ExampleSpec(
         id=4,
@@ -123,8 +118,8 @@ _EXAMPLES = {
         v0=lambda x: np.zeros_like(x),
         left=lambda t: np.zeros_like(t),
         right=lambda t: np.zeros_like(t),
-        modulation=lambda x, t: t * t + 0.0 * x,
-        exact_force=_hat,
+        modulations=(lambda x, t: t * t + 0.0 * x,),
+        exact_forces=(_hat,),
     ),
     5: ExampleSpec(
         id=5,
@@ -132,10 +127,10 @@ _EXAMPLES = {
         v0=lambda x: x * x + 1.0,
         left=lambda t: t + 0.5 * t * t,
         right=lambda t: 2.0 * t + 0.5 * t * t,
-        modulation=lambda x, t: np.ones(np.broadcast_shapes(np.shape(x), np.shape(t))),
-        exact_force=lambda x: 1.0 + np.pi ** 2 * np.sin(np.pi * x),
-        modulation2=lambda x, t: t + 0.0 * x,
-        exact_force2=lambda x: np.full_like(np.asarray(x, dtype=float), -2.0),
+        modulations=(lambda x, t: np.ones(np.broadcast_shapes(np.shape(x), np.shape(t))),
+                     lambda x, t: t + 0.0 * x),
+        exact_forces=(lambda x: 1.0 + np.pi ** 2 * np.sin(np.pi * x),
+                      lambda x: np.full_like(np.asarray(x, dtype=float), -2.0)),
         exact_field=lambda x, t: x * x * t + np.sin(np.pi * x) + t + 0.5 * t * t,
         flux_left=lambda t: np.full_like(np.asarray(t, dtype=float), -np.pi),
         flux_right=lambda t: 2.0 * np.asarray(t, dtype=float) - np.pi,
@@ -173,34 +168,22 @@ def inverse_problem(example_id: int, grid: GridSpec) -> WaveProblem:
     """Identification problem for a scenario: source profile(s) left unknown."""
     spec = example_spec(example_id)
     _check_grid(spec, grid)
-    if spec.dual:
-        source = DualSource(sample_grid(grid, spec.modulation),
-                            sample_grid(grid, spec.modulation2))
-    else:
-        source = SingleSource(sample_grid(grid, spec.modulation))
     return WaveProblem(grid,
                        InitialData.from_callables(grid, spec.u0, spec.v0),
                        BoundaryData.from_callables(grid, spec.left, spec.right),
-                       source)
+                       Source(tuple(sample_grid(grid, h) for h in spec.modulations)))
 
 
 def direct_problem(example_id: int, grid: GridSpec) -> WaveProblem:
     """Same scenario with the exact force bound: ready for a direct solve."""
     spec = example_spec(example_id)
-    prob = inverse_problem(example_id, grid)
-    if spec.dual:
-        return prob.with_force(spec.exact_force(grid.x), spec.exact_force2(grid.x))
-    return prob.with_force(spec.exact_force(grid.x))
+    return inverse_problem(example_id, grid).with_force(*(f(grid.x) for f in spec.exact_forces))
 
 
 def exact_force(example_id: int, grid: GridSpec) -> ForceVector:
     """Exact profile(s) at the interior nodes, stacked f then g for the dual case."""
-    spec = example_spec(example_id)
-    xin = grid.interior_x
-    if spec.dual:
-        return ForceVector(np.concatenate([spec.exact_force(xin),
-                                           spec.exact_force2(xin)]), components=2)
-    return ForceVector(spec.exact_force(xin))
+    forces = example_spec(example_id).exact_forces
+    return ForceVector(np.concatenate([f(grid.interior_x) for f in forces]), len(forces))
 
 
 def exact_field(example_id: int, grid: GridSpec) -> WaveField | None:
@@ -209,29 +192,6 @@ def exact_field(example_id: int, grid: GridSpec) -> WaveField | None:
     if spec.exact_field is None:
         return None
     return WaveField(grid, sample_grid(grid, spec.exact_field))
-
-
-@dataclass(frozen=True, eq=False)
-class ExactSolution:
-    """Ground truth for a benchmark scenario: force profile(s), field if known."""
-
-    force: ForceVector
-    field: WaveField | None
-
-
-def example(example_id: int, grid: GridSpec):
-    """Identification problem plus its exact solution.
-
-    Returns
-    -------
-    (WaveProblem, ExactSolution)
-        The problem carries the unknown source; the solution carries the
-        exact interior force vector and, when available, the exact field.
-    """
-    return inverse_problem(example_id, grid), ExactSolution(
-        force=exact_force(example_id, grid),
-        field=exact_field(example_id, grid),
-    )
 
 
 def measured_flux(example_id: int, grid: GridSpec, end: str = LEFT,
@@ -245,7 +205,7 @@ def measured_flux(example_id: int, grid: GridSpec, end: str = LEFT,
     """
     if end not in (LEFT, RIGHT):
         raise WaveforceError(f"end must be {LEFT!r} or {RIGHT!r}, got {end!r}")
-    r = int(data_refine)
+    r = _integer(data_refine, "data_refine")
     if r < 1:
         raise InvalidDimension(f"data_refine must be a positive integer, got {data_refine!r}")
     spec = example_spec(example_id)

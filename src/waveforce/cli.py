@@ -35,7 +35,6 @@ from .benchmarks import (
     REFERENCE_REGULARIZATION,
     direct_problem,
     exact_force,
-    example_spec,
     inverse_problem,
     measured_flux,
 )
@@ -43,17 +42,17 @@ from .csvio import ensure_dir, read_matrix, read_series, write_matrix, write_row
 from .errors import WaveforceError
 from .fdm import flux, solve_direct
 from .inverse import assemble_dual, assemble_single
-from .lcurve import DEFAULT_LAMBDA_GRID, EXTENDED_LAMBDA_GRID, corner, sweep
+from .lcurve import corner, sweep
 from .model import (
     LEFT,
     RIGHT,
     BoundaryData,
-    DualSource,
     FluxSeries,
     GridSpec,
     InitialData,
-    SingleSource,
+    Source,
     WaveProblem,
+    _integer,
 )
 from .noise import NoiseSpec
 from .tikhonov import RegConfig, accuracy_error, condition_number, tikhonov_solve
@@ -107,14 +106,6 @@ def _weights(value) -> list:
     if isinstance(value, str):
         value = [tok for tok in value.split(",") if tok.strip()]
     return [float(v) for v in value]
-
-
-def _integer(value) -> int:
-    # bool is an int subclass; a fractional float would be silently truncated
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _boolean(value) -> bool:
@@ -273,7 +264,7 @@ def _run_direct(cfg: RunConfig, outdir: Path) -> list:
     else:
         initial, boundary = _external_data(cfg, grid)
         base = WaveProblem(grid, initial, boundary,
-                           SingleSource(_external_modulation(cfg, grid)))
+                           Source((_external_modulation(cfg, grid),)))
         profile = read_series(cfg.force) if cfg.force else np.zeros(grid.M - 1)
         problem = base.with_force(profile)
     field = solve_direct(problem)
@@ -286,38 +277,32 @@ def _run_direct(cfg: RunConfig, outdir: Path) -> list:
 def _assemble(cfg: RunConfig):
     """Build the inverse system per the configuration.
 
-    Returns (system, exact ForceVector or None).
+    One measured series per observed end: the left end, and the right end
+    too when the source has two modulations. Returns (system, exact
+    ForceVector or None).
     """
     grid = cfg.grid()
-    noise = cfg.noise()
     if cfg.example is not None:
         problem = inverse_problem(cfg.example, grid)
-        measured = measured_flux(cfg.example, grid, LEFT, cfg.data_refine)
+        ends = (LEFT, RIGHT)[:problem.source.unknowns]
+        measured = [measured_flux(cfg.example, grid, end, cfg.data_refine) for end in ends]
         exact = exact_force(cfg.example, grid)
-        if example_spec(cfg.example).dual:
-            measured_right = measured_flux(cfg.example, grid, RIGHT, cfg.data_refine)
-            return assemble_dual(problem, measured, measured_right, noise), exact
-        return assemble_single(problem, measured, noise), exact
-    if cfg.measured_left is None:
-        raise WaveforceError("identification needs --example or --measured-left")
-    initial, boundary = _external_data(cfg, grid)
-    measured = FluxSeries(LEFT, read_series(cfg.measured_left))
-    modulation = _external_modulation(cfg, grid)
-    if cfg.measured_right is not None:
-        if cfg.modulation2 is None:
-            raise WaveforceError("dual identification needs --modulation2")
-        source = DualSource(modulation, read_matrix(cfg.modulation2))
-        problem = WaveProblem(grid, initial, boundary, source)
-        measured_right = FluxSeries(RIGHT, read_series(cfg.measured_right))
-        return assemble_dual(problem, measured, measured_right, noise), None
-    problem = WaveProblem(grid, initial, boundary, SingleSource(modulation))
-    return assemble_single(problem, measured, noise), None
-
-
-def _lambda_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.lambda_grid is not None:
-        return np.asarray(cfg.lambda_grid, dtype=float)
-    return DEFAULT_LAMBDA_GRID if cfg.reg_order == 0 else EXTENDED_LAMBDA_GRID
+    else:
+        if cfg.measured_left is None:
+            raise WaveforceError("identification needs --example or --measured-left")
+        dual = cfg.measured_right is not None
+        if dual != (cfg.modulation2 is not None):
+            raise WaveforceError("dual identification needs both --modulation2 and --measured-right")
+        measured = [FluxSeries(LEFT, read_series(cfg.measured_left))]
+        modulations = [_external_modulation(cfg, grid)]
+        if dual:
+            measured.append(FluxSeries(RIGHT, read_series(cfg.measured_right)))
+            modulations.append(read_matrix(cfg.modulation2))
+        initial, boundary = _external_data(cfg, grid)
+        problem = WaveProblem(grid, initial, boundary, Source(modulations))
+        exact = None
+    assemble = assemble_single if len(measured) == 1 else assemble_dual
+    return assemble(problem, *measured, cfg.noise()), exact
 
 
 def _write_lcurve(outdir: Path, points) -> str:
@@ -330,7 +315,7 @@ def _run_invert(cfg: RunConfig, outdir: Path) -> list:
     system, exact = _assemble(cfg)
     artifacts = []
     if cfg.lam == "lcurve":
-        points = sweep(system, cfg.reg_order, _lambda_grid(cfg))
+        points = sweep(system, cfg.reg_order, cfg.lambda_grid)
         artifacts.append(_write_lcurve(outdir, points))
         lam = corner(points).lam
     else:
@@ -365,7 +350,7 @@ def _run_invert(cfg: RunConfig, outdir: Path) -> list:
 
 def _run_lcurve(cfg: RunConfig, outdir: Path) -> list:
     system, _ = _assemble(cfg)
-    points = sweep(system, cfg.reg_order, _lambda_grid(cfg))
+    points = sweep(system, cfg.reg_order, cfg.lambda_grid)
     artifacts = [_write_lcurve(outdir, points)]
     best = corner(points)
     write_rows(outdir / "metrics.csv", ["metric", "value"], [
@@ -387,11 +372,12 @@ def _run_tables(cfg: RunConfig, outdir: Path) -> list:
             raise WaveforceError(f"tables cover scenarios 1..4, got {ex}")
     artifacts = []
 
-    rows = []
-    for ex in wanted:
-        for m in _TABLE_SIZES:
-            system, _ = _assemble(RunConfig(cfg.command, example=ex, M=m, N=m))
-            rows.append((str(ex), str(m), condition_number(system.A)))
+    # (scenario, M) -> (noise-free system, exact profile); tables 4-6 reuse
+    # the M = 80 systems of table1
+    assembled = {(ex, m): _assemble(RunConfig(cfg.command, example=ex, M=m, N=m))
+                 for ex in wanted for m in _TABLE_SIZES}
+    rows = [(str(ex), str(m), condition_number(system.A))
+            for (ex, m), (system, _) in assembled.items()]
     write_rows(outdir / "table1.csv", ["example", "M", "cond"], rows)
     artifacts.append("table1.csv")
 
@@ -411,7 +397,7 @@ def _run_tables(cfg: RunConfig, outdir: Path) -> list:
     for ex, name in ((2, "table4.csv"), (3, "table5.csv"), (4, "table6.csv")):
         if ex not in wanted:
             continue
-        system, exact = _assemble(RunConfig(cfg.command, example=ex, M=80, N=80))
+        system, exact = assembled[(ex, 80)]
         measured = measured_flux(ex, system.grid, LEFT)
         rows = []
         for order in (0, 1, 2):

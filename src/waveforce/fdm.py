@@ -30,9 +30,8 @@ def solve_direct(problem: WaveProblem) -> WaveField:
     Parameters
     ----------
     problem : WaveProblem
-        Must carry a KnownForce source. Problems built around unknown
-        components (SingleSource, DualSource) are bound first via
-        WaveProblem.with_force.
+        Must carry a KnownForce source. A problem built around a Source
+        with unknown profiles is bound first via WaveProblem.with_force.
 
     Returns
     -------

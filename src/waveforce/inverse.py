@@ -44,12 +44,11 @@ from .model import (
     LEFT,
     RIGHT,
     BoundaryData,
-    DualSource,
     FluxSeries,
     GridSpec,
     InitialData,
     KnownForce,
-    SingleSource,
+    Source,
     WaveProblem,
 )
 from .noise import NoiseSpec, add_noise
@@ -69,7 +68,7 @@ class InverseSystem:
     b: np.ndarray
     grid: GridSpec
     background: tuple
-    source: SingleSource | DualSource
+    source: Source
     noise: NoiseSpec | None = None
 
     def __post_init__(self):
@@ -131,7 +130,7 @@ def _checked(series, end, N):
     return series
 
 
-def _assemble(problem, source_kind, measured, noise):
+def _assemble(problem, measured, noise):
     """Reciprocity assembly shared by the single and dual systems.
 
     Column c*(M-1) + k holds the flux response, at every observed end, to
@@ -140,13 +139,13 @@ def _assemble(problem, source_kind, measured, noise):
     flux kernel with the component's modulation. b comes from
     with_measurement.
     """
-    if not isinstance(problem.source, source_kind):
-        raise WaveforceError(f"expected a problem with a {source_kind.__name__}, "
-                             f"got a {type(problem.source).__name__}")
+    components = len(measured)
+    if problem.source.unknowns != components:
+        raise WaveforceError(f"expected a source with {components} unknown profile(s), "
+                             f"got {problem.source.unknowns}")
     g = problem.grid
     if g.N < g.M - 1:
         raise UnderdeterminedSystem(f"N={g.N} observations cannot determine M-1={g.M - 1} unknowns")
-    components = source_kind.unknowns
     measured = _checked_measurement(measured, components, g.N)
 
     m = g.M - 1
@@ -154,10 +153,8 @@ def _assemble(problem, source_kind, measured, noise):
     bg_field = solve_direct(problem.with_force(*[np.zeros(m)] * components))
     background = tuple(flux(bg_field, end) for end in ends)
     kernels = [_flux_kernel(g, end) for end in ends]
-    src = problem.source
-    modulations = (src.modulation, src.modulation2) if components == 2 else (src.modulation,)
     A = np.zeros((len(ends) * g.N, components * m))
-    for c, h in enumerate(modulations):
+    for c, h in enumerate(problem.source.modulations):
         # force weights of the levels t_0..t_{N-1}, time-major; the first
         # marched row takes the level-0 force at half weight
         hw = h[1:g.M, :g.N].T.copy()
@@ -197,8 +194,8 @@ def assemble_single(problem: WaveProblem, measured, noise: NoiseSpec | None = No
     Parameters
     ----------
     problem : WaveProblem
-        Must carry a SingleSource. Its initial/boundary data are the true
-        data of the experiment.
+        Must carry a Source with one modulation. Its initial/boundary
+        data are the true data of the experiment.
     measured : FluxSeries or array of length N
         Observed left flux at t_1..t_N.
     noise : NoiseSpec, optional
@@ -214,12 +211,13 @@ def assemble_single(problem: WaveProblem, measured, noise: NoiseSpec | None = No
     UnderdeterminedSystem
         When N < M-1.
     """
-    return _assemble(problem, SingleSource, (measured,), noise)
+    return _assemble(problem, (measured,), noise)
 
 
 def assemble_dual(problem: WaveProblem, measured_left, measured_right,
                   noise: NoiseSpec | None = None) -> InverseSystem:
-    """Build the dual-source system from flux measurements at both ends.
+    """Build the dual-source system (a Source with two modulations) from
+    flux measurements at both ends.
 
     Row order: left flux rows then right flux rows. Column order: first
     component block then second component block.
@@ -229,4 +227,4 @@ def assemble_dual(problem: WaveProblem, measured_left, measured_right,
     InverseSystem
         2N x 2(M-1).
     """
-    return _assemble(problem, DualSource, (measured_left, measured_right), noise)
+    return _assemble(problem, (measured_left, measured_right), noise)

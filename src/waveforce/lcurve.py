@@ -57,7 +57,7 @@ def sweep(sys: InverseSystem, order: int = 0,
     order : int
         Penalty order k, in {0, 1, 2}.
     lambdas : sequence of float, optional
-        Strictly increasing positive weights. Defaults to
+        Strictly increasing positive weights, 1-dimensional. Defaults to
         DEFAULT_LAMBDA_GRID for order 0 and EXTENDED_LAMBDA_GRID otherwise.
 
     Returns
@@ -69,6 +69,8 @@ def sweep(sys: InverseSystem, order: int = 0,
     if lambdas is None:
         lambdas = DEFAULT_LAMBDA_GRID if order == 0 else EXTENDED_LAMBDA_GRID
     lams = np.asarray(lambdas, dtype=float)
+    if lams.ndim != 1:
+        raise InvalidDimension(f"lambda grid must be 1-dimensional, got shape {lams.shape}")
     if lams.size == 0:
         raise InvalidDimension("lambda grid is empty")
     if np.any(~np.isfinite(lams)) or np.any(lams <= 0):

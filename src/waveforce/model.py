@@ -8,6 +8,8 @@ read-only; instances are safe to share.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,15 @@ RIGHT = "right"
 
 #: tolerance for the boundary/initial compatibility check at the corners
 COMPATIBILITY_TOL = 1e-12
+
+
+def _integer(value, name="value"):
+    """`value` as an int. Bools and non-integral numbers are rejected, never truncated."""
+    # bool is an int subclass; int(10.9) would silently give 10
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) \
+            or not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise InvalidDimension(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _readonly(a, shape_name, ndim=1):
@@ -71,7 +82,7 @@ class GridSpec:
             if not np.isfinite(v) or v <= 0:
                 raise InvalidDimension(f"{name} must be a positive real, got {getattr(self, name)}")
             object.__setattr__(self, name, v)
-        m, n = int(self.M), int(self.N)
+        m, n = _integer(self.M, "M"), _integer(self.N, "N")
         if m < 2:
             raise InvalidDimension(f"M must be >= 2, got {self.M}")
         if n < 1:
@@ -194,37 +205,27 @@ class KnownForce:
 
 
 @dataclass(frozen=True, eq=False)
-class SingleSource:
-    """Source F(x, t) = f(x) * modulation(x, t) with the space profile f unknown.
+class Source:
+    """Source F(x, t) = f(x) h(x, t) [+ g(x) theta(x, t)] with the space profiles unknown.
 
-    The modulation is the known space-time factor, sampled on the full node
-    array; f is the unknown to be identified at the M-1 interior nodes.
+    `modulations` holds the known space-time factors (h, or h and theta),
+    each sampled on the full node array. Every modulation carries one
+    unknown profile, identified at the M-1 interior nodes.
     """
 
-    modulation: np.ndarray
+    modulations: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "modulation", _readonly(self.modulation, "modulation", ndim=2))
+        if len(self.modulations) not in (1, 2):
+            raise InvalidDimension(f"a source takes 1 or 2 modulations, got {len(self.modulations)}")
+        mods = tuple(_readonly(h, "modulation", ndim=2) for h in self.modulations)
+        if mods[-1].shape != mods[0].shape:
+            raise DimensionMismatch(f"modulation shapes differ: {mods[0].shape} vs {mods[-1].shape}")
+        object.__setattr__(self, "modulations", mods)
 
-    unknowns = 1
-
-
-@dataclass(frozen=True, eq=False)
-class DualSource:
-    """Source F = f(x)*modulation + g(x)*modulation2 with both profiles unknown."""
-
-    modulation: np.ndarray
-    modulation2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "modulation", _readonly(self.modulation, "modulation", ndim=2))
-        object.__setattr__(self, "modulation2", _readonly(self.modulation2, "modulation2", ndim=2))
-        if self.modulation.shape != self.modulation2.shape:
-            raise DimensionMismatch(
-                f"modulation shapes differ: {self.modulation.shape} vs {self.modulation2.shape}"
-            )
-
-    unknowns = 2
+    @property
+    def unknowns(self):
+        return len(self.modulations)
 
 
 def _as_full_profile(values, M, what):
@@ -254,7 +255,7 @@ class WaveProblem:
     grid: GridSpec
     initial: InitialData
     boundary: BoundaryData
-    source: KnownForce | SingleSource | DualSource
+    source: KnownForce | Source
 
     def __post_init__(self):
         g = self.grid
@@ -267,10 +268,8 @@ class WaveProblem:
                 f"boundary data has {self.boundary.left.size} samples, grid needs {g.N + 1}"
             )
         shape = (g.M + 1, g.N + 1)
-        arrays = [self.source.modulation, self.source.modulation2] \
-            if isinstance(self.source, DualSource) else \
-            [self.source.values] if isinstance(self.source, KnownForce) else \
-            [self.source.modulation]
+        arrays = (self.source.values,) if isinstance(self.source, KnownForce) \
+            else self.source.modulations
         for a in arrays:
             if a.shape != shape:
                 raise DimensionMismatch(f"source array shape {a.shape} does not match grid {shape}")
@@ -286,29 +285,25 @@ class WaveProblem:
                 f"displacement at x=L is {u0[-1]!r}"
             )
 
-    def with_force(self, profile, profile2=None):
-        """Bind concrete space profiles to the unknown source components.
+    def with_force(self, *profiles):
+        """Bind one concrete space profile to each unknown source component.
 
-        Returns a new WaveProblem whose source is the resulting KnownForce.
-        Profiles may be given at interior nodes (length M-1) or at all nodes
-        (length M+1).
+        Returns a new WaveProblem whose source is the resulting KnownForce
+        F = sum over components of profile * modulation. Profiles may be
+        given at interior nodes (length M-1) or at all nodes (length M+1).
         """
-        M = self.grid.M
-        if isinstance(self.source, SingleSource):
-            if profile2 is not None:
-                raise DimensionMismatch("single-component source takes exactly one profile")
-            f = _as_full_profile(profile, M, "force profile")
-            return WaveProblem(self.grid, self.initial, self.boundary,
-                               KnownForce(f[:, None] * self.source.modulation))
-        if isinstance(self.source, DualSource):
-            if profile2 is None:
-                raise DimensionMismatch("dual-component source needs two profiles")
-            f = _as_full_profile(profile, M, "first force profile")
-            g2 = _as_full_profile(profile2, M, "second force profile")
-            return WaveProblem(self.grid, self.initial, self.boundary,
-                               KnownForce(f[:, None] * self.source.modulation
-                                          + g2[:, None] * self.source.modulation2))
-        raise WaveforceError("source has no unknown components to bind")
+        if isinstance(self.source, KnownForce):
+            raise WaveforceError("source has no unknown components to bind")
+        mods = self.source.modulations
+        if len(profiles) != len(mods):
+            raise DimensionMismatch(
+                f"a {len(mods)}-component source takes {len(mods)} profiles, got {len(profiles)}")
+        terms = [_as_full_profile(f, self.grid.M, "force profile")[:, None] * h
+                 for f, h in zip(profiles, mods)]
+        # folded from the first term, not from 0: 0 + (-0.0) is +0.0, so a
+        # sum() would flip the signed zeros of F
+        return WaveProblem(self.grid, self.initial, self.boundary,
+                           KnownForce(functools.reduce(np.add, terms)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,6 +352,7 @@ class ForceVector:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values, "force vector"))
+        object.__setattr__(self, "components", _integer(self.components, "components"))
         if self.components not in (1, 2):
             raise InvalidDimension(f"components must be 1 or 2, got {self.components}")
         if self.values.size % self.components:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WaveforceError
-from .model import LEFT, RIGHT, FluxSeries
+from .model import LEFT, RIGHT, FluxSeries, _integer
 
 _END_CODE = {LEFT: 0, RIGHT: 1}
 
@@ -29,7 +29,7 @@ class NoiseSpec:
     p : float
         Noise fraction, >= 0; p = 0.01 means 1% noise.
     seed : int
-        Base seed for the generator.
+        Base seed for the generator, >= 0.
     """
 
     p: float
@@ -39,8 +39,11 @@ class NoiseSpec:
         p = float(self.p)
         if not np.isfinite(p) or p < 0:
             raise WaveforceError(f"noise fraction must be >= 0, got {self.p}")
+        seed = _integer(self.seed, "seed")
+        if seed < 0:
+            raise WaveforceError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
 
 def noise_sigma(series: FluxSeries, p: float) -> float:

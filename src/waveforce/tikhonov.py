@@ -18,10 +18,11 @@ from .errors import (
     DimensionMismatch,
     InvalidDimension,
     SingularSystem,
+    WaveforceError,
     ZeroMatrix,
 )
 from .inverse import InverseSystem
-from .model import ForceVector
+from .model import ForceVector, _integer
 
 #: singular values below RANK_TOL * sv(1) count as zero in rank decisions
 RANK_TOL = 1e-12
@@ -43,11 +44,13 @@ class RegConfig:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.order not in (0, 1, 2):
+        order = _integer(self.order, "order")
+        if order not in (0, 1, 2):
             raise InvalidDimension(f"order must be 0, 1 or 2, got {self.order}")
         lam = float(self.lam)
         if not np.isfinite(lam) or lam < 0:
             raise InvalidDimension(f"lambda must be >= 0, got {self.lam}")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "lam", lam)
 
 
@@ -60,8 +63,10 @@ def difference_operator(order: int, m: int) -> np.ndarray:
     Raises
     ------
     InvalidDimension
-        When m <= order (no rows would remain).
+        When order or m is not an integer, or m <= order (no rows would
+        remain).
     """
+    order, m = _integer(order, "order"), _integer(m, "m")
     if order not in (0, 1, 2):
         raise InvalidDimension(f"order must be 0, 1 or 2, got {order}")
     if m <= order:
@@ -112,6 +117,17 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
     return ForceVector(sol, sys.components)
 
 
+def _singular_values(A, what) -> np.ndarray:
+    A = np.asarray(A, dtype=float)
+    if not np.any(A):
+        raise ZeroMatrix(f"{what} of an all-zero matrix")
+    if A.ndim != 2:
+        raise DimensionMismatch(f"{what} needs a 2-dimensional matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise WaveforceError(f"{what} of a matrix with non-finite entries")
+    return np.linalg.svd(A, compute_uv=False)
+
+
 def condition_number(A) -> float:
     """2-norm condition number sv(1) / sv(min dimension).
 
@@ -119,11 +135,12 @@ def condition_number(A) -> float:
     ------
     ZeroMatrix
         When A has no nonzero entry.
+    DimensionMismatch
+        When A is not 2-dimensional.
+    WaveforceError
+        When A has a non-finite entry.
     """
-    A = np.asarray(A, dtype=float)
-    if not np.any(A):
-        raise ZeroMatrix("condition number of an all-zero matrix")
-    sv = np.linalg.svd(A, compute_uv=False)
+    sv = _singular_values(A, "condition number")
     if sv[-1] == 0.0:
         return float("inf")
     return float(sv[0] / sv[-1])
@@ -136,11 +153,12 @@ def normalized_singular_values(A) -> np.ndarray:
     ------
     ZeroMatrix
         When A has no nonzero entry.
+    DimensionMismatch
+        When A is not 2-dimensional.
+    WaveforceError
+        When A has a non-finite entry.
     """
-    A = np.asarray(A, dtype=float)
-    if not np.any(A):
-        raise ZeroMatrix("singular values of an all-zero matrix")
-    sv = np.linalg.svd(A, compute_uv=False)
+    sv = _singular_values(A, "singular values")
     return sv / sv[0]
 
 

@@ -26,7 +26,7 @@ def bench():
             problem = wf.inverse_problem(example_id, grid)
             measured = wf.measured_flux(example_id, grid, wf.LEFT)
             exact = wf.exact_force(example_id, grid)
-            if wf.example_spec(example_id).dual:
+            if problem.source.unknowns == 2:
                 measured_right = wf.measured_flux(example_id, grid, wf.RIGHT)
                 system = wf.assemble_dual(problem, measured, measured_right)
             else:

@@ -24,10 +24,11 @@ def test_grid_preconditions():
 def test_all_scenarios_construct():
     g = wf.GridSpec(1.0, 1.0, 10, 10)
     for ex in wf.ALL_EXAMPLES:
-        prob, sol = wf.example(ex, g)
+        prob = wf.inverse_problem(ex, g)
+        force = wf.exact_force(ex, g)
         assert prob.grid is g
-        assert sol.force.block_size == 9
-        assert (sol.force.components == 2) == wf.example_spec(ex).dual
+        assert force.block_size == 9
+        assert force.components == prob.source.unknowns == (2 if ex == 5 else 1)
 
 
 def test_analytic_fluxes():
@@ -111,8 +112,9 @@ def test_data_refine_changes_data_little():
     assert q1.size == q2.size == 20
     d = np.max(np.abs(q1 - q2))
     assert 0.0 < d < 5e-3
-    with pytest.raises(wf.InvalidDimension):
-        wf.measured_flux(3, g, wf.LEFT, data_refine=0)
+    for bad in (0, 1.5, True):
+        with pytest.raises(wf.InvalidDimension):
+            wf.measured_flux(3, g, wf.LEFT, data_refine=bad)
 
 
 def test_reference_tables_complete():

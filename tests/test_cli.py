@@ -201,7 +201,7 @@ def test_external_inversion_roundtrip(tmp_path):
     meas = tmp_path / "q.csv"
     write_series(meas, q.values)
     mod = tmp_path / "h.csv"
-    write_matrix(mod, wf.sample_grid(g, wf.example_spec(2).modulation))
+    write_matrix(mod, wf.inverse_problem(2, g).source.modulations[0])
     out = tmp_path / "ext"
     assert run("invert", "--M", 12, "--N", 12, "--measured-left", meas,
                "--modulation", mod, "--out", out) == 0
@@ -211,3 +211,22 @@ def test_external_inversion_roundtrip(tmp_path):
     assert np.linalg.norm(f - exact) / np.linalg.norm(exact) <= 0.05
     # no exact profile is known for external data, so no accuracy metric
     assert "accuracy_error" not in metrics_dict(out / "metrics.csv")
+
+    # a second modulation plus a right-end series identify two profiles;
+    # either one alone is rejected
+    problem = wf.inverse_problem(2, g)
+    h, theta = problem.source.modulations[0], wf.sample_grid(g, lambda x, t: t)
+    dual = wf.WaveProblem(g, problem.initial, problem.boundary, wf.Source((h, theta)))
+    field = wf.solve_direct(dual.with_force(exact, np.full(11, -2.0)))
+    write_series(meas, wf.flux(field, wf.LEFT).values)
+    meas_right, mod2 = tmp_path / "qr.csv", tmp_path / "theta.csv"
+    write_series(meas_right, wf.flux(field, wf.RIGHT).values)
+    write_matrix(mod2, theta)
+    base = ("invert", "--M", 12, "--N", 12, "--measured-left", meas, "--modulation", mod,
+            "--out", out)
+    assert run(*base, "--modulation2", mod2, "--measured-right", meas_right) == 0
+    header, rows = read_rows(out / "force.csv")
+    assert header == ["x", "f", "g"]
+    assert np.max(np.abs([float(r[2]) + 2.0 for r in rows])) <= 1e-8
+    assert run(*base, "--modulation2", mod2) == 1
+    assert run(*base, "--measured-right", meas_right) == 1

@@ -103,7 +103,7 @@ def test_superposition():
 def test_rejects_unbound_source():
     g = wf.GridSpec(1.0, 1.0, 4, 4)
     prob = wf.WaveProblem(g, wf.InitialData.zero(g), wf.BoundaryData.zero(g),
-                          wf.SingleSource(np.ones((5, 5))))
+                          wf.Source((np.ones((5, 5)),)))
     with pytest.raises(wf.UnresolvedForce):
         wf.solve_direct(prob)
 

@@ -14,7 +14,7 @@ def fabricated_system(A, b):
     n, m = A.shape
     grid = wf.GridSpec(1.0, 1.0, m + 1, max(n, m + 1))
     bg = wf.FluxSeries(wf.LEFT, np.zeros(grid.N))
-    src = wf.SingleSource(np.ones((grid.M + 1, grid.N + 1)))
+    src = wf.Source((np.ones((grid.M + 1, grid.N + 1)),))
     return wf.InverseSystem(A, b, grid, (bg,), src)
 
 
@@ -81,7 +81,7 @@ def test_rank_deficient_detected():
 def test_underdetermined_rejected():
     g = wf.GridSpec(1.0, 0.2, 10, 4)  # N=4 < M-1=9, r=0.5
     prob = wf.WaveProblem(g, wf.InitialData.zero(g), wf.BoundaryData.zero(g),
-                          wf.SingleSource(np.ones((11, 5))))
+                          wf.Source((np.ones((11, 5)),)))
     with pytest.raises(wf.UnderdeterminedSystem):
         wf.assemble_single(prob, np.zeros(4))
 
@@ -89,11 +89,11 @@ def test_underdetermined_rejected():
 def test_assembly_requires_matching_source_kind():
     g = wf.GridSpec(1.0, 1.0, 4, 4)
     dual = wf.WaveProblem(g, wf.InitialData.zero(g), wf.BoundaryData.zero(g),
-                          wf.DualSource(np.ones((5, 5)), np.ones((5, 5))))
+                          wf.Source((np.ones((5, 5)), np.ones((5, 5)))))
     with pytest.raises(wf.WaveforceError):
         wf.assemble_single(dual, np.zeros(4))
     single = wf.WaveProblem(g, wf.InitialData.zero(g), wf.BoundaryData.zero(g),
-                            wf.SingleSource(np.ones((5, 5))))
+                            wf.Source((np.ones((5, 5)),)))
     with pytest.raises(wf.WaveforceError):
         wf.assemble_dual(single, np.zeros(4), np.zeros(4))
 
@@ -113,13 +113,10 @@ def test_dual_first_block_matches_single_assembly(bench):
     # case: the f-block of A must be bit-identical, the g-block zero
     a = bench(2, 10)
     g = a.grid
-    spec = wf.example_spec(2)
+    single = wf.inverse_problem(2, g)
     dual_prob = wf.WaveProblem(
-        g,
-        wf.InitialData.from_callables(g, spec.u0, spec.v0),
-        wf.BoundaryData.from_callables(g, spec.left, spec.right),
-        wf.DualSource(wf.sample_grid(g, spec.modulation),
-                      np.zeros((g.M + 1, g.N + 1))))
+        g, single.initial, single.boundary,
+        wf.Source(single.source.modulations + (np.zeros((g.M + 1, g.N + 1)),)))
     qr = wf.flux(wf.solve_direct(dual_prob.with_force(np.zeros(9), np.zeros(9))), wf.RIGHT)
     dual_sys = wf.assemble_dual(dual_prob, a.measured, qr)
     m = g.M - 1
@@ -220,9 +217,8 @@ def _column_oracle(problem):
 def _assemble_zero_data(problem):
     # A does not depend on the measurement
     zeros = [np.zeros(problem.grid.N)] * problem.source.unknowns
-    if isinstance(problem.source, wf.DualSource):
-        return wf.assemble_dual(problem, *zeros)
-    return wf.assemble_single(problem, *zeros)
+    assemble = wf.assemble_single if len(zeros) == 1 else wf.assemble_dual
+    return assemble(problem, *zeros)
 
 
 def _stretched_problem(dual):
@@ -230,7 +226,7 @@ def _stretched_problem(dual):
     g = wf.GridSpec(2.0, 1.5, 30, 40, 1.3)
     h = wf.sample_grid(g, lambda x, t: np.cos(x) * (1.0 + t) + x * t)
     h2 = wf.sample_grid(g, lambda x, t: np.exp(-t) * x)
-    source = wf.DualSource(h, h2) if dual else wf.SingleSource(h)
+    source = wf.Source((h, h2) if dual else (h,))
     return wf.WaveProblem(g,
                           wf.InitialData.from_callables(g, lambda x: np.sin(np.pi * x / 2), lambda x: x),
                           wf.BoundaryData.from_callables(g, lambda t: 0.0 * t, lambda t: t),

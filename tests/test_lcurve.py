@@ -38,6 +38,9 @@ def test_sweep_grid_validation(bench):
         wf.sweep(s, 0, [1e-5, 1e-6])
     with pytest.raises(wf.InvalidDimension):
         wf.sweep(s, 0, [0.0, 1e-6])
+    for not_a_grid in ([[1e-3, 1e-2, 1e-1]], 1e-3):
+        with pytest.raises(wf.InvalidDimension):
+            wf.sweep(s, 0, not_a_grid)
 
 
 def synthetic_l(n_arm=5):

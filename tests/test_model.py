@@ -36,6 +36,12 @@ def test_grid_rejects_bad_extents_and_counts():
         wf.GridSpec(1.0, 1.0, 4, 0)
     with pytest.raises(wf.InvalidDimension):
         wf.GridSpec(1.0, 1.0, 4, 4, c=0.0)
+    # counts are integers: neither truncated nor taken from a bool
+    for m, n in ((10.9, 10.9), (10, 10.5), (True, 4), ("4", 4)):
+        with pytest.raises(wf.InvalidDimension):
+            wf.GridSpec(1.0, 1.0, m, n)
+    g = wf.GridSpec(1.0, 1.0, 10.0, np.int64(10))
+    assert type(g.M) is int and type(g.N) is int and g.M == g.N == 10
 
 
 def test_sample_grid_shapes_and_values():
@@ -63,21 +69,21 @@ def test_initial_and_boundary_size_checks():
 
 def _zero_problem(g):
     return wf.WaveProblem(g, wf.InitialData.zero(g), wf.BoundaryData.zero(g),
-                          wf.SingleSource(np.ones((g.M + 1, g.N + 1))))
+                          wf.Source((np.ones((g.M + 1, g.N + 1)),)))
 
 
 def test_problem_size_checks():
     g = wf.GridSpec(1.0, 1.0, 4, 4)
     with pytest.raises(wf.DimensionMismatch):
         wf.WaveProblem(g, wf.InitialData(np.zeros(6), np.zeros(6)),
-                       wf.BoundaryData.zero(g), wf.SingleSource(np.ones((5, 5))))
+                       wf.BoundaryData.zero(g), wf.Source((np.ones((5, 5)),)))
     with pytest.raises(wf.DimensionMismatch):
         wf.WaveProblem(g, wf.InitialData.zero(g),
                        wf.BoundaryData(np.zeros(6), np.zeros(6)),
-                       wf.SingleSource(np.ones((5, 5))))
+                       wf.Source((np.ones((5, 5)),)))
     with pytest.raises(wf.DimensionMismatch):
         wf.WaveProblem(g, wf.InitialData.zero(g), wf.BoundaryData.zero(g),
-                       wf.SingleSource(np.ones((4, 5))))
+                       wf.Source((np.ones((4, 5)),)))
 
 
 def test_corner_compatibility_enforced():
@@ -86,11 +92,11 @@ def test_corner_compatibility_enforced():
     u0[0] = 1.0  # disagrees with left(0) = 0
     with pytest.raises(wf.IncompatibleData):
         wf.WaveProblem(g, wf.InitialData(u0, np.zeros(5)), wf.BoundaryData.zero(g),
-                       wf.SingleSource(np.ones((5, 5))))
+                       wf.Source((np.ones((5, 5)),)))
     # mismatch below tolerance passes
     u0[0] = 1e-13
     wf.WaveProblem(g, wf.InitialData(u0, np.zeros(5)), wf.BoundaryData.zero(g),
-                   wf.SingleSource(np.ones((5, 5))))
+                   wf.Source((np.ones((5, 5)),)))
 
 
 def test_with_force_profile_lengths():
@@ -109,11 +115,24 @@ def test_with_force_profile_lengths():
         prob.with_force(np.zeros(3), np.zeros(3))
 
 
+def test_source_modulation_count_and_shapes():
+    ones = np.ones((5, 5))
+    assert wf.Source((ones,)).unknowns == 1
+    assert wf.Source([ones, ones]).unknowns == 2
+    for mods in ((), (ones, ones, ones)):
+        with pytest.raises(wf.InvalidDimension):
+            wf.Source(mods)
+    with pytest.raises(wf.DimensionMismatch):
+        wf.Source((ones, np.ones((5, 4))))
+    with pytest.raises(wf.DimensionMismatch):
+        wf.Source((np.ones(5),))
+
+
 def test_with_force_on_dual_and_known():
     g = wf.GridSpec(1.0, 1.0, 4, 4)
     ones = np.ones((5, 5))
     dual = wf.WaveProblem(g, wf.InitialData.zero(g), wf.BoundaryData.zero(g),
-                          wf.DualSource(ones, 2.0 * ones))
+                          wf.Source((ones, 2.0 * ones)))
     bound = dual.with_force(np.ones(3), np.ones(3))
     # F = 1*1 + 1*2 = 3 at interior nodes
     assert bound.source.values[2, 2] == 3.0
@@ -140,8 +159,9 @@ def test_force_vector_blocks():
     dual = wf.ForceVector(np.arange(6.0), components=2)
     assert np.array_equal(dual.f, [0.0, 1.0, 2.0])
     assert np.array_equal(dual.g, [3.0, 4.0, 5.0])
-    with pytest.raises(wf.InvalidDimension):
-        wf.ForceVector(np.ones(4), components=3)
+    for components in (3, True, 1.5):
+        with pytest.raises(wf.InvalidDimension):
+            wf.ForceVector(np.ones(4), components=components)
     with pytest.raises(wf.DimensionMismatch):
         wf.ForceVector(np.ones(5), components=2)
 

@@ -24,6 +24,11 @@ def test_spec_validation():
         wf.NoiseSpec(-0.01)
     with pytest.raises(wf.WaveforceError):
         wf.NoiseSpec(float("nan"))
+    # the seed is a non-negative integer, checked at construction
+    for seed in (1.7, -1, True, "3"):
+        with pytest.raises(wf.WaveforceError):
+            wf.NoiseSpec(0.01, seed)
+    assert type(wf.NoiseSpec(0.01, 3.0).seed) is int
 
 
 def test_deterministic_given_seed():

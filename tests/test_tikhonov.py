@@ -34,8 +34,9 @@ def test_difference_operator_needs_enough_nodes():
     for order, m in ((0, 0), (1, 1), (2, 2)):
         with pytest.raises(wf.InvalidDimension):
             wf.difference_operator(order, m)
-    with pytest.raises(wf.InvalidDimension):
-        wf.difference_operator(3, 10)
+    for order, m in ((3, 10), (True, 3), (1, 3.5)):
+        with pytest.raises(wf.InvalidDimension):
+            wf.difference_operator(order, m)
 
 
 def test_config_validation():
@@ -43,6 +44,11 @@ def test_config_validation():
         wf.RegConfig(order=3, lam=0.1)
     with pytest.raises(wf.InvalidDimension):
         wf.RegConfig(order=0, lam=-1e-9)
+    for order in (True, 1.5, "1"):
+        with pytest.raises(wf.InvalidDimension):
+            wf.RegConfig(order=order)
+    # an integral float is stored as the int it names
+    assert type(wf.RegConfig(order=1.0).order) is int
 
 
 def test_identity_system_closed_form():
@@ -141,6 +147,11 @@ def test_condition_number_basics(bench):
     assert abs(wf.condition_number(bench(1, 20).system.A) - ref) / ref <= 0.02
     with pytest.raises(wf.ZeroMatrix):
         wf.condition_number(np.zeros((3, 3)))
+    for not_a_matrix in (np.ones(3), np.ones((2, 2, 2)), 5.0):
+        with pytest.raises(wf.DimensionMismatch):
+            wf.condition_number(not_a_matrix)
+    with pytest.raises(wf.WaveforceError):
+        wf.condition_number([[np.nan, 1.0], [1.0, 2.0]])
     # exactly singular: infinite when the small singular value underflows
     # to zero, astronomically large otherwise
     assert wf.condition_number(np.diag([1.0, 0.0])) == np.inf
