@@ -15,6 +15,9 @@ Problems come either from a benchmark scenario (--example 1..5) or from
 external data files (series and matrices in the csvio formats). Every run
 writes manifest.json recording the resolved configuration, seed, and
 package version; identical configuration yields byte-identical artifacts.
+`invert` and `lcurve` take --timings FILE, which writes the wall time of
+each stage as one JSON object; it is not an artifact, so it stays out of
+the manifest.
 Failures exit with status 1 and a single "ErrorClass: message" line on
 stderr.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -124,6 +128,20 @@ def _check_lambda(lam: str) -> None:
         raise WaveforceError(f"'lambda' must be 'lcurve' or a finite number >= 0, got {lam!r}")
 
 
+class _Stages:
+    """Wall time of each pipeline stage, by time.perf_counter: lap(name)
+    books the time since the previous lap to that stage."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage):
+        now = time.perf_counter()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self._last
+        self._last = now
+
+
 # RunConfig annotation (before any "| None") -> conversion of a flag or
 # config value
 _CONVERT = {"int": _integer, "float": float, "str": str, "bool": _boolean, "list": _weights}
@@ -177,6 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="regularization weight, or 'lcurve' to pick the corner")
             sp.add_argument("--lambda-grid", dest="lambda_grid",
                             help="comma-separated ascending weights for the sweep")
+            sp.add_argument("--timings",
+                            help="write per-stage wall times (JSON) to this file; not an artifact")
         if name == "invert":
             sp.add_argument("--dump-system", dest="dump_system", action="store_true",
                             default=None, help="also write system_A.csv and system_b.csv")
@@ -257,7 +277,7 @@ def _external_modulation(cfg: RunConfig, grid: GridSpec) -> np.ndarray:
     return np.ones((grid.M + 1, grid.N + 1))
 
 
-def _run_direct(cfg: RunConfig, outdir: Path) -> list:
+def _run_direct(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     grid = cfg.grid()
     if cfg.example is not None:
         problem = direct_problem(cfg.example, grid)
@@ -274,12 +294,12 @@ def _run_direct(cfg: RunConfig, outdir: Path) -> list:
     return ["field.csv", "flux_left.csv", "flux_right.csv"]
 
 
-def _assemble(cfg: RunConfig):
+def _assemble(cfg: RunConfig, stages: _Stages):
     """Build the inverse system per the configuration.
 
     One measured series per observed end: the left end, and the right end
     too when the source has two modulations. Returns (system, exact
-    ForceVector or None).
+    ForceVector or None); the stages "data" and "assembly" are booked.
     """
     grid = cfg.grid()
     if cfg.example is not None:
@@ -301,8 +321,11 @@ def _assemble(cfg: RunConfig):
         initial, boundary = _external_data(cfg, grid)
         problem = WaveProblem(grid, initial, boundary, Source(modulations))
         exact = None
+    stages.lap("data")
     assemble = assemble_single if len(measured) == 1 else assemble_dual
-    return assemble(problem, *measured, cfg.noise()), exact
+    system = assemble(problem, *measured, cfg.noise())
+    stages.lap("assembly")
+    return system, exact
 
 
 def _write_lcurve(outdir: Path, points) -> str:
@@ -311,16 +334,21 @@ def _write_lcurve(outdir: Path, points) -> str:
     return "lcurve.csv"
 
 
-def _run_invert(cfg: RunConfig, outdir: Path) -> list:
-    system, exact = _assemble(cfg)
-    artifacts = []
+def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
+    system, exact = _assemble(cfg, stages)
+    points = None
     if cfg.lam == "lcurve":
         points = sweep(system, cfg.reg_order, cfg.lambda_grid)
-        artifacts.append(_write_lcurve(outdir, points))
+        stages.lap("sweep")
         lam = corner(points).lam
+        stages.lap("corner")
     else:
         lam = float(cfg.lam)
     solution = tikhonov_solve(system, RegConfig(order=cfg.reg_order, lam=lam))
+    stages.lap("solve")
+    cond = condition_number(system.A)
+    stages.lap("cond")
+    artifacts = [] if points is None else [_write_lcurve(outdir, points)]
     grid = system.grid
     if system.components == 2:
         header = ["x", "f", "g"]
@@ -333,7 +361,7 @@ def _run_invert(cfg: RunConfig, outdir: Path) -> list:
     metrics = [
         ("lambda", lam),
         ("reg_order", str(cfg.reg_order)),
-        ("condition_number", condition_number(system.A)),
+        ("condition_number", cond),
         ("noise_pct", cfg.noise_pct),
         ("seed", str(cfg.seed)),
     ]
@@ -348,11 +376,13 @@ def _run_invert(cfg: RunConfig, outdir: Path) -> list:
     return artifacts
 
 
-def _run_lcurve(cfg: RunConfig, outdir: Path) -> list:
-    system, _ = _assemble(cfg)
+def _run_lcurve(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
+    system, _ = _assemble(cfg, stages)
     points = sweep(system, cfg.reg_order, cfg.lambda_grid)
-    artifacts = [_write_lcurve(outdir, points)]
+    stages.lap("sweep")
     best = corner(points)
+    stages.lap("corner")
+    artifacts = [_write_lcurve(outdir, points)]
     write_rows(outdir / "metrics.csv", ["metric", "value"], [
         ("lambda_corner", best.lam),
         ("residual_norm", best.residual_norm),
@@ -365,7 +395,7 @@ def _run_lcurve(cfg: RunConfig, outdir: Path) -> list:
     return artifacts
 
 
-def _run_tables(cfg: RunConfig, outdir: Path) -> list:
+def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     wanted = (cfg.example,) if cfg.example is not None else (1, 2, 3, 4)
     for ex in wanted:
         if ex not in (1, 2, 3, 4):
@@ -374,7 +404,7 @@ def _run_tables(cfg: RunConfig, outdir: Path) -> list:
 
     # (scenario, M) -> (noise-free system, exact profile); tables 4-6 reuse
     # the M = 80 systems of table1
-    assembled = {(ex, m): _assemble(RunConfig(cfg.command, example=ex, M=m, N=m))
+    assembled = {(ex, m): _assemble(RunConfig(cfg.command, example=ex, M=m, N=m), stages)
                  for ex in wanted for m in _TABLE_SIZES}
     rows = [(str(ex), str(m), condition_number(system.A))
             for (ex, m), (system, _) in assembled.items()]
@@ -423,11 +453,18 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    stages = _Stages()
     try:
         cfg = _resolve(args)
         outdir = ensure_dir(cfg.out)
-        artifacts = _COMMANDS[cfg.command](cfg, outdir)
+        artifacts = _COMMANDS[cfg.command](cfg, outdir, stages)
         _write_manifest(outdir, cfg, artifacts + ["manifest.json"])
+        stages.lap("output")
+        timings = getattr(args, "timings", None)
+        if timings:
+            with open(timings, "w", newline="\n") as fh:
+                json.dump(stages.seconds, fh, indent=2)
+                fh.write("\n")
     except (WaveforceError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

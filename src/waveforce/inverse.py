@@ -34,7 +34,7 @@ second-component columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,6 +62,8 @@ class InverseSystem:
     2N rows and 2(M-1) columns for a dual one. `background` holds the
     zero-force flux series (left, and right for dual) in raw flux units.
     `noise` records the perturbation applied to the measurement, if any.
+    Copies made by with_measurement share the factors of the regularized
+    solve; any other copy starts without them.
     """
 
     A: np.ndarray
@@ -70,6 +72,8 @@ class InverseSystem:
     background: tuple
     source: Source
     noise: NoiseSpec | None = None
+    # {order: factors} of the last penalty order solved (tikhonov._factors)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -93,8 +97,9 @@ class InverseSystem:
         """New system sharing this one's A and backgrounds, with b rebuilt
         from a different measurement (and optional noise).
 
-        Avoids re-running the assembly marches when sweeping seeds or
-        swapping data on a fixed problem.
+        Avoids re-running the assembly marches, and the factorization of
+        the regularized solve, when sweeping seeds or swapping data on a
+        fixed problem.
         """
         series = (measured,) if measured_right is None else (measured, measured_right)
         series = _checked_measurement(series, self.components, self.grid.N)
@@ -102,7 +107,9 @@ class InverseSystem:
             series = [add_noise(s, noise) for s in series]
         b = 2.0 * self.grid.dx * np.concatenate(
             [s.values - bg.values for s, bg in zip(series, self.background)])
-        return replace(self, b=b, noise=noise)
+        copy = replace(self, b=b, noise=noise)
+        object.__setattr__(copy, "_factors", self._factors)
+        return copy
 
 
 def _observed_ends(components):

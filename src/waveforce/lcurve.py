@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateCurve, InvalidDimension, WaveforceError
 from .inverse import InverseSystem
-from .tikhonov import RegConfig, _penalty, tikhonov_solve
+from .tikhonov import RegConfig, _differences, tikhonov_solve
 
 _COLLINEAR_TOL = 1e-12
 
@@ -68,7 +68,10 @@ def sweep(sys: InverseSystem, order: int = 0,
     """
     if lambdas is None:
         lambdas = DEFAULT_LAMBDA_GRID if order == 0 else EXTENDED_LAMBDA_GRID
-    lams = np.asarray(lambdas, dtype=float)
+    try:
+        lams = np.asarray(lambdas, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidDimension("lambda grid must be a flat sequence of numbers") from None
     if lams.ndim != 1:
         raise InvalidDimension(f"lambda grid must be 1-dimensional, got shape {lams.shape}")
     if lams.size == 0:
@@ -77,7 +80,6 @@ def sweep(sys: InverseSystem, order: int = 0,
         raise InvalidDimension("lambda grid entries must be positive and finite")
     if np.any(np.diff(lams) <= 0):
         raise InvalidDimension("lambda grid must be strictly increasing")
-    D = _penalty(sys, order)
     points = []
     for lam in lams:
         try:
@@ -85,7 +87,7 @@ def sweep(sys: InverseSystem, order: int = 0,
         except WaveforceError:
             continue
         res = float(np.linalg.norm(sys.A @ f.values - sys.b))
-        sol = float(np.linalg.norm(D @ f.values))
+        sol = float(np.linalg.norm(_differences(f.values, order, sys.components)))
         points.append(LCurvePoint(float(lam), res, sol))
     return points
 

@@ -1,11 +1,32 @@
 """Tikhonov regularization of orders 0, 1, 2 and SVD diagnostics.
 
 The regularized solution minimizes ||A f - b||^2 + lambda ||D_k f||^2 where
-D_0 = I, D_1 takes first differences, D_2 second differences. The solve
-stacks A over sqrt(lambda) * D_k and runs one stable least-squares
-factorization; the equivalent normal-equations formula
-(A^T A + lambda D_k^T D_k)^-1 A^T b squares the condition number and is
-kept only as a test oracle.
+D_0 = I, D_1 takes first differences, D_2 second differences.
+
+lambda = 0 is plain least squares, one lstsq call on A f = b; it raises
+SingularSystem when A is numerically rank-deficient (smallest singular
+value at or below RANK_TOL times the largest).
+
+lambda > 0 runs on factors computed once per (A, order) and shared by
+every weight and every measurement. With mu^2 = ||A||_F^2 / ||D_k||_F^2,
+the Cholesky factor R of A^T A + mu^2 D_k^T D_k is the triangular factor of
+the stacked [A; mu D_k]. The factors kept are R^-1,
+G = (A R^-1)^T (A R^-1) and H = mu^2 (D_k R^-1)^T (D_k R^-1), and a weight
+then costs one m x m solve,
+
+    (G + (lambda / mu^2) H) y = R^-T A^T b,    f = R^-1 y.
+
+Rank rule for lambda > 0, checked once per factorization: SingularSystem
+when the Cholesky fails or when cond([A; mu D_k]) >= COND_LIMIT = 1e6
+(= 1 / sqrt(RANK_TOL)). The system solved has condition number up to
+cond([A; mu D_k])^2, so past that limit its error is no longer small
+against the stacked least-squares solution it replaces, which the tests
+keep as their oracle. Scenarios 1-5 up to M = N = 320 sit at 1.1e4 or
+below (scenario 4, order 2, M = 320).
+
+Memory: a system keeps the factors of the last penalty order it solved,
+three m x m arrays, and copies made by InverseSystem.with_measurement
+share them; solving another order replaces them.
 """
 
 from __future__ import annotations
@@ -26,6 +47,10 @@ from .model import ForceVector, _integer
 
 #: singular values below RANK_TOL * sv(1) count as zero in rank decisions
 RANK_TOL = 1e-12
+
+#: [A; mu D_k] at or above this condition number counts as rank-deficient
+#: for lambda > 0 (see the module docstring)
+COND_LIMIT = 1.0 / np.sqrt(RANK_TOL)
 
 
 @dataclass(frozen=True)
@@ -78,43 +103,104 @@ def difference_operator(order: int, m: int) -> np.ndarray:
     return np.eye(m - 2, m) - 2.0 * np.eye(m - 2, m, k=1) + np.eye(m - 2, m, k=2)
 
 
-def _penalty(sys: InverseSystem, order: int) -> np.ndarray:
-    """Penalty matrix for a system: D_k, or block-diag(D_k, D_k) for dual.
+def _differences(X: np.ndarray, order: int, components: int) -> np.ndarray:
+    """D_k applied to each row of X, block by block over the components,
+    up to the sign of odd orders (no quadratic form sees it).
 
-    Each unknown component is smoothed independently; no differences are
-    taken across the block boundary.
+    Row r of X holds a vector of length components * m; each m-long block
+    is differenced on its own, with no difference across a block boundary.
     """
-    m = sys.n_unknowns // sys.components
-    D = difference_operator(order, m)
-    if sys.components == 1:
-        return D
-    full = np.zeros((2 * D.shape[0], 2 * m))
-    full[: D.shape[0], :m] = D
-    full[D.shape[0]:, m:] = D
-    return full
+    blocks = X.reshape(X.shape[:-1] + (components, -1))
+    return np.diff(blocks, n=order, axis=-1).reshape(X.shape[:-1] + (-1,))
+
+
+def _add_penalty_gram(K: np.ndarray, stencil: np.ndarray, components: int, scale: float) -> None:
+    """K += scale * D^T D for the block penalty, written on its band: row i
+    of D_k holds the stencil (a row of D_k) at columns i..i+k."""
+    m = K.shape[0] // components
+    rows = np.arange(m - stencil.size + 1)
+    for c in range(components):
+        for i, si in enumerate(stencil):
+            for j, sj in enumerate(stencil):
+                K[c * m + rows + i, c * m + rows + j] += scale * si * sj
 
 
 def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
     """Unique minimizer of ||A f - b||^2 + lambda ||D_k f||^2.
 
-    At lambda = 0 this is plain least squares on A f = b.
+    At lambda = 0 this is plain least squares on A f = b. For lambda > 0
+    it reuses the system's factors of order k, computing them on first
+    use (see the module docstring).
 
     Raises
     ------
     SingularSystem
-        When lambda = 0 and A is numerically rank-deficient, or when the
-        stacked system itself is degenerate (possible only if A and D_k
-        share a null space).
+        When lambda = 0 and A is numerically rank-deficient, or when
+        lambda > 0 and [A; mu D_k] fails the rank rule (possible only if
+        A and D_k nearly share a null vector).
     """
-    A, rhs = sys.A, sys.b
-    if cfg.lam > 0.0:
-        D = _penalty(sys, cfg.order)
-        A = np.vstack([sys.A, np.sqrt(cfg.lam) * D])
-        rhs = np.concatenate([sys.b, np.zeros(D.shape[0])])
-    sol, _, _, sv = np.linalg.lstsq(A, rhs, rcond=None)
-    if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0]:
-        raise SingularSystem(f"system is numerically rank-deficient at lambda = {cfg.lam:g}")
-    return ForceVector(sol, sys.components)
+    if cfg.lam == 0.0:
+        sol, _, _, sv = np.linalg.lstsq(sys.A, sys.b, rcond=None)
+        if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0]:
+            raise SingularSystem("system is numerically rank-deficient at lambda = 0")
+        return ForceVector(sol, sys.components)
+    mu2, Rinv, G, H = _factors(sys, cfg.order)
+    S = H * (cfg.lam / mu2)
+    S += G
+    try:
+        y = np.linalg.solve(S, Rinv.T @ (sys.A.T @ sys.b))
+    except np.linalg.LinAlgError:
+        raise SingularSystem(f"regularized system is singular at lambda = {cfg.lam:g}") from None
+    return ForceVector(Rinv @ y, sys.components)
+
+
+def _factors(sys: InverseSystem, order: int):
+    """(mu^2, R^-1, G, H) of the system's A and penalty order, from the
+    cache it shares with its with_measurement copies; a failed
+    factorization is kept and raised again."""
+    cache = sys._factors
+    if order not in cache:
+        cache.clear()  # one order at a time; frees the old arrays first
+        try:
+            cache[order] = _factorize(sys.A, order, sys.components)
+        except SingularSystem as exc:
+            cache[order] = exc
+    if isinstance(cache[order], SingularSystem):
+        raise cache[order]
+    return cache[order]
+
+
+def _factorize(A: np.ndarray, order: int, components: int):
+    """(mu^2, R^-1, G, H) of the module docstring, or SingularSystem."""
+    # Besides A, no step keeps more than four m x m (or m x N) arrays
+    # alive: the penalty is never formed as a matrix, and products scale
+    # in place.
+    stencil = difference_operator(order, order + 1)[0]
+    penalty_rows = A.shape[1] - components * order
+    mu2 = np.vdot(A, A) / (penalty_rows * np.dot(stencil, stencil))  # ||A||_F^2 / ||D||_F^2
+    K = A.T @ A
+    _add_penalty_gram(K, stencil, components, mu2)
+    try:
+        L = np.linalg.cholesky(K)  # K = L L^T, so R = L^T
+    except np.linalg.LinAlgError:
+        raise SingularSystem("A and the penalty share a null vector") from None
+    del K
+    Linv = np.linalg.inv(L)
+    # ||L||_F ||L^-1||_F bounds the 2-norm condition number from above, so
+    # the singular values are needed only when the bound reaches the limit
+    if np.linalg.norm(L) * np.linalg.norm(Linv) >= COND_LIMIT:
+        sv = np.linalg.svd(L, compute_uv=False)
+        if sv[0] >= COND_LIMIT * sv[-1]:
+            raise SingularSystem(f"[A; mu D] has condition number {sv[0] / sv[-1]:.3g}, "
+                                 f"at or above {COND_LIMIT:g}")
+    del L
+    Z = Linv @ A.T  # (A R^-1)^T
+    G = Z @ Z.T
+    del Z
+    Y = _differences(Linv, order, components)  # (D_k R^-1)^T up to sign
+    H = Y @ Y.T
+    H *= mu2
+    return mu2, Linv.T, G, H
 
 
 def _singular_values(A, what) -> np.ndarray:
@@ -165,10 +251,32 @@ def normalized_singular_values(A) -> np.ndarray:
 def accuracy_error(f_num, f_exact) -> float:
     """Euclidean norm of the nodal difference between two force profiles.
 
-    Accepts ForceVector instances or plain arrays of equal length.
+    Accepts ForceVector instances or plain 1-D arrays of equal length.
+
+    Raises
+    ------
+    DimensionMismatch
+        When a profile is not a 1-dimensional array of numbers, the
+        lengths differ, or two ForceVectors have different component
+        counts.
     """
-    a = f_num.values if isinstance(f_num, ForceVector) else np.asarray(f_num, dtype=float)
-    b = f_exact.values if isinstance(f_exact, ForceVector) else np.asarray(f_exact, dtype=float)
+    a, b = _profile(f_num), _profile(f_exact)
     if a.shape != b.shape:
         raise DimensionMismatch(f"profiles have different lengths: {a.size} vs {b.size}")
+    if isinstance(f_num, ForceVector) and isinstance(f_exact, ForceVector) \
+            and f_num.components != f_exact.components:
+        raise DimensionMismatch(f"profiles have {f_num.components} and "
+                                f"{f_exact.components} components")
     return float(np.linalg.norm(a - b))
+
+
+def _profile(v) -> np.ndarray:
+    if isinstance(v, ForceVector):
+        return v.values
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch("a force profile is a flat sequence of numbers") from None
+    if a.ndim != 1:
+        raise DimensionMismatch(f"a force profile is 1-dimensional, got shape {a.shape}")
+    return a

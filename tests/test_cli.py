@@ -117,6 +117,31 @@ def test_lcurve_command(tmp_path):
     assert abs(np.log10(lam) - np.log10(1e-6)) <= 1.0 + 1e-9
 
 
+def test_timings_file_is_not_an_artifact(tmp_path):
+    plain, timed = tmp_path / "plain", tmp_path / "timed"
+    argv = ("--example", 2, "--M", 20, "--noise-pct", 1, "--reg-order", 2)
+    stages = {
+        "invert": ["data", "assembly", "sweep", "corner", "solve", "cond", "output"],
+        "lcurve": ["data", "assembly", "sweep", "corner", "output"],
+    }
+    for command, names in stages.items():
+        extra = ("--lambda", "lcurve") if command == "invert" else ()
+        assert run(command, *argv, *extra, "--out", plain / command) == 0
+        assert run(command, *argv, *extra, "--out", timed / command,
+                   "--timings", tmp_path / f"{command}.json") == 0
+        seconds = json.loads((tmp_path / f"{command}.json").read_text())
+        assert list(seconds) == names
+        assert all(isinstance(v, float) and v >= 0.0 for v in seconds.values())
+        # the artifacts and the manifest's artifact list are unchanged
+        files = sorted(p.name for p in (plain / command).iterdir())
+        assert files == sorted(p.name for p in (timed / command).iterdir())
+        for name in files:
+            if name != "manifest.json":
+                assert (plain / command / name).read_bytes() == (timed / command / name).read_bytes()
+        manifest = json.loads((timed / command / "manifest.json").read_text())
+        assert manifest["artifacts"] == files and "timings" not in manifest["config"]
+
+
 def test_tables_condition_cell(tmp_path):
     out = tmp_path / "t"
     assert run("tables", "--example", 1, "--out", out) == 0
