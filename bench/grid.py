@@ -1,0 +1,124 @@
+"""Per-stage timing grid of `waveforce invert --lambda lcurve` over sizes.
+
+Usage, from the root of a source checkout:
+
+    python3 bench/grid.py LABEL[=SRC] [LABEL=SRC ...] [--repeats 5] [--out-dir bench]
+
+Each LABEL times the package under SRC (default: this checkout's `src/`).
+For scenarios 2 (one unknown profile) and 5 (two) at M = N in
+{80, 160, 320, 640}, the script runs
+
+    python -m waveforce invert --example E --M M --noise-pct 1 --reg-order 2
+        --lambda lcurve --seed 1 --timings FILE
+
+in a fresh process `--repeats` times per cell. Repeats are the outer loop
+and the labels the inner one, so two checkouts given together alternate
+run by run and share the host's drift. It writes BENCH_<LABEL>.json into
+`--out-dir`: for every cell, the median and minimum of each stage of the
+`--timings` file (data, assembly, sweep, corner, solve, cond, output), of
+their sum (`stages`) and of the process wall time from start to exit
+(`process`, which adds interpreter start-up and imports), all in
+seconds; plus nproc, the Python and numpy versions, the platform and the
+git commit of SRC's checkout. Nothing is asserted: the file is a record,
+and a speed-up is read off a pair of files measured together.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = (2, 5)
+SIZES = (80, 160, 320, 640)
+FLAGS = ["--noise-pct", "1", "--reg-order", "2", "--lambda", "lcurve", "--seed", "1"]
+
+
+def git_commit(src):
+    """(commit, dirty) of the git checkout holding `src`, or (None, None)."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    try:
+        return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
+    except (OSError, subprocess.CalledProcessError):
+        return None, None
+
+
+def run_once(src, example, M, tmp):
+    """Stage seconds of one CLI run, plus its process wall time."""
+    timings = Path(tmp) / "timings.json"
+    cmd = [sys.executable, "-m", "waveforce", "invert", "--example", str(example),
+           "--M", str(M), *FLAGS, "--out", str(Path(tmp) / "out"), "--timings", str(timings)]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t0 = time.perf_counter()
+    subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
+    wall = time.perf_counter() - t0
+    stages = json.loads(timings.read_text())
+    stages["stages"] = sum(stages.values())
+    stages["process"] = wall
+    return stages
+
+
+def summary(runs):
+    return {stat: {k: fn([r[k] for r in runs]) for k in runs[0]}
+            for stat, fn in (("median", statistics.median), ("min", min))}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("labels", nargs="+", metavar="LABEL[=SRC]")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--out-dir", default=str(ROOT / "bench"))
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    sources = {}
+    for spec in args.labels:
+        label, _, src = spec.partition("=")
+        sources[label] = Path(src or ROOT / "src").resolve()
+        if not (sources[label] / "waveforce").is_dir():
+            parser.error(f"{sources[label]} holds no waveforce package")
+
+    cells = [(ex, M) for ex in EXAMPLES for M in SIZES]
+    runs = {(label, cell): [] for label in sources for cell in cells}
+    with tempfile.TemporaryDirectory() as tmp:
+        for rep in range(args.repeats):
+            for cell in cells:
+                for label, src in sources.items():
+                    runs[label, cell].append(run_once(src, *cell, tmp))
+            print(f"repeat {rep + 1}/{args.repeats} done", file=sys.stderr)
+
+    for label, src in sources.items():
+        commit, dirty = git_commit(src)
+        doc = {
+            "label": label,
+            "command": "waveforce invert --example E --M M " + " ".join(FLAGS),
+            "unit": "s",
+            "repeats": args.repeats,
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+            "commit": commit,
+            "dirty": dirty,
+            "cells": [{"example": ex, "M": M, "N": M, **summary(runs[label, (ex, M)])}
+                      for ex, M in cells],
+        }
+        path = Path(args.out_dir) / f"BENCH_{label}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        print(path)
+
+
+if __name__ == "__main__":
+    main()

@@ -12,13 +12,18 @@ The columns are not marched one by one. The homogeneous scheme is linear
 and shift-invariant in time, and its interior operator (the constant-
 coefficient three-point stencil with Dirichlet ends) is symmetric. By
 reciprocity the flux stencil's response to an impulse at node k equals
-the response at node k to the stencil's weights used as an impulse. So one
-zero-data march per observed end, started from the flux stencil, yields
-the flux kernel of every node at once, and each column is the causal
-convolution of that kernel with the node's modulation (first time level
-at half weight, as in the first marched row). This relies on the symmetric
-constant-coefficient interior operator; a space-dependent wave speed or
-other boundary conditions would break it.
+the response at node k to the stencil's weights used as an impulse. So a
+modulation that depends on time only gets its whole left block from one
+zero-data march driven by the stencil's weights times the modulation: the
+field at node k is column k. A modulation that varies in x is instead a
+causal convolution of each node's modulation with the left flux kernel
+(first time level at half weight, as in the first marched row); one
+impulse-driven march gives that kernel for every node at once. The march
+is mirror-symmetric bit for bit (its neighbor sum a + b is b + a), so the
+right end's blocks and kernel are the left ones with the columns
+reversed, and no march is made for the right end. This relies on the
+symmetric constant-coefficient interior operator; a space-dependent wave
+speed or other boundary conditions would break it.
 
 Row convention: each row is stated in cleared-denominator stencil units,
 i.e. both the columns and b carry a factor 2*dx relative to raw flux units.
@@ -72,7 +77,7 @@ class InverseSystem:
     background: tuple
     source: Source
     noise: NoiseSpec | None = None
-    # {order: factors} of the last penalty order solved (tikhonov._factors)
+    # {order: factors} of each penalty order solved (tikhonov._factors)
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -142,9 +147,10 @@ def _assemble(problem, measured, noise):
 
     Column c*(M-1) + k holds the flux response, at every observed end, to
     the unit profile e_k in source component c; row block r belongs to the
-    r-th observed end. Each block is the causal convolution of the end's
-    flux kernel with the component's modulation. b comes from
-    with_measurement.
+    r-th observed end. A modulation that does not vary in x gets its left
+    block from one driven march; any other is convolved with the left flux
+    kernel. The right block is the mirror image (see the module
+    docstring). b comes from with_measurement.
     """
     components = len(measured)
     if problem.source.unknowns != components:
@@ -159,40 +165,57 @@ def _assemble(problem, measured, noise):
     ends = _observed_ends(components)
     bg_field = solve_direct(problem.with_force(*[np.zeros(m)] * components))
     background = tuple(flux(bg_field, end) for end in ends)
-    kernels = [_flux_kernel(g, end) for end in ends]
     A = np.zeros((len(ends) * g.N, components * m))
+    kernel = None
     for c, h in enumerate(problem.source.modulations):
-        # force weights of the levels t_0..t_{N-1}, time-major; the first
-        # marched row takes the level-0 force at half weight
-        hw = h[1:g.M, :g.N].T.copy()
-        hw[0] *= 0.5
-        for r, G in enumerate(kernels):
-            blk = A[r * g.N:(r + 1) * g.N, c * m:(c + 1) * m]
+        blocks = [A[r * g.N:(r + 1) * g.N, c * m:(c + 1) * m] for r in range(len(ends))]
+        # force weights of the levels t_0..t_{N-1}, time-major
+        hw = h[1:g.M, :g.N].T
+        if np.all(hw == hw[:, :1]):
+            left = _left_block(g, h[1])
+            for blk, image in zip(blocks, (left, left[:, ::-1])):
+                blk[:] = image
+            continue
+        if kernel is None:
+            kernel = _flux_kernel(g)
+        hw = hw.copy()
+        hw[0] *= 0.5  # the first marched row takes the level-0 force at half weight
+        for blk, G in zip(blocks, (kernel, kernel[:, ::-1])):
             for s in range(g.N):
                 blk[s:] += hw[s] * G[:g.N - s]
     system = InverseSystem(A, np.zeros(A.shape[0]), g, background, problem.source)
     return system.with_measurement(*measured, noise=noise)
 
 
-def _flux_kernel(grid, end):
-    """Flux kernel of one observed end for every interior node at once.
+def _left_block(grid, series):
+    """Left-end block of a modulation that depends on time only.
 
-    G[n, k-1] is the 2*dx-scaled flux at t_{n+1} of a zero-data march whose
-    only input is a unit force at node k entering level t_1 at full weight
-    (u[k, 1] = dt^2). By reciprocity it equals the field at node k and
-    level n+1 of a zero-data march whose first marched row is dt^2 times
-    the flux stencil's weights; the boundary node's term drops out, its
-    value being zero. Returned as an N x (M-1) array.
+    `series` holds the modulation at the N+1 time levels. Returns the
+    N x (M-1) array whose entry [n, k-1] is the 2*dx-scaled left flux at
+    t_{n+1} of a zero-data march forced by the unit profile e_k times the
+    modulation. By reciprocity it is the field at node k and level n+1 of
+    one zero-data march forced by the left flux stencil's weights (-4 at
+    node 1, 1 at node 2) times the modulation; the scheme's half-weight
+    first level halves the level-0 force as the unit-profile march does.
     """
-    M = grid.M
-    w = np.zeros(M + 1)
-    if end == LEFT:
-        w[1], w[2] = -4.0, 1.0
-    else:
-        w[M - 1], w[M - 2] = -4.0, 1.0
-    problem = WaveProblem(grid, InitialData(np.zeros(M + 1), grid.dt * w),
-                          BoundaryData.zero(grid), KnownForce(np.zeros((M + 1, grid.N + 1))))
-    return np.ascontiguousarray(solve_direct(problem).values[1:M, 1:].T)
+    w = np.zeros(grid.M + 1)
+    w[1], w[2] = -4.0, 1.0
+    problem = WaveProblem(grid, InitialData.zero(grid), BoundaryData.zero(grid),
+                          KnownForce(np.outer(w, series)))
+    return solve_direct(problem).values[1:grid.M, 1:].T
+
+
+def _flux_kernel(grid):
+    """Left flux kernel of every interior node at once, N x (M-1).
+
+    G[n, k-1] is the 2*dx-scaled left flux at t_{n+1} of a zero-data march
+    whose only input is a unit force at node k entering level t_1 at full
+    weight: the left block of an impulse modulation of height 2 at t_0,
+    which the half-weight first level turns into 1.
+    """
+    impulse = np.zeros(grid.N + 1)
+    impulse[0] = 2.0
+    return np.ascontiguousarray(_left_block(grid, impulse))
 
 
 def assemble_single(problem: WaveProblem, measured, noise: NoiseSpec | None = None) -> InverseSystem:

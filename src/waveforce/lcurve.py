@@ -93,20 +93,14 @@ def sweep(sys: InverseSystem, order: int = 0,
 
 
 def _menger(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Signed Menger curvature at each interior point of a polyline."""
-    n = x.size
-    k = np.full(n, np.nan)
-    for i in range(1, n - 1):
-        x1, y1 = x[i - 1], y[i - 1]
-        x2, y2 = x[i], y[i]
-        x3, y3 = x[i + 1], y[i + 1]
-        area2 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-        d12 = np.hypot(x2 - x1, y2 - y1)
-        d23 = np.hypot(x3 - x2, y3 - y2)
-        d13 = np.hypot(x3 - x1, y3 - y1)
-        denom = d12 * d23 * d13
-        if denom > 0:
-            k[i] = 2.0 * area2 / denom
+    """Signed Menger curvature at each interior point of a polyline; NaN at
+    the ends and where two of the three points coincide."""
+    k = np.full(x.size, np.nan)
+    x1, x2, x3 = x[:-2], x[1:-1], x[2:]
+    y1, y2, y3 = y[:-2], y[1:-1], y[2:]
+    area2 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    denom = np.hypot(x2 - x1, y2 - y1) * np.hypot(x3 - x2, y3 - y2) * np.hypot(x3 - x1, y3 - y1)
+    np.divide(2.0 * area2, denom, out=k[1:-1], where=denom > 0)
     return k
 
 
@@ -155,12 +149,8 @@ def corner(points: Sequence[LCurvePoint]) -> LCurvePoint:
         raise DegenerateCurve("points are collinear; the curve has no corner")
 
     kappa = np.abs(_menger(_normalize(res), _normalize(sol)))
-    best = -np.inf
-    best_i = -1
-    for i in range(1, len(usable) - 1):
-        if np.isfinite(kappa[i]) and kappa[i] >= best:
-            best = kappa[i]
-            best_i = i
-    if best_i < 0:
+    finite = np.isfinite(kappa)
+    if not finite.any():
         raise DegenerateCurve("no interior point has finite curvature")
-    return usable[best_i]
+    # the last maximum, i.e. the larger weight of a tie
+    return usable[np.flatnonzero(kappa == kappa[finite].max())[-1]]

@@ -24,9 +24,10 @@ against the stacked least-squares solution it replaces, which the tests
 keep as their oracle. Scenarios 1-5 up to M = N = 320 sit at 1.1e4 or
 below (scenario 4, order 2, M = 320).
 
-Memory: a system keeps the factors of the last penalty order it solved,
-three m x m arrays, and copies made by InverseSystem.with_measurement
-share them; solving another order replaces them.
+Memory: a system keeps the factors of each penalty order it solved,
+three m x m arrays per order (at most nine in all, 7 MB at m = 319), and
+copies made by InverseSystem.with_measurement share them, so cycling the
+orders on one A factors each order once.
 """
 
 from __future__ import annotations
@@ -160,7 +161,6 @@ def _factors(sys: InverseSystem, order: int):
     factorization is kept and raised again."""
     cache = sys._factors
     if order not in cache:
-        cache.clear()  # one order at a time; frees the old arrays first
         try:
             cache[order] = _factorize(sys.A, order, sys.components)
         except SingularSystem as exc:

@@ -221,16 +221,31 @@ def _assemble_zero_data(problem):
     return assemble(problem, *zeros)
 
 
-def _stretched_problem(dual):
-    # L, T and c away from 1 (r = 0.73), nonzero data, space-time modulations
-    g = wf.GridSpec(2.0, 1.5, 30, 40, 1.3)
-    h = wf.sample_grid(g, lambda x, t: np.cos(x) * (1.0 + t) + x * t)
-    h2 = wf.sample_grid(g, lambda x, t: np.exp(-t) * x)
-    source = wf.Source((h, h2) if dual else (h,))
+def _stretched_problem(dual, M=30, modulations=None):
+    # L, T and c away from 1 (r = 0.73 at M = 30), nonzero data,
+    # space-time modulations unless others are given
+    g = wf.GridSpec(2.0, 1.5, M, M + M // 3, 1.3)
+    if modulations is None:
+        h = wf.sample_grid(g, lambda x, t: np.cos(x) * (1.0 + t) + x * t)
+        h2 = wf.sample_grid(g, lambda x, t: np.exp(-t) * x)
+        modulations = (h, h2) if dual else (h,)
     return wf.WaveProblem(g,
                           wf.InitialData.from_callables(g, lambda x: np.sin(np.pi * x / 2), lambda x: x),
                           wf.BoundaryData.from_callables(g, lambda t: 0.0 * t, lambda t: t),
-                          source)
+                          wf.Source(modulations))
+
+
+def _external_time_only_problem(dual, perturbed=False):
+    # modulations given as full (M+1) x (N+1) matrices that do not vary in x
+    # on the interior; the end rows hold other values, which no march reads.
+    # One perturbed interior entry makes the first one depend on x.
+    g = _stretched_problem(dual).grid
+    h = np.tile(1.0 + np.sin(3.0 * g.t), (g.M + 1, 1))
+    h[0], h[-1] = 7.0, -3.0
+    if perturbed:
+        h[g.M // 2, g.N // 3] += 0.25
+    theta = np.tile(np.exp(-g.t), (g.M + 1, 1))
+    return _stretched_problem(dual, modulations=(h, theta)[:1 + dual])
 
 
 _ORACLE_CASES = {
@@ -240,6 +255,9 @@ _ORACLE_CASES = {
     "scenario5-N57": lambda: wf.inverse_problem(5, wf.GridSpec(1.0, 1.0, 40, 57)),
     "stretched-single": lambda: _stretched_problem(dual=False),
     "stretched-dual": lambda: _stretched_problem(dual=True),
+    **{f"external-{kind}-{'dual' if dual else 'single'}":
+       (lambda dual=dual, kind=kind: _external_time_only_problem(dual, kind == "perturbed"))
+       for dual in (False, True) for kind in ("time-only", "perturbed")},
 }
 
 # Largest column-relative difference measured over these cases is 1.4e-14
@@ -259,9 +277,10 @@ def test_reciprocity_assembly_matches_column_oracle(case):
     assert np.array_equal(A == 0, want == 0)  # causal zeros stay exact
 
 
-@pytest.mark.parametrize("example, marches", [(2, 2), (5, 3)])
+@pytest.mark.parametrize("example, marches", [(2, 2), (5, 3), (3, 2), ("stretched-dual", 2)])
 def test_assembly_march_count_independent_of_M(example, marches, monkeypatch):
-    # background plus one kernel march per observed end, never one per column
+    # background plus one driven march per time-only modulation, or one
+    # kernel march shared by the x-dependent ones; never one per column
     calls = []
 
     def counting(problem):
@@ -271,8 +290,43 @@ def test_assembly_march_count_independent_of_M(example, marches, monkeypatch):
     monkeypatch.setattr("waveforce.inverse.solve_direct", counting)
     for m in (10, 40):
         calls.clear()
-        _assemble_zero_data(wf.inverse_problem(example, wf.GridSpec(1.0, 1.0, m, m)))
+        if example == "stretched-dual":
+            problem = _stretched_problem(dual=True, M=m)
+        else:
+            problem = wf.inverse_problem(example, wf.GridSpec(1.0, 1.0, m, m))
+        _assemble_zero_data(problem)
         assert len(calls) == marches
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_only_x_dependent_modulations_use_the_kernel(dual, monkeypatch):
+    kernels = []
+    flux_kernel = wf.inverse._flux_kernel
+
+    def counting(grid):
+        kernels.append(grid)
+        return flux_kernel(grid)
+
+    monkeypatch.setattr("waveforce.inverse._flux_kernel", counting)
+    _assemble_zero_data(_external_time_only_problem(dual))
+    assert kernels == []
+    _assemble_zero_data(_external_time_only_problem(dual, perturbed=True))
+    assert len(kernels) == 1
+
+
+@pytest.mark.parametrize("case", ["scenario5", "stretched-dual", "external-perturbed-dual"])
+def test_right_rows_mirror_left_rows(case):
+    # the homogeneous march is mirror-symmetric bit for bit: the right rows
+    # of A are the left rows for the mirrored modulations, each component
+    # block reversed
+    problem = _ORACLE_CASES[case]()
+    mirrored = dataclasses.replace(
+        problem, source=wf.Source(tuple(h[::-1] for h in problem.source.modulations)))
+    n, m = problem.grid.N, problem.grid.M - 1
+    right = _assemble_zero_data(problem).A[n:]
+    left = _assemble_zero_data(mirrored).A[:n]
+    for c in range(2):
+        assert np.array_equal(right[:, c * m:(c + 1) * m], left[:, c * m:(c + 1) * m][:, ::-1])
 
 
 def test_flux_affinity_at_M_640():

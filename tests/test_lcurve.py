@@ -60,6 +60,51 @@ def test_corner_right_angle():
     assert wf.corner(pts) is pts[5]
 
 
+def scalar_menger(x, y):
+    """Slow predecessor of lcurve._menger: one point at a time."""
+    k = np.full(x.size, np.nan)
+    for i in range(1, x.size - 1):
+        x1, y1 = x[i - 1], y[i - 1]
+        x2, y2 = x[i], y[i]
+        x3, y3 = x[i + 1], y[i + 1]
+        area2 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+        denom = np.hypot(x2 - x1, y2 - y1) * np.hypot(x3 - x2, y3 - y2) \
+            * np.hypot(x3 - x1, y3 - y1)
+        if denom > 0:
+            k[i] = 2.0 * area2 / denom
+    return k
+
+
+def test_menger_matches_scalar_loop():
+    from waveforce.lcurve import _menger
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4, 18):
+        x, y = rng.random(n), rng.random(n)
+        np.testing.assert_array_equal(_menger(x, y), scalar_menger(x, y))
+    # coincident neighbours leave NaN, as does every end point
+    x = np.array([0.0, 0.5, 0.5, 1.0])
+    y = np.array([1.0, 0.5, 0.5, 0.0])
+    k = _menger(x, y)
+    assert np.isnan(k).all()
+    np.testing.assert_array_equal(k, scalar_menger(x, y))
+
+
+def test_corner_tie_goes_to_larger_weight():
+    # a staircase on the normalized axes: right, down, right, down, down in
+    # steps of exact binary fractions, so the three right-angle turns have
+    # bit-equal curvature and the last, straight point has none
+    res = [1.0, 3.0, 3.0, 5.0, 5.0, 5.0]
+    sol = [5.0, 5.0, 4.0, 4.0, 3.0, 1.0]
+    pts = [wf.LCurvePoint(10.0 ** (e - 9), r, s) for e, (r, s) in enumerate(zip(res, sol))]
+    from waveforce.lcurve import _menger, _normalize
+    kappa = np.abs(_menger(_normalize(np.array(res)), _normalize(np.array(sol))))
+    assert kappa[1] == kappa[2] == kappa[3] > kappa[4] == 0.0
+    assert wf.corner(pts) is pts[3]
+    # a point whose curvature is not finite is skipped, not picked
+    dup = pts[:4] + [dataclasses.replace(pts[3], lam=5e-6)] + pts[4:]
+    assert wf.corner(dup) is pts[2]
+
+
 def test_corner_needs_three_points():
     pts = synthetic_l()[:2]
     with pytest.raises(wf.DegenerateCurve):

@@ -144,6 +144,11 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
     wf.tikhonov_solve(noisy, wf.RegConfig(order=1, lam=1e-4))
     wf.tikhonov_solve(noisy, wf.RegConfig())
     assert len(calls) == 2
+    # each order keeps its factors: going back to order 2 factors nothing
+    wf.sweep(draw, 2)
+    wf.tikhonov_solve(noisy, wf.RegConfig(order=1, lam=1e-3))
+    assert len(calls) == 2
+    assert sorted(noisy._factors) == [1, 2]
 
 
 def test_other_A_never_reuses_factors(bench):
