@@ -45,7 +45,6 @@ from .tikhonov import (
     accuracy_error,
     condition_number,
     difference_operator,
-    normalized_singular_values,
     tikhonov_solve,
 )
 from .lcurve import (

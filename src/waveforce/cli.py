@@ -1,25 +1,19 @@
 """Command-line runner emitting CSV artifacts.
 
-Four subcommands share one flag set:
-
-  direct  solve a direct problem; writes field.csv, flux_left.csv,
-          flux_right.csv
-  invert  assemble and solve an identification problem; writes force.csv,
-          metrics.csv, optionally lcurve.csv and the raw system
-  lcurve  sweep the regularization weight and pick the corner; writes
-          lcurve.csv and metrics.csv
-  tables  regenerate the six reference tables (condition numbers, flux
-          convergence, regularized accuracy) as table1.csv .. table6.csv
-
-Problems come either from a benchmark scenario (--example 1..5) or from
-external data files (series and matrices in the csvio formats). Every run
-writes manifest.json recording the resolved configuration, seed, and
-package version; identical configuration yields byte-identical artifacts.
-`invert` and `lcurve` take --timings FILE, which writes the wall time of
-each stage as one JSON object; it is not an artifact, so it stays out of
-the manifest.
-Failures exit with status 1 and a single "ErrorClass: message" line on
-stderr.
+The subcommands direct, invert, lcurve and tables (_COMMANDS says what
+each writes) take only the settings they read. Each setting is one
+RunConfig field, stated once with its type, default, help text and the
+commands that read it; the subcommands' flags, the keys a --config file
+may hold, the conversion of both and the names in the manifest all derive
+from it. Problems come either from a benchmark scenario (--example 1..5)
+or from external data files (series and matrices in the csvio formats).
+Every run writes manifest.json recording the resolved configuration,
+seed, and package version; identical configuration yields byte-identical
+artifacts. --timings FILE writes the wall time of each stage as one JSON
+object; it is not an artifact, so it stays out of the manifest. Failures,
+a malformed flag or config value included, exit with status 1 and a
+single "ErrorClass: message" line on stderr; a flag the command does not
+take is an argparse usage error (status 2).
 """
 
 from __future__ import annotations
@@ -28,10 +22,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
+# loaded here, not lazily by the first noise draw, so --timings books its
+# one-time cost to no stage
+import numpy.random  # noqa: F401
 
 from . import __version__
 from .benchmarks import (
@@ -39,6 +36,7 @@ from .benchmarks import (
     REFERENCE_REGULARIZATION,
     direct_problem,
     exact_force,
+    example_spec,
     inverse_problem,
     measured_flux,
 )
@@ -64,38 +62,70 @@ from .tikhonov import RegConfig, accuracy_error, condition_number, tikhonov_solv
 _TABLE_SIZES = (10, 20, 40, 80)
 _TABLE_NOISE_PCT = (1, 3, 5)
 
+_ALL = ("direct", "invert", "lcurve", "tables")
+_PROBLEM = ("direct", "invert", "lcurve")  # the commands that build one problem
+_IDENTIFY = ("invert", "lcurve")
+
+
+def _setting(default, help, commands, *, name=None, check=None, flag_only=False):
+    """A RunConfig field read by `commands`, which take it as a flag and a config key.
+
+    `name` replaces the field name as flag, config key and manifest name;
+    `check(value)` raises on a value out of range; a flag_only setting is
+    neither a config key nor recorded in the manifest.
+    """
+    return field(default=default, metadata={
+        "help": help, "commands": commands, "name": name, "check": check, "flag_only": flag_only})
+
+
+def _at_least_one(value) -> None:
+    if value < 1:
+        raise WaveforceError(f"must be >= 1, got {value}")
+
 
 @dataclass
 class RunConfig:
     """Fully resolved invocation: defaults, config file, and flags merged.
 
-    A field whose default is None is optional; _resolve turns N = None into N = M.
+    Every field but `command` is a setting, stated by _setting. A field
+    whose default is None is optional; _resolve turns N = None into N = M.
     """
 
     command: str
-    example: int | None = None
-    M: int = 80
-    N: int | None = None
-    L: float = 1.0
-    T: float = 1.0
-    c: float = 1.0
-    noise_pct: float = 0.0
-    seed: int = 1
-    reg_order: int = 0
-    lam: str = "0"
-    lambda_grid: list | None = None
-    out: str = "out"
-    data_refine: int = 1
-    dump_system: bool = False
-    u0: str | None = None
-    v0: str | None = None
-    bc_left: str | None = None
-    bc_right: str | None = None
-    force: str | None = None
-    modulation: str | None = None
-    modulation2: str | None = None
-    measured_left: str | None = None
-    measured_right: str | None = None
+    example: int | None = _setting(None, "benchmark scenario id (1..5)", _ALL, check=example_spec)
+    M: int = _setting(80, "space subintervals", _PROBLEM)
+    N: int | None = _setting(None, "time subintervals (default M)", _PROBLEM)
+    L: float = _setting(1.0, "space extent", _PROBLEM)
+    T: float = _setting(1.0, "time extent", _PROBLEM)
+    c: float = _setting(1.0, "wave speed", _PROBLEM)
+    noise_pct: float = _setting(0.0, "noise level as a percentage of the flux peak", _IDENTIFY,
+                                check=lambda pct: NoiseSpec(pct / 100.0))
+    seed: int = _setting(1, "noise seed", ("invert", "lcurve", "tables"),
+                         check=lambda seed: NoiseSpec(0.0, seed))
+    reg_order: int = _setting(0, "penalty order 0, 1 or 2", _IDENTIFY,
+                              check=lambda order: RegConfig(order=order))
+    lam: str = _setting("0", "regularization weight, or 'lcurve' to pick the corner", ("invert",),
+                        name="lambda", check=lambda lam: lam == "lcurve" or RegConfig(lam=float(lam)))
+    lambda_grid: list | None = _setting(None, "comma-separated ascending weights for the sweep",
+                                        _IDENTIFY)
+    out: str = _setting("out", "output directory", _ALL)
+    data_refine: int = _setting(1, "simulate measured data on a mesh this many times finer",
+                                _IDENTIFY, check=_at_least_one)
+    dump_system: bool = _setting(False, "also write system_A.csv and system_b.csv", ("invert",))
+    u0: str | None = _setting(None, "initial displacement series file (M+1 values)", _PROBLEM)
+    v0: str | None = _setting(None, "initial velocity series file (M+1 values)", _PROBLEM)
+    bc_left: str | None = _setting(None, "left Dirichlet series file (N+1 values)", _PROBLEM)
+    bc_right: str | None = _setting(None, "right Dirichlet series file (N+1 values)", _PROBLEM)
+    force: str | None = _setting(None, "force profile series file (M-1 or M+1 values)", ("direct",))
+    modulation: str | None = _setting(None, "source modulation matrix file ((M+1) x (N+1))", _PROBLEM)
+    modulation2: str | None = _setting(None, "second modulation matrix file (dual source)", _IDENTIFY)
+    measured_left: str | None = _setting(None, "measured left flux series file (N values)", _IDENTIFY)
+    measured_right: str | None = _setting(None, "measured right flux series file "
+                                          "(N values, dual source)", _IDENTIFY)
+    config: str | None = _setting(None, "JSON file with defaults; flags override it", _ALL,
+                                  flag_only=True)
+    timings: str | None = _setting(None, "write per-stage wall times (JSON) to this file; "
+                                   "not an artifact", _IDENTIFY, flag_only=True)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.L, self.T, self.M, self.N, self.c)
@@ -104,6 +134,27 @@ class RunConfig:
         if self.noise_pct == 0:
             return None
         return NoiseSpec(self.noise_pct / 100.0, self.seed)
+
+
+# name (flag less its dashes, config key, manifest key) -> RunConfig field
+_SETTINGS = {f.metadata["name"] or f.name: f for f in dc_fields(RunConfig) if f.metadata}
+
+
+def _settings(command: str) -> dict:
+    """The settings `command` reads, by name."""
+    return {name: f for name, f in _SETTINGS.items() if command in f.metadata["commands"]}
+
+
+def _int(value) -> int:
+    # a flag arrives as text; a JSON number goes to _integer as it is
+    return _integer(int(value) if isinstance(value, str) else value)
+
+
+def _text(value) -> str:
+    # a JSON number is taken as its text ("lambda": 0); a list, object or bool is not
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"expected text, got {value!r}")
+    return str(value)
 
 
 def _weights(value) -> list:
@@ -119,13 +170,9 @@ def _boolean(value) -> bool:
     return value
 
 
-def _check_lambda(lam: str) -> None:
-    try:
-        ok = lam == "lcurve" or 0.0 <= float(lam) < float("inf")  # False for nan
-    except ValueError:
-        ok = False
-    if not ok:
-        raise WaveforceError(f"'lambda' must be 'lcurve' or a finite number >= 0, got {lam!r}")
+# RunConfig annotation (before any "| None") -> conversion of a flag or
+# config value
+_CONVERT = {"int": _int, "float": float, "str": _text, "bool": _boolean, "list": _weights}
 
 
 class _Stages:
@@ -142,120 +189,66 @@ class _Stages:
         self._last = now
 
 
-# RunConfig annotation (before any "| None") -> conversion of a flag or
-# config value
-_CONVERT = {"int": _integer, "float": float, "str": str, "bool": _boolean, "list": _weights}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waveforce",
         description="Identify space-dependent wave-equation forces from boundary flux data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "direct": "solve a direct problem and write the field and fluxes",
-        "invert": "assemble and solve an identification problem",
-        "lcurve": "sweep the regularization weight and report the corner",
-        "tables": "regenerate the reference tables",
-    }
-    for name, blurb in specs.items():
-        sp = sub.add_parser(name, help=blurb)
-        sp.add_argument("--config", help="JSON file with defaults; flags override it")
-        sp.add_argument("--example", type=int, help="benchmark scenario id (1..5)")
-        sp.add_argument("--M", type=int, help="space subintervals (default 80)")
-        sp.add_argument("--N", type=int, help="time subintervals (default M)")
-        sp.add_argument("--L", type=float, help="space extent (default 1)")
-        sp.add_argument("--T", type=float, help="time extent (default 1)")
-        sp.add_argument("--c", type=float, help="wave speed (default 1)")
-        sp.add_argument("--seed", type=int, help="noise seed (default 1)")
-        sp.add_argument("--out", help="output directory (default ./out)")
-        if name == "tables":
-            continue
-        sp.add_argument("--noise-pct", type=float, dest="noise_pct",
-                        help="noise level as a percentage of the flux peak (default 0)")
-        sp.add_argument("--data-refine", type=int, dest="data_refine",
-                        help="simulate measured data on a mesh this many times finer (default 1)")
-        sp.add_argument("--u0", help="initial displacement series file (M+1 values)")
-        sp.add_argument("--v0", help="initial velocity series file (M+1 values)")
-        sp.add_argument("--bc-left", dest="bc_left", help="left Dirichlet series file (N+1 values)")
-        sp.add_argument("--bc-right", dest="bc_right", help="right Dirichlet series file (N+1 values)")
-        sp.add_argument("--modulation", help="source modulation matrix file ((M+1) x (N+1))")
-        if name == "direct":
-            sp.add_argument("--force", help="force profile series file (M-1 or M+1 values)")
-        else:
-            sp.add_argument("--modulation2", help="second modulation matrix file (dual source)")
-            sp.add_argument("--measured-left", dest="measured_left",
-                            help="measured left flux series file (N values)")
-            sp.add_argument("--measured-right", dest="measured_right",
-                            help="measured right flux series file (N values, dual source)")
-            sp.add_argument("--reg-order", type=int, dest="reg_order",
-                            help="penalty order 0, 1 or 2 (default 0)")
-            sp.add_argument("--lambda", dest="lam",
-                            help="regularization weight, or 'lcurve' to pick the corner")
-            sp.add_argument("--lambda-grid", dest="lambda_grid",
-                            help="comma-separated ascending weights for the sweep")
-            sp.add_argument("--timings",
-                            help="write per-stage wall times (JSON) to this file; not an artifact")
-        if name == "invert":
-            sp.add_argument("--dump-system", dest="dump_system", action="store_true",
-                            default=None, help="also write system_A.csv and system_b.csv")
+    for command, (_, blurb) in _COMMANDS.items():
+        # no abbreviations: lcurve would read --lambda as --lambda-grid
+        sp = sub.add_parser(command, help=blurb, allow_abbrev=False)
+        for name, setting in _settings(command).items():
+            helptext = setting.metadata["help"]
+            if setting.type == "bool":
+                kind = {"action": "store_true", "default": None}
+            else:  # the text is converted with config values in _resolve
+                kind = {"metavar": name.upper()}
+                if setting.default is not None:
+                    helptext += f" (default {setting.default})"
+            sp.add_argument("--" + name.replace("_", "-"), dest=setting.name, help=helptext, **kind)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    settings = [f for f in dc_fields(RunConfig) if f.name != "command"]
     from_file = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise WaveforceError("config file must hold a JSON object")
-        names = {f.name for f in settings}
+        taken = _settings(args.command)
         for key, value in raw.items():
-            dest = "lam" if key == "lambda" else key
-            if dest not in names:
+            if key not in taken or taken[key].metadata["flag_only"]:
                 raise WaveforceError(f"unknown config key {key!r}")
-            from_file[dest] = value
+            from_file[taken[key].name] = value
     merged = {}
-    for field in settings:
-        flag = getattr(args, field.name, None)
-        merged[field.name] = flag if flag is not None else from_file.get(field.name, field.default)
+    for setting in _SETTINGS.values():
+        flag = getattr(args, setting.name, None)
+        merged[setting.name] = flag if flag is not None else from_file.get(setting.name, setting.default)
     if merged["N"] is None:
         merged["N"] = merged["M"]
-    for field in settings:
-        value = merged[field.name]
-        if value is None and field.default is None:
+    for name, setting in _SETTINGS.items():
+        value = merged[setting.name]
+        if value is None and setting.default is None:
             continue
-        name = "lambda" if field.name == "lam" else field.name
         if value is None:
             raise WaveforceError(f"{name!r} must not be null")
         try:
-            merged[field.name] = _CONVERT[field.type.split(" |")[0]](value)
+            merged[setting.name] = value = _CONVERT[setting.type.split(" |")[0]](value)
+            if setting.metadata["check"]:
+                setting.metadata["check"](value)
         except (TypeError, ValueError) as exc:
             raise WaveforceError(f"bad value for {name!r}: {exc}") from None
-    if merged["noise_pct"] < 0:
-        raise WaveforceError(f"noise percentage must be >= 0, got {merged['noise_pct']}")
-    _check_lambda(merged["lam"])
     return RunConfig(command=args.command, **merged)
-
-
-def _config_doc(cfg: RunConfig) -> dict:
-    doc = {}
-    for field in dc_fields(cfg):
-        if field.name == "command":
-            continue
-        name = "lambda" if field.name == "lam" else field.name
-        doc[name] = getattr(cfg, field.name)
-    return doc
 
 
 def _write_manifest(outdir: Path, cfg: RunConfig, artifacts: list) -> None:
     doc = {
         "version": __version__,
         "command": cfg.command,
-        "config": _config_doc(cfg),
+        "config": {name: getattr(cfg, f.name) for name, f in _SETTINGS.items()
+                   if not f.metadata["flag_only"]},
         "artifacts": sorted(artifacts),
     }
     with open(outdir / "manifest.json", "w", newline="\n") as fh:
@@ -443,11 +436,16 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     return artifacts
 
 
+# command -> (runner, help)
 _COMMANDS = {
-    "direct": _run_direct,
-    "invert": _run_invert,
-    "lcurve": _run_lcurve,
-    "tables": _run_tables,
+    "direct": (_run_direct, "solve a direct problem; writes field.csv, flux_left.csv, "
+                            "flux_right.csv"),
+    "invert": (_run_invert, "assemble and solve an identification problem; writes force.csv, "
+                            "metrics.csv, optionally lcurve.csv and the raw system"),
+    "lcurve": (_run_lcurve, "sweep the regularization weight and pick the corner; writes "
+                            "lcurve.csv and metrics.csv"),
+    "tables": (_run_tables, "regenerate the six reference tables (condition numbers, flux "
+                            "convergence, regularized accuracy) as table1.csv .. table6.csv"),
 }
 
 
@@ -457,12 +455,11 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         outdir = ensure_dir(cfg.out)
-        artifacts = _COMMANDS[cfg.command](cfg, outdir, stages)
+        artifacts = _COMMANDS[cfg.command][0](cfg, outdir, stages)
         _write_manifest(outdir, cfg, artifacts + ["manifest.json"])
         stages.lap("output")
-        timings = getattr(args, "timings", None)
-        if timings:
-            with open(timings, "w", newline="\n") as fh:
+        if cfg.timings:
+            with open(cfg.timings, "w", newline="\n") as fh:
                 json.dump(stages.seconds, fh, indent=2)
                 fh.write("\n")
     except (WaveforceError, OSError, ValueError) as exc:

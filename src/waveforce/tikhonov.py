@@ -203,17 +203,6 @@ def _factorize(A: np.ndarray, order: int, components: int):
     return mu2, Linv.T, G, H
 
 
-def _singular_values(A, what) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if not np.any(A):
-        raise ZeroMatrix(f"{what} of an all-zero matrix")
-    if A.ndim != 2:
-        raise DimensionMismatch(f"{what} needs a 2-dimensional matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise WaveforceError(f"{what} of a matrix with non-finite entries")
-    return np.linalg.svd(A, compute_uv=False)
-
-
 def condition_number(A) -> float:
     """2-norm condition number sv(1) / sv(min dimension).
 
@@ -226,26 +215,18 @@ def condition_number(A) -> float:
     WaveforceError
         When A has a non-finite entry.
     """
-    sv = _singular_values(A, "condition number")
+    A = np.asarray(A, dtype=float)
+    if not np.any(A):
+        raise ZeroMatrix("condition number of an all-zero matrix")
+    if A.ndim != 2:
+        raise DimensionMismatch(
+            f"condition number needs a 2-dimensional matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise WaveforceError("condition number of a matrix with non-finite entries")
+    sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] == 0.0:
         return float("inf")
     return float(sv[0] / sv[-1])
-
-
-def normalized_singular_values(A) -> np.ndarray:
-    """Singular values divided by the largest one: non-increasing, starts at 1.
-
-    Raises
-    ------
-    ZeroMatrix
-        When A has no nonzero entry.
-    DimensionMismatch
-        When A is not 2-dimensional.
-    WaveforceError
-        When A has a non-finite entry.
-    """
-    sv = _singular_values(A, "singular values")
-    return sv / sv[0]
 
 
 def accuracy_error(f_num, f_exact) -> float:

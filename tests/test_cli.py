@@ -1,11 +1,16 @@
 """Command-line artifacts: formats, determinism, error reporting."""
 
+import dataclasses
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import waveforce as wf
+from waveforce import cli
 from waveforce.cli import main
 from waveforce.csvio import (
     read_matrix,
@@ -192,31 +197,74 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     _, rows = read_rows(out / "force.csv")
     assert len(rows) == 9
 
-    bad = tmp_path / "bad.json"
-    for doc, key in (({"Mx": 3}, "Mx"), ({"M": None}, "M"), ({"M": [1]}, "M"),
-                     ({"lambda_grid": 5}, "lambda_grid"), ({"M": 10.9}, "M"),
-                     ({"dump_system": "false"}, "dump_system")):
-        bad.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run("invert", "--config", bad, "--out", tmp_path / "cb") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("WaveforceError:") and err.count("\n") == 1
-        assert repr(key) in err
-
 
 def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
     def no_march(problem):
-        raise AssertionError("marched before validating --lambda")
+        raise AssertionError("marched before validating the settings")
 
     monkeypatch.setattr("waveforce.inverse.solve_direct", no_march)
     monkeypatch.setattr("waveforce.benchmarks.solve_direct", no_march)
-    for lam in ("abc", "-1", "nan", "inf"):
+    cases = [("lambda", lam) for lam in ("abc", "-1", "nan", "inf")]
+    cases += [("reg_order", "5"), ("noise_pct", "nan"), ("seed", "-1"), ("data_refine", "0")]
+    for name, value in cases:
         capsys.readouterr()
-        assert run("invert", "--example", 1, "--M", 10, "--lambda", lam,
+        assert run("invert", "--example", 1, "--M", 10, "--" + name.replace("_", "-"), value,
                    "--out", tmp_path / "bl") == 1
         err = capsys.readouterr().err
         assert err.startswith("WaveforceError:") and err.count("\n") == 1
-        assert "'lambda'" in err
+        assert repr(name) in err
+
+
+# malformed values of each setting, each tried as a config value and, when it
+# is text, as flag text; a setting not listed takes a path, which any flag
+# text is, so only a JSON list is malformed
+MALFORMED = {
+    "example": ["9"], "M": ["1e2", 10.9, [1]], "N": ["x"], "L": ["x"], "T": ["x"], "c": ["x"],
+    "noise_pct": ["nan"], "seed": ["-1"], "reg_order": ["5"], "lambda": ["abc"],
+    "lambda_grid": ["1e-3,x", 5], "data_refine": ["0"], "dump_system": ["false"],
+}
+
+
+def test_every_setting_of_every_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "bad.json"
+
+    def fails_naming(argv, text):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("WaveforceError:") and err.count("\n") == 1, err
+        assert text in err, (argv, err)
+
+    read = set()
+    for command in cli._COMMANDS:
+        taken = cli._settings(command)
+        read |= {setting.name for setting in taken.values()}
+        for name, setting in taken.items():
+            if setting.metadata["flag_only"]:
+                config.write_text(json.dumps({name: "x"}))
+                fails_naming([command, "--config", str(config)], f"unknown config key {name!r}")
+                continue
+            for value in MALFORMED.get(name, [[1]]):
+                if isinstance(value, str) and setting.type != "bool":  # a bool flag takes no text
+                    fails_naming([command, "--" + name.replace("_", "-"), value], repr(name))
+                config.write_text(json.dumps({name: value}))
+                fails_naming([command, "--config", str(config)], repr(name))
+        for name in cli._SETTINGS.keys() - taken.keys() | {"Mx"}:
+            with pytest.raises(SystemExit):
+                main([command, "--" + name.replace("_", "-"), "1"])
+            config.write_text(json.dumps({name: 1}))
+            fails_naming([command, "--config", str(config)], f"unknown config key {name!r}")
+        config.write_text(json.dumps({"out": None}))
+        fails_naming([command, "--config", str(config)], "'out' must not be null")
+    assert read == {f.name for f in dataclasses.fields(cli.RunConfig)} - {"command"}
+    # settings a command never read are not taken, nor abbreviations
+    for argv in (["tables", "--M"], ["tables", "--N"], ["tables", "--L"], ["tables", "--T"],
+                 ["tables", "--c"], ["direct", "--noise-pct"], ["direct", "--seed"],
+                 ["direct", "--data-refine"], ["lcurve", "--lambda"], ["invert", "--lam"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["1"])
+    assert not (tmp_path / "out").exists()  # no malformed run got as far as its output
 
 
 def test_external_inversion_roundtrip(tmp_path):
@@ -255,3 +303,65 @@ def test_external_inversion_roundtrip(tmp_path):
     assert np.max(np.abs([float(r[2]) + 2.0 for r in rows])) <= 1e-8
     assert run(*base, "--modulation2", mod2) == 1
     assert run(*base, "--measured-right", meas_right) == 1
+
+
+# Argument lists whose artifacts are pinned byte for byte by tests/cli_oracle.json
+# (sha256 of each file, computed with numpy 2.4 and OpenBLAS on x86-64; another
+# BLAS may round differently). Paths are relative to the run directory, so the
+# manifests do not depend on it.
+ORACLE_ARGV = {
+    "direct": ["direct", "--example", "1", "--M", "12"],
+    "direct-dual": ["direct", "--example", "5", "--M", "10", "--N", "12"],
+    "direct-external": ["direct", "--M", "12", "--u0", "in/zeros.csv", "--modulation", "in/h.csv",
+                        "--force", "in/f.csv"],
+    "invert": ["invert", "--example", "2", "--M", "16", "--noise-pct", "3", "--seed", "7",
+               "--reg-order", "1", "--lambda", "1e-4", "--data-refine", "2"],
+    "invert-dump": ["invert", "--example", "2", "--M", "10", "--dump-system"],
+    "invert-lcurve": ["invert", "--example", "2", "--M", "20", "--noise-pct", "1",
+                      "--reg-order", "2", "--lambda", "lcurve", "--timings", "timings.json"],
+    "invert-config": ["invert", "--config", "in/run.json", "--M", "16"],
+    "invert-external": ["invert", "--M", "12", "--measured-left", "in/q.csv",
+                        "--modulation", "in/h.csv"],
+    "invert-dual": ["invert", "--example", "5", "--M", "12", "--noise-pct", "1", "--lambda", "1e-5"],
+    "lcurve": ["lcurve", "--example", "4", "--M", "20", "--noise-pct", "1", "--reg-order", "1",
+               "--lambda-grid", "1e-6,1e-5,1e-4,1e-3,1e-2"],
+    "tables": ["tables", "--example", "2", "--seed", "3"],
+}
+ORACLE_FILE = Path(__file__).with_name("cli_oracle.json")
+
+
+def oracle_digests(workdir):
+    """Run every ORACLE_ARGV in `workdir`; return {"<run>/<artifact>": sha256}."""
+    workdir = Path(workdir)
+    inputs = workdir / "in"
+    inputs.mkdir(parents=True)
+    g = wf.GridSpec(1.0, 1.0, 12, 12)
+    write_series(inputs / "zeros.csv", np.zeros(13))
+    write_series(inputs / "f.csv", wf.exact_force(2, g).values)
+    write_series(inputs / "q.csv", wf.measured_flux(2, g, wf.LEFT).values)
+    write_matrix(inputs / "h.csv", wf.inverse_problem(2, g).source.modulations[0])
+    (inputs / "run.json").write_text(json.dumps({
+        "example": 2, "M": 20, "N": 20, "noise_pct": 2, "seed": 5, "reg_order": 1,
+        "lambda": "lcurve", "lambda_grid": [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]}))
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, argv in ORACLE_ARGV.items():
+            assert main(argv + ["--out", f"out/{name}"]) == 0, name
+    finally:
+        os.chdir(cwd)
+    return {path.relative_to(workdir / "out").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((workdir / "out").rglob("*")) if path.is_file()}
+
+
+def test_artifacts_match_oracle(tmp_path):
+    expected = json.loads(ORACLE_FILE.read_text())
+    assert oracle_digests(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    # Regenerate the oracle: PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        ORACLE_FILE.write_text(json.dumps(oracle_digests(tmp), indent=1, sort_keys=True) + "\n")

@@ -269,18 +269,6 @@ def test_condition_number_basics(bench):
     assert wf.condition_number(np.ones((3, 3))) > 1e15
 
 
-def test_normalized_singular_values(bench):
-    nsv = wf.normalized_singular_values(np.diag([2.0, 1.0]))
-    assert np.array_equal(nsv, [1.0, 0.5])
-    nsv4 = wf.normalized_singular_values(bench(4, 80).system.A)
-    assert nsv4[0] == 1.0
-    assert np.all(np.diff(nsv4) <= 0)
-    ref = wf.REFERENCE_CONDITION_NUMBERS[(4, 80)]
-    assert abs(nsv4[-1] - 1.0 / ref) / (1.0 / ref) <= 0.02
-    with pytest.raises(wf.ZeroMatrix):
-        wf.normalized_singular_values(np.zeros(3))
-
-
 def test_accuracy_error_norm():
     assert wf.accuracy_error([3.0, 4.0], [0.0, 0.0]) == 5.0
     fv = wf.ForceVector(np.array([1.0, 1.0]))
