@@ -44,7 +44,7 @@ from .csvio import ensure_dir, read_matrix, read_series, write_matrix, write_row
 from .errors import WaveforceError
 from .fdm import flux, solve_direct
 from .inverse import assemble_dual, assemble_single
-from .lcurve import corner, sweep
+from .lcurve import _checked_grid, corner, sweep
 from .model import (
     LEFT,
     RIGHT,
@@ -107,7 +107,7 @@ class RunConfig:
     lam: str = _setting("0", "regularization weight, or 'lcurve' to pick the corner", ("invert",),
                         name="lambda", check=lambda lam: lam == "lcurve" or RegConfig(lam=float(lam)))
     lambda_grid: list | None = _setting(None, "comma-separated ascending weights for the sweep",
-                                        _IDENTIFY)
+                                        _IDENTIFY, check=_checked_grid)
     out: str = _setting("out", "output directory", _ALL)
     data_refine: int = _setting(1, "simulate measured data on a mesh this many times finer",
                                 _IDENTIFY, check=_at_least_one)
@@ -420,7 +420,8 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     for ex, name in ((2, "table4.csv"), (3, "table5.csv"), (4, "table6.csv")):
         if ex not in wanted:
             continue
-        system, exact = assembled[(ex, 80)]
+        # popped, so each system's factors are freed once its table is written
+        system, exact = assembled.pop((ex, 80))
         measured = measured_flux(ex, system.grid, LEFT)
         rows = []
         for order in (0, 1, 2):

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import _checked_array
+
 
 def fmt(x) -> str:
     """Shortest exact decimal representation of a 64-bit float."""
@@ -24,7 +26,7 @@ def fmt(x) -> str:
 
 def write_series(path, values):
     """One value per line, order preserved, no header."""
-    values = np.asarray(values, dtype=float).reshape(-1)
+    values = _checked_array(values, "series")
     with open(path, "w", newline="\n") as fh:
         for v in values:
             fh.write(fmt(v) + "\n")
@@ -38,14 +40,12 @@ def read_series(path) -> np.ndarray:
             line = line.strip()
             if line:
                 out.append(float(line))
-    return np.array(out)
+    return _checked_array(out, f"series file {path}")
 
 
 def write_matrix(path, values):
     """Comma-separated rows, no header."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError(f"matrix must be 2-dimensional, got shape {values.shape}")
+    values = _checked_array(values, "matrix", ndim=2)
     with open(path, "w", newline="\n") as fh:
         for row in values:
             fh.write(",".join(fmt(v) for v in row) + "\n")
@@ -59,7 +59,7 @@ def read_matrix(path) -> np.ndarray:
             line = line.strip()
             if line:
                 rows.append([float(tok) for tok in line.split(",")])
-    return np.array(rows)
+    return _checked_array(rows, f"matrix file {path}", ndim=2)
 
 
 def write_rows(path, header, rows):

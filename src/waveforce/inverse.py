@@ -55,6 +55,7 @@ from .model import (
     KnownForce,
     Source,
     WaveProblem,
+    _readonly,
 )
 from .noise import NoiseSpec, add_noise
 
@@ -67,8 +68,9 @@ class InverseSystem:
     2N rows and 2(M-1) columns for a dual one. `background` holds the
     zero-force flux series (left, and right for dual) in raw flux units.
     `noise` records the perturbation applied to the measurement, if any.
-    Copies made by with_measurement share the factors of the regularized
-    solve; any other copy starts without them.
+    A and b are read-only copies of the caller's arrays. Copies made by
+    with_measurement share A and the factors of the regularized solve; any
+    other copy starts without them.
     """
 
     A: np.ndarray
@@ -81,22 +83,16 @@ class InverseSystem:
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        if A.ndim != 2 or A.shape[0] != b.size:
+        A, b = _readonly(self.A, "A", ndim=2), _readonly(self.b, "b")
+        if A.shape[0] != b.size:
             raise DimensionMismatch(f"A is {A.shape} but b has {b.size} entries")
-        A.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        background = tuple(_checked_measurement(self.background, self.components, self.grid.N))
+        for name, value in (("A", A), ("b", b), ("background", background)):
+            object.__setattr__(self, name, value)
 
     @property
     def components(self):
         return self.source.unknowns
-
-    @property
-    def n_unknowns(self):
-        return self.A.shape[1]
 
     def with_measurement(self, measured, measured_right=None, noise=None):
         """New system sharing this one's A and backgrounds, with b rebuilt
@@ -113,7 +109,8 @@ class InverseSystem:
         b = 2.0 * self.grid.dx * np.concatenate(
             [s.values - bg.values for s, bg in zip(series, self.background)])
         copy = replace(self, b=b, noise=noise)
-        object.__setattr__(copy, "_factors", self._factors)
+        for name in ("A", "_factors"):
+            object.__setattr__(copy, name, getattr(self, name))
         return copy
 
 
@@ -124,21 +121,17 @@ def _observed_ends(components):
 
 
 def _checked_measurement(series, components, N):
-    """Validate one measured series per observed end, in end order."""
+    """One FluxSeries of N samples per observed end, in end order; a plain
+    array is taken as the series of its end."""
     ends = _observed_ends(components)
-    if len(series) != len(ends):
-        raise DimensionMismatch(
-            f"a {components}-component system takes {len(ends)} measured series, got {len(series)}")
-    return [_checked(s, end, N) for s, end in zip(series, ends)]
-
-
-def _checked(series, end, N):
-    if not isinstance(series, FluxSeries):
-        series = FluxSeries(end, series)
-    if series.end != end:
-        raise DimensionMismatch(f"expected a {end} flux series, got {series.end}")
-    if series.values.size != N:
-        raise DimensionMismatch(f"measured series has {series.values.size} samples, grid needs {N}")
+    if not isinstance(series, (tuple, list)) or len(series) != len(ends):
+        raise DimensionMismatch(f"a {components}-component system takes a tuple of "
+                                f"{len(ends)} measured series")
+    series = [s if isinstance(s, FluxSeries) else FluxSeries(end, s) for s, end in zip(series, ends)]
+    for s, end in zip(series, ends):
+        if s.end != end or s.values.size != N:
+            raise DimensionMismatch(f"expected a {end} flux series of {N} samples, "
+                                    f"got a {s.end} one of {s.values.size}")
     return series
 
 

@@ -47,6 +47,21 @@ class LCurvePoint:
     solution_norm: float
 
 
+def _checked_grid(lambdas: Sequence[float]) -> np.ndarray:
+    """`lambdas` as a float array if it is a valid sweep grid (see sweep), else InvalidDimension."""
+    try:
+        lams = np.asarray(lambdas, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidDimension("lambda grid must be a flat sequence of numbers") from None
+    if lams.ndim != 1 or lams.size == 0:
+        raise InvalidDimension(f"lambda grid must be 1-dimensional and non-empty, got shape {lams.shape}")
+    if np.any(~np.isfinite(lams)) or np.any(lams <= 0):
+        raise InvalidDimension("lambda grid entries must be positive and finite")
+    if np.any(np.diff(lams) <= 0):
+        raise InvalidDimension("lambda grid must be strictly increasing")
+    return lams
+
+
 def sweep(sys: InverseSystem, order: int = 0,
           lambdas: Sequence[float] | None = None) -> list[LCurvePoint]:
     """Solve the regularized system for each lambda and record both norms.
@@ -66,22 +81,11 @@ def sweep(sys: InverseSystem, order: int = 0,
         One entry per lambda that solved cleanly; weights whose solve
         raises are skipped.
     """
+    order = RegConfig(order=order).order
     if lambdas is None:
         lambdas = DEFAULT_LAMBDA_GRID if order == 0 else EXTENDED_LAMBDA_GRID
-    try:
-        lams = np.asarray(lambdas, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidDimension("lambda grid must be a flat sequence of numbers") from None
-    if lams.ndim != 1:
-        raise InvalidDimension(f"lambda grid must be 1-dimensional, got shape {lams.shape}")
-    if lams.size == 0:
-        raise InvalidDimension("lambda grid is empty")
-    if np.any(~np.isfinite(lams)) or np.any(lams <= 0):
-        raise InvalidDimension("lambda grid entries must be positive and finite")
-    if np.any(np.diff(lams) <= 0):
-        raise InvalidDimension("lambda grid must be strictly increasing")
     points = []
-    for lam in lams:
+    for lam in _checked_grid(lambdas):
         try:
             f = tikhonov_solve(sys, RegConfig(order=order, lam=float(lam)))
         except WaveforceError:
@@ -124,16 +128,17 @@ def corner(points: Sequence[LCurvePoint]) -> LCurvePoint:
     Raises
     ------
     DegenerateCurve
-        When fewer than three usable points remain (positive finite
-        norms) or when the points are collinear on log-log axes, which
-        leaves no corner to find.
+        When `points` is no list of LCurvePoint, fewer than three usable
+        points remain (positive finite norms) or the points are collinear
+        on log-log axes, which leaves no corner to find.
     """
+    if not isinstance(points, (list, tuple)) or not all(isinstance(p, LCurvePoint) for p in points):
+        raise DegenerateCurve("corner takes a list of LCurvePoint")
     usable = [p for p in points
               if np.isfinite(p.residual_norm) and np.isfinite(p.solution_norm)
               and p.residual_norm > 0 and p.solution_norm > 0]
     if len(usable) < 3:
         raise DegenerateCurve(f"corner needs at least 3 usable points, got {len(usable)}")
-    lams = np.array([p.lam for p in usable])
     res = np.array([p.residual_norm for p in usable])
     sol = np.array([p.solution_norm for p in usable])
 

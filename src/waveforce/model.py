@@ -2,8 +2,9 @@
 
 No algorithms live here. Construction validates everything the solvers rely
 on (sizes, stability ratio, boundary/initial compatibility) so downstream
-code can assume well-formed inputs. All array payloads are copied and marked
-read-only; instances are safe to share.
+code can assume well-formed inputs. Every caller array enters through
+_checked_array, the one intake rule of the package; array payloads are
+copied and marked read-only, so instances are safe to share.
 """
 
 from __future__ import annotations
@@ -29,21 +30,38 @@ RIGHT = "right"
 COMPATIBILITY_TOL = 1e-12
 
 
+def _real(value, name="value"):
+    """`value` as a float. Bools, text and arrays are rejected, never converted."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise InvalidDimension(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, name="value"):
     """`value` as an int. Bools and non-integral numbers are rejected, never truncated."""
-    # bool is an int subclass; int(10.9) would silently give 10
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) \
-            or not isinstance(value, numbers.Integral) and not float(value).is_integer():
+    # int(10.9) would silently give 10
+    if not _real(value, name).is_integer():
         raise InvalidDimension(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
-def _readonly(a, shape_name, ndim=1):
-    arr = np.array(a, dtype=float)
+def _checked_array(a, name, ndim=1):
+    """`a` as an `ndim`-dimensional float array with finite entries: the
+    intake rule for caller arrays. The result may share memory with `a`;
+    _readonly gives a read-only copy, for a payload a type stores."""
+    try:
+        arr = np.asarray(a, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DimensionMismatch(f"{name} must be an array of numbers") from None
     if arr.ndim != ndim:
-        raise DimensionMismatch(f"{shape_name} must be {ndim}-dimensional, got shape {arr.shape}")
+        raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise WaveforceError(f"{shape_name} contains non-finite entries")
+        raise WaveforceError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _readonly(a, name, ndim=1):
+    arr = _checked_array(a, name, ndim).copy()
     arr.setflags(write=False)
     return arr
 
@@ -78,7 +96,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("L", "T", "c"):
-            v = float(getattr(self, name))
+            v = _real(getattr(self, name), name)
             if not np.isfinite(v) or v <= 0:
                 raise InvalidDimension(f"{name} must be a positive real, got {getattr(self, name)}")
             object.__setattr__(self, name, v)
@@ -126,12 +144,8 @@ def sample_grid(grid, fn):
     `fn` is called once with broadcastable arrays and may return a scalar
     (constant functions) or any broadcast-compatible array.
     """
-    X = grid.x[:, None]
-    Tm = grid.t[None, :]
-    out = np.asarray(fn(X, Tm), dtype=float)
-    out = np.broadcast_to(out, (grid.M + 1, grid.N + 1)).copy()
-    out.setflags(write=False)
-    return out
+    values = fn(grid.x[:, None], grid.t[None, :])
+    return _readonly(np.broadcast_to(values, (grid.M + 1, grid.N + 1)), "sampled function", ndim=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +167,7 @@ class InitialData:
     @classmethod
     def from_callables(cls, grid, u0, v0):
         x = grid.x
-        return cls(np.broadcast_to(np.asarray(u0(x), float), x.shape),
-                   np.broadcast_to(np.asarray(v0(x), float), x.shape))
+        return cls(np.broadcast_to(u0(x), x.shape), np.broadcast_to(v0(x), x.shape))
 
     @classmethod
     def zero(cls, grid):
@@ -183,8 +196,7 @@ class BoundaryData:
     @classmethod
     def from_callables(cls, grid, p0, pl):
         t = grid.t
-        return cls(np.broadcast_to(np.asarray(p0(t), float), t.shape),
-                   np.broadcast_to(np.asarray(pl(t), float), t.shape))
+        return cls(np.broadcast_to(p0(t), t.shape), np.broadcast_to(pl(t), t.shape))
 
     @classmethod
     def zero(cls, grid):
@@ -216,8 +228,8 @@ class Source:
     modulations: tuple
 
     def __post_init__(self):
-        if len(self.modulations) not in (1, 2):
-            raise InvalidDimension(f"a source takes 1 or 2 modulations, got {len(self.modulations)}")
+        if not isinstance(self.modulations, (tuple, list)) or len(self.modulations) not in (1, 2):
+            raise InvalidDimension("a source takes a tuple of 1 or 2 modulations")
         mods = tuple(_readonly(h, "modulation", ndim=2) for h in self.modulations)
         if mods[-1].shape != mods[0].shape:
             raise DimensionMismatch(f"modulation shapes differ: {mods[0].shape} vs {mods[-1].shape}")
@@ -235,11 +247,11 @@ def _as_full_profile(values, M, what):
     end entries of a force array (boundary rows are prescribed data), so the
     padding is inert.
     """
-    v = np.asarray(values, dtype=float).reshape(-1)
+    v = _checked_array(values, what)
     if v.size == M - 1:
         return np.concatenate(([0.0], v, [0.0]))
     if v.size == M + 1:
-        return v.copy()
+        return v
     raise DimensionMismatch(f"{what} must have M-1={M - 1} or M+1={M + 1} entries, got {v.size}")
 
 
@@ -332,7 +344,7 @@ class FluxSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.end not in (LEFT, RIGHT):
+        if not isinstance(self.end, str) or self.end not in (LEFT, RIGHT):
             raise WaveforceError(f"end must be {LEFT!r} or {RIGHT!r}, got {self.end!r}")
         object.__setattr__(self, "values", _readonly(self.values, "flux values"))
         if self.values.size < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WaveforceError
-from .model import LEFT, RIGHT, FluxSeries, _integer
+from .model import LEFT, RIGHT, FluxSeries, _integer, _real
 
 _END_CODE = {LEFT: 0, RIGHT: 1}
 
@@ -36,7 +36,7 @@ class NoiseSpec:
     seed: int = 1
 
     def __post_init__(self):
-        p = float(self.p)
+        p = _real(self.p, "noise fraction")
         if not np.isfinite(p) or p < 0:
             raise WaveforceError(f"noise fraction must be >= 0, got {self.p}")
         seed = _integer(self.seed, "seed")
@@ -56,6 +56,8 @@ def add_noise(series: FluxSeries, spec: NoiseSpec) -> FluxSeries:
 
     p = 0 returns the input series unchanged (bit-exact, same object).
     """
+    if not isinstance(series, FluxSeries) or not isinstance(spec, NoiseSpec):
+        raise WaveforceError("add_noise takes a FluxSeries and a NoiseSpec")
     if spec.p == 0.0:
         return series
     sigma = noise_sigma(series, spec.p)

@@ -40,11 +40,10 @@ from .errors import (
     DimensionMismatch,
     InvalidDimension,
     SingularSystem,
-    WaveforceError,
     ZeroMatrix,
 )
 from .inverse import InverseSystem
-from .model import ForceVector, _integer
+from .model import ForceVector, _checked_array, _integer, _real
 
 #: singular values below RANK_TOL * sv(1) count as zero in rank decisions
 RANK_TOL = 1e-12
@@ -73,7 +72,7 @@ class RegConfig:
         order = _integer(self.order, "order")
         if order not in (0, 1, 2):
             raise InvalidDimension(f"order must be 0, 1 or 2, got {self.order}")
-        lam = float(self.lam)
+        lam = _real(self.lam, "lambda")
         if not np.isfinite(lam) or lam < 0:
             raise InvalidDimension(f"lambda must be >= 0, got {self.lam}")
         object.__setattr__(self, "order", order)
@@ -157,16 +156,17 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
 
 def _factors(sys: InverseSystem, order: int):
     """(mu^2, R^-1, G, H) of the system's A and penalty order, from the
-    cache it shares with its with_measurement copies; a failed
-    factorization is kept and raised again."""
+    cache it shares with its with_measurement copies. A failed
+    factorization is kept as its message and raised afresh each time, so
+    no traceback grows and no frame of the attempt stays alive."""
     cache = sys._factors
     if order not in cache:
         try:
             cache[order] = _factorize(sys.A, order, sys.components)
         except SingularSystem as exc:
-            cache[order] = exc
-    if isinstance(cache[order], SingularSystem):
-        raise cache[order]
+            cache[order] = str(exc)
+    if isinstance(cache[order], str):
+        raise SingularSystem(cache[order])
     return cache[order]
 
 
@@ -208,21 +208,16 @@ def condition_number(A) -> float:
 
     Raises
     ------
-    ZeroMatrix
-        When A has no nonzero entry.
     DimensionMismatch
-        When A is not 2-dimensional.
+        When A is not a 2-dimensional array of numbers.
     WaveforceError
         When A has a non-finite entry.
+    ZeroMatrix
+        When A has no nonzero entry.
     """
-    A = np.asarray(A, dtype=float)
+    A = _checked_array(A, "matrix", ndim=2)
     if not np.any(A):
         raise ZeroMatrix("condition number of an all-zero matrix")
-    if A.ndim != 2:
-        raise DimensionMismatch(
-            f"condition number needs a 2-dimensional matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise WaveforceError("condition number of a matrix with non-finite entries")
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] == 0.0:
         return float("inf")
@@ -240,8 +235,11 @@ def accuracy_error(f_num, f_exact) -> float:
         When a profile is not a 1-dimensional array of numbers, the
         lengths differ, or two ForceVectors have different component
         counts.
+    WaveforceError
+        When a profile has a non-finite entry.
     """
-    a, b = _profile(f_num), _profile(f_exact)
+    a, b = (v.values if isinstance(v, ForceVector) else _checked_array(v, "force profile")
+            for v in (f_num, f_exact))
     if a.shape != b.shape:
         raise DimensionMismatch(f"profiles have different lengths: {a.size} vs {b.size}")
     if isinstance(f_num, ForceVector) and isinstance(f_exact, ForceVector) \
@@ -250,14 +248,3 @@ def accuracy_error(f_num, f_exact) -> float:
                                 f"{f_exact.components} components")
     return float(np.linalg.norm(a - b))
 
-
-def _profile(v) -> np.ndarray:
-    if isinstance(v, ForceVector):
-        return v.values
-    try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        raise DimensionMismatch("a force profile is a flat sequence of numbers") from None
-    if a.ndim != 1:
-        raise DimensionMismatch(f"a force profile is 1-dimensional, got shape {a.shape}")
-    return a

@@ -1,0 +1,151 @@
+"""The typed-error boundary: malformed input to a public entry point fails
+with a WaveforceError subclass, never a plain numpy or Python error."""
+
+import numpy as np
+
+import waveforce as wf
+
+G = wf.GridSpec(1.0, 1.0, 4, 4)  # M = N = 4: 3 unknowns per profile, 4 flux samples
+ONES = np.ones((5, 5))
+RAGGED = [[1.0], [1.0, 2.0]]
+WEIGHTS = [1e-3, 1e-2, 1e-1]
+
+
+def _problem(components=1):
+    return wf.WaveProblem(G, wf.InitialData.zero(G), wf.BoundaryData.zero(G),
+                          wf.Source((ONES,) * components))
+
+
+P1, P2 = _problem(1), _problem(2)
+SYSTEM = wf.assemble_single(P1, np.ones(4))
+BG = SYSTEM.background
+
+
+def _points(first_residual):
+    """Three L-curve samples with a corner at the second."""
+    return [wf.LCurvePoint(lam, r, s) for lam, r, s in zip(WEIGHTS, (first_residual, 0.11, 1.0),
+                                                           (1.0, 0.2, 0.1))]
+
+
+def _catalogue(valid):
+    """Malformed stand-ins for an array slot whose valid value is `valid`:
+    a ragged list, 0-d and 3-d arrays, the valid array with one axis more
+    and one less, the valid array with a NaN and with an inf, a bool
+    scalar and a string."""
+    a = np.asarray(valid, dtype=float)
+    nan, inf = a.copy(), a.copy()
+    nan.flat[0], inf.flat[-1] = np.nan, np.inf
+    return [RAGGED, np.array(1.0), np.ones((2, 2, 2)), a[None], a[0], nan, inf, True, "abc"]
+
+
+#: malformed stand-ins for a scalar slot
+BAD_SCALARS = [RAGGED, [1.0], np.ones((2, 2, 2)), np.nan, np.inf, True, "abc", None]
+
+# slot -> (valid value, call with the slot filled); the other arguments are valid
+ARRAY_SLOTS = {
+    "InitialData.displacement": (np.zeros(5), lambda v: wf.InitialData(v, np.zeros(5))),
+    "InitialData.velocity": (np.zeros(5), lambda v: wf.InitialData(np.zeros(5), v)),
+    "BoundaryData.left": (np.zeros(5), lambda v: wf.BoundaryData(v, np.zeros(5))),
+    "BoundaryData.right": (np.zeros(5), lambda v: wf.BoundaryData(np.zeros(5), v)),
+    "Source.modulations[0]": (ONES, lambda v: wf.Source((v,))),
+    "Source.modulations[1]": (ONES, lambda v: wf.Source((ONES, v))),
+    "FluxSeries.values": (np.zeros(4), lambda v: wf.FluxSeries(wf.LEFT, v)),
+    "ForceVector.values": (np.zeros(4), lambda v: wf.ForceVector(v)),
+    "WaveProblem.with_force": (np.zeros(3), lambda v: P1.with_force(v)),
+    "InverseSystem.A": (np.ones((4, 3)), lambda v: wf.InverseSystem(v, np.ones(4), G, BG, P1.source)),
+    "InverseSystem.b": (np.ones(4), lambda v: wf.InverseSystem(SYSTEM.A, v, G, BG, P1.source)),
+    "InverseSystem.background": (np.zeros(4),
+                                 lambda v: wf.InverseSystem(SYSTEM.A, SYSTEM.b, G, (v,), P1.source)),
+    "assemble_single.measured": (np.zeros(4), lambda v: wf.assemble_single(P1, v)),
+    "assemble_dual.measured_right": (np.zeros(4), lambda v: wf.assemble_dual(P2, np.zeros(4), v)),
+    "with_measurement.measured": (np.zeros(4), lambda v: SYSTEM.with_measurement(v)),
+    "sweep.lambdas": (WEIGHTS, lambda v: wf.sweep(SYSTEM, 0, v)),
+    "accuracy_error.f_num": (np.zeros(3), lambda v: wf.accuracy_error(v, np.zeros(3))),
+    "accuracy_error.f_exact": (np.zeros(3), lambda v: wf.accuracy_error(np.zeros(3), v)),
+    "condition_number.A": (np.eye(3), wf.condition_number),
+}
+
+SCALAR_SLOTS = {
+    "GridSpec.L": (1.0, lambda v: wf.GridSpec(v, 1.0, 4, 4)),
+    "GridSpec.T": (1.0, lambda v: wf.GridSpec(1.0, v, 4, 4)),
+    "GridSpec.M": (4, lambda v: wf.GridSpec(1.0, 1.0, v, 4)),
+    "GridSpec.N": (4, lambda v: wf.GridSpec(1.0, 1.0, 4, v)),
+    "GridSpec.c": (1.0, lambda v: wf.GridSpec(1.0, 1.0, 4, 4, v)),
+    "ForceVector.components": (1, lambda v: wf.ForceVector(np.zeros(4), v)),
+    "tikhonov_solve.order": (1, lambda v: wf.tikhonov_solve(SYSTEM, wf.RegConfig(v, 1e-3))),
+    "tikhonov_solve.lam": (1e-3, lambda v: wf.tikhonov_solve(SYSTEM, wf.RegConfig(1, v))),
+    "sweep.order": (1, lambda v: wf.sweep(SYSTEM, v, WEIGHTS)),
+    "add_noise.p": (0.01, lambda v: wf.add_noise(BG[0], wf.NoiseSpec(v, 1))),
+    "add_noise.seed": (1, lambda v: wf.add_noise(BG[0], wf.NoiseSpec(0.01, v))),
+}
+
+# slot -> (valid value, call, malformed values): a slot whose valid value is
+# not an array, and wrong component counts
+OTHER_SLOTS = {
+    "Source.modulations": ((ONES,), wf.Source, [(), (ONES,) * 3, ONES[0, 0], True, "abc", RAGGED]),
+    "FluxSeries.end": (wf.LEFT, lambda v: wf.FluxSeries(v, np.zeros(4)),
+                       ["middle", None, True, [wf.LEFT, wf.RIGHT], np.array([wf.LEFT, wf.RIGHT])]),
+    "ForceVector.components (count)": (2, lambda v: wf.ForceVector(np.zeros(4), v), [3, 0, -1]),
+    "WaveProblem.with_force (count)": (
+        (np.zeros(3),), lambda v: P1.with_force(*v), [(), (np.zeros(3),) * 2]),
+    "InverseSystem.background (count)": (
+        BG, lambda v: wf.InverseSystem(SYSTEM.A, SYSTEM.b, G, v, P1.source), [(), BG * 2, BG[0]]),
+    "assemble_single (count)": (P1, lambda v: wf.assemble_single(v, np.zeros(4)), [P2]),
+    "assemble_dual (count)": (P2, lambda v: wf.assemble_dual(v, np.zeros(4), np.zeros(4)), [P1]),
+    "with_measurement (count)": (
+        (np.zeros(4),), lambda v: SYSTEM.with_measurement(*v), [(np.zeros(4),) * 2]),
+    "accuracy_error (count)": (
+        wf.ForceVector(np.zeros(4), 2), lambda v: wf.accuracy_error(v, wf.ForceVector(np.zeros(4), 2)),
+        [wf.ForceVector(np.zeros(4))]),
+    "corner.points": (_points(0.1), wf.corner,
+                      [RAGGED, np.array(1.0), np.ones((2, 2, 2)), True, "abc", [],
+                       _points(np.nan), _points(np.inf),
+                       [(1e-3, 1.0, 1.0)] * 3]),
+    "add_noise.series": (BG[0], lambda v: wf.add_noise(v, wf.NoiseSpec(0.01, 1)),
+                         _catalogue(np.zeros(4)) + [np.zeros(4)]),
+}
+
+
+def _cases():
+    for slot, (valid, call) in ARRAY_SLOTS.items():
+        yield slot, valid, call, _catalogue(valid)
+    for slot, (valid, call) in SCALAR_SLOTS.items():
+        yield slot, valid, call, BAD_SCALARS
+    for slot, (valid, call, bad) in OTHER_SLOTS.items():
+        yield slot, valid, call, bad
+
+
+def test_malformed_input_raises_only_typed_errors():
+    escaped = []
+    for slot, valid, call, catalogue in _cases():
+        call(valid)  # the slot's valid value is taken
+        for bad in catalogue:
+            try:
+                call(bad)
+            except wf.WaveforceError:
+                continue
+            except Exception as exc:  # noqa: BLE001 - reported below
+                escaped.append(f"{slot} <- {bad!r}: {type(exc).__name__}: {exc}")
+            else:
+                escaped.append(f"{slot} <- {bad!r}: accepted")
+    assert not escaped, "\n".join(escaped)
+
+
+def test_inverse_system_keeps_its_own_copy():
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((6, 4))
+    b = rng.standard_normal(6)
+    grid = wf.GridSpec(1.0, 1.0, 5, 6)
+    source = wf.Source((np.ones((6, 7)),))
+    cfg = wf.RegConfig(order=1, lam=1e-2)
+    fresh = wf.tikhonov_solve(wf.InverseSystem(base.copy(), b.copy(), grid, (np.zeros(6),), source),
+                              cfg).values
+    system = wf.InverseSystem(base[:, :], b, grid, (np.zeros(6),), source)
+    assert np.array_equal(wf.tikhonov_solve(system, cfg).values, fresh)
+    # the caller's arrays stay writable, and writing through them (here
+    # through the base of the view passed in) leaves the system and its
+    # cached factors alone
+    assert base.flags.writeable and b.flags.writeable
+    base[0, 0] += 1.0
+    b[0] += 1.0
+    assert np.array_equal(wf.tikhonov_solve(system, cfg).values, fresh)

@@ -206,6 +206,7 @@ def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("waveforce.benchmarks.solve_direct", no_march)
     cases = [("lambda", lam) for lam in ("abc", "-1", "nan", "inf")]
     cases += [("reg_order", "5"), ("noise_pct", "nan"), ("seed", "-1"), ("data_refine", "0")]
+    cases += [("lambda_grid", "1e-3,-1")]
     for name, value in cases:
         capsys.readouterr()
         assert run("invert", "--example", 1, "--M", 10, "--" + name.replace("_", "-"), value,

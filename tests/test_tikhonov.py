@@ -2,6 +2,7 @@
 oracles, the shared factorization, SVD diagnostics."""
 
 import dataclasses
+import traceback
 
 import numpy as np
 import pytest
@@ -185,6 +186,26 @@ def test_near_degenerate_stack_raises():
     # rounding and leaves cond near 1e8
     with pytest.raises(wf.SingularSystem):
         wf.tikhonov_solve(fabricated_system(np.ones((5, 3)), np.ones(5)), cfg)
+
+
+def test_failed_factorization_raises_a_fresh_error(monkeypatch):
+    # one attempt per (system, order); each later solve raises a new error
+    # from the kept message, so the traceback does not grow call by call
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda K: calls.append(K.shape) or cholesky(K))
+    s = fabricated_system(np.ones((5, 3)), np.ones(5))
+    cfg = wf.RegConfig(order=2, lam=1e-3)
+    errors = []
+    for _ in range(100):
+        with pytest.raises(wf.SingularSystem) as info:
+            wf.tikhonov_solve(s, cfg)
+        errors.append(info.value)
+    assert len(calls) == 1
+    assert len({id(e) for e in errors}) == len(errors)
+    assert {str(e) for e in errors} == {str(errors[0])}
+    depth = [len(traceback.extract_tb(e.__traceback__)) for e in errors]
+    assert max(depth) <= depth[0]
 
 
 def test_zero_lambda_equals_plain_lstsq(bench):
