@@ -21,6 +21,7 @@ from .errors import (
     UnknownExample,
     UnresolvedForce,
     WaveforceError,
+    WrongType,
     ZeroMatrix,
 )
 from .model import (

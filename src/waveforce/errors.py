@@ -10,6 +10,10 @@ class WaveforceError(ValueError):
     """Base class for all toolkit errors."""
 
 
+class WrongType(WaveforceError):
+    """An argument is not of the type its slot takes (a GridSpec, a Source, ...)."""
+
+
 class CFLViolation(WaveforceError):
     """Grid ratio r = c*dt/dx exceeds 1; the explicit scheme would be unstable."""
 

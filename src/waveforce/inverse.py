@@ -39,7 +39,7 @@ second-component columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .model import (
     KnownForce,
     Source,
     WaveProblem,
+    _instance,
     _readonly,
 )
 from .noise import NoiseSpec, add_noise
@@ -70,7 +71,8 @@ class InverseSystem:
     `noise` records the perturbation applied to the measurement, if any.
     A and b are read-only copies of the caller's arrays. Copies made by
     with_measurement share A and the factors of the regularized solve; any
-    other copy starts without them.
+    other copy starts without them. The solutions of the last sweep are
+    the system's own: no copy shares them.
     """
 
     A: np.ndarray
@@ -81,8 +83,13 @@ class InverseSystem:
     noise: NoiseSpec | None = None
     # {order: factors} of each penalty order solved (tikhonov._factors)
     _factors: dict = field(default_factory=dict, init=False, repr=False)
+    # {(order, lambda): solution} of the last sweep (lcurve.sweep)
+    _solutions: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        _instance(self.grid, (GridSpec,), "grid")
+        _instance(self.source, (Source,), "source")
+        _instance(self.noise, (NoiseSpec, type(None)), "noise")
         A, b = _readonly(self.A, "A", ndim=2), _readonly(self.b, "b")
         if A.shape[0] != b.size:
             raise DimensionMismatch(f"A is {A.shape} but b has {b.size} entries")
@@ -108,9 +115,10 @@ class InverseSystem:
             series = [add_noise(s, noise) for s in series]
         b = 2.0 * self.grid.dx * np.concatenate(
             [s.values - bg.values for s, bg in zip(series, self.background)])
-        copy = replace(self, b=b, noise=noise)
-        for name in ("A", "_factors"):
-            object.__setattr__(copy, name, getattr(self, name))
+        # only b passes the intake: A, the metadata and the factors are
+        # this system's own, already checked and read-only
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self), b=_readonly(b, "b"), noise=noise, _solutions={})
         return copy
 
 

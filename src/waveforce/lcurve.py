@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateCurve, InvalidDimension, WaveforceError
+from .errors import DegenerateCurve, InvalidDimension, SingularSystem
 from .inverse import InverseSystem
-from .tikhonov import RegConfig, _differences, tikhonov_solve
+from .model import _instance
+from .tikhonov import RegConfig, _differences, _weight_loop
 
 _COLLINEAR_TOL = 1e-12
 
@@ -79,21 +80,26 @@ def sweep(sys: InverseSystem, order: int = 0,
     -------
     list of LCurvePoint
         One entry per lambda that solved cleanly; weights whose solve
-        raises are skipped.
+        fails (a singular system, a non-finite solution) are skipped.
+
+    The solutions behind the points replace those the system kept from
+    its previous sweep, so that tikhonov_solve at a swept weight, such as
+    the corner's, looks its solution up instead of solving again.
     """
+    _instance(sys, (InverseSystem,), "system")
     order = RegConfig(order=order).order
     if lambdas is None:
         lambdas = DEFAULT_LAMBDA_GRID if order == 0 else EXTENDED_LAMBDA_GRID
-    points = []
-    for lam in _checked_grid(lambdas):
-        try:
-            f = tikhonov_solve(sys, RegConfig(order=order, lam=float(lam)))
-        except WaveforceError:
-            continue
-        res = float(np.linalg.norm(sys.A @ f.values - sys.b))
-        sol = float(np.linalg.norm(_differences(f.values, order, sys.components)))
-        points.append(LCurvePoint(float(lam), res, sol))
-    return points
+    lams = _checked_grid(lambdas).tolist()
+    try:
+        solved = [(lam, f) for lam, f in zip(lams, _weight_loop(sys, order, lams))
+                  if f is not None and np.isfinite(f).all()]
+    except SingularSystem:  # the factorization failed, so every weight does
+        solved = []
+    object.__setattr__(sys, "_solutions", {(order, lam): f for lam, f in solved})
+    return [LCurvePoint(lam, float(np.linalg.norm(sys.A @ f - sys.b)),
+                        float(np.linalg.norm(_differences(f, order, sys.components))))
+            for lam, f in solved]
 
 
 def _menger(x: np.ndarray, y: np.ndarray) -> np.ndarray:

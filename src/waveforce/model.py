@@ -3,8 +3,9 @@
 No algorithms live here. Construction validates everything the solvers rely
 on (sizes, stability ratio, boundary/initial compatibility) so downstream
 code can assume well-formed inputs. Every caller array enters through
-_checked_array, the one intake rule of the package; array payloads are
-copied and marked read-only, so instances are safe to share.
+_checked_array, the one intake rule of the package, and every object-valued
+argument through _instance; array payloads are copied and marked
+read-only, so instances are safe to share.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     IncompatibleData,
     InvalidDimension,
     WaveforceError,
+    WrongType,
 )
 
 LEFT = "left"
@@ -64,6 +66,22 @@ def _readonly(a, name, ndim=1):
     arr = _checked_array(a, name, ndim).copy()
     arr.setflags(write=False)
     return arr
+
+
+def _instance(value, types, name):
+    """WrongType unless `value` is an instance of one of `types`: the
+    intake rule for object-valued arguments."""
+    if not isinstance(value, types):
+        raise WrongType(f"{name} must be a {' or '.join(t.__name__ for t in types)}, "
+                        f"got {type(value).__name__}")
+
+
+def _broadcast(values, shape, name):
+    """A callable's output `values` broadcast to the grid's `shape`, or DimensionMismatch."""
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise DimensionMismatch(f"{name} does not broadcast to the grid's shape {shape}") from None
 
 
 @dataclass(frozen=True)
@@ -144,8 +162,9 @@ def sample_grid(grid, fn):
     `fn` is called once with broadcastable arrays and may return a scalar
     (constant functions) or any broadcast-compatible array.
     """
-    values = fn(grid.x[:, None], grid.t[None, :])
-    return _readonly(np.broadcast_to(values, (grid.M + 1, grid.N + 1)), "sampled function", ndim=2)
+    values = _broadcast(fn(grid.x[:, None], grid.t[None, :]), (grid.M + 1, grid.N + 1),
+                        "sampled function")
+    return _readonly(values, "sampled function", ndim=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +186,7 @@ class InitialData:
     @classmethod
     def from_callables(cls, grid, u0, v0):
         x = grid.x
-        return cls(np.broadcast_to(u0(x), x.shape), np.broadcast_to(v0(x), x.shape))
+        return cls(_broadcast(u0(x), x.shape, "displacement"), _broadcast(v0(x), x.shape, "velocity"))
 
     @classmethod
     def zero(cls, grid):
@@ -196,7 +215,8 @@ class BoundaryData:
     @classmethod
     def from_callables(cls, grid, p0, pl):
         t = grid.t
-        return cls(np.broadcast_to(p0(t), t.shape), np.broadcast_to(pl(t), t.shape))
+        return cls(_broadcast(p0(t), t.shape, "left boundary"),
+                   _broadcast(pl(t), t.shape, "right boundary"))
 
     @classmethod
     def zero(cls, grid):
@@ -270,6 +290,9 @@ class WaveProblem:
     source: KnownForce | Source
 
     def __post_init__(self):
+        for name, types in (("grid", (GridSpec,)), ("initial", (InitialData,)),
+                            ("boundary", (BoundaryData,)), ("source", (KnownForce, Source))):
+            _instance(getattr(self, name), types, name)
         g = self.grid
         if self.initial.displacement.size != g.M + 1:
             raise DimensionMismatch(

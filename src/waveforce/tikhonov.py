@@ -16,6 +16,17 @@ then costs one m x m solve,
 
     (G + (lambda / mu^2) H) y = R^-T A^T b,    f = R^-1 y.
 
+Every lambda > 0 goes through one weight loop (_weight_loop): it takes
+the factors and R^-T A^T b once, then builds each weight's matrix in one
+reused m x m buffer. tikhonov_solve runs it for one weight, and
+lcurve.sweep for its whole grid. The sweep keeps its solutions on the
+system, keyed by (order, lambda), so that tikhonov_solve at a swept
+weight (the corner's, say) looks its solution up instead of solving
+again. The next sweep replaces the whole set, so a system holds at most
+one grid of m-vectors (the 18 of EXTENDED_LAMBDA_GRID take 46 kB at
+m = 319); copies made by with_measurement start without them, as their
+b differs.
+
 Rank rule for lambda > 0, checked once per factorization: SingularSystem
 when the Cholesky fails or when cond([A; mu D_k]) >= COND_LIMIT = 1e6
 (= 1 / sqrt(RANK_TOL)). The system solved has condition number up to
@@ -43,7 +54,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .inverse import InverseSystem
-from .model import ForceVector, _checked_array, _integer, _real
+from .model import ForceVector, _checked_array, _instance, _integer, _real
 
 #: singular values below RANK_TOL * sv(1) count as zero in rank decisions
 RANK_TOL = 1e-12
@@ -130,7 +141,8 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
 
     At lambda = 0 this is plain least squares on A f = b. For lambda > 0
     it reuses the system's factors of order k, computing them on first
-    use (see the module docstring).
+    use, and at a weight of the system's last sweep it returns that
+    sweep's solution (see the module docstring).
 
     Raises
     ------
@@ -138,20 +150,45 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
         When lambda = 0 and A is numerically rank-deficient, or when
         lambda > 0 and [A; mu D_k] fails the rank rule (possible only if
         A and D_k nearly share a null vector).
+    WrongType
+        When sys is no InverseSystem or cfg no RegConfig.
     """
+    _instance(sys, (InverseSystem,), "system")
+    _instance(cfg, (RegConfig,), "regularization config")
     if cfg.lam == 0.0:
         sol, _, _, sv = np.linalg.lstsq(sys.A, sys.b, rcond=None)
         if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0]:
             raise SingularSystem("system is numerically rank-deficient at lambda = 0")
         return ForceVector(sol, sys.components)
-    mu2, Rinv, G, H = _factors(sys, cfg.order)
-    S = H * (cfg.lam / mu2)
-    S += G
-    try:
-        y = np.linalg.solve(S, Rinv.T @ (sys.A.T @ sys.b))
-    except np.linalg.LinAlgError:
-        raise SingularSystem(f"regularized system is singular at lambda = {cfg.lam:g}") from None
-    return ForceVector(Rinv @ y, sys.components)
+    f = sys._solutions.get((cfg.order, cfg.lam))
+    if f is None:
+        [f] = _weight_loop(sys, cfg.order, [cfg.lam])
+        if f is None:
+            raise SingularSystem(f"regularized system is singular at lambda = {cfg.lam:g}")
+    return ForceVector(f, sys.components)
+
+
+def _weight_loop(sys: InverseSystem, order: int, lambdas):
+    """The regularized solve of every lambda > 0 in `lambdas`, in turn.
+
+    Yields f = R^-1 y of the module docstring for each weight, or None
+    where LAPACK finds G + (lambda / mu^2) H singular.
+    The factors and R^-T A^T b are taken once, and every weight's matrix
+    is built in one reused m x m buffer. Raises SingularSystem, at the
+    first step, when the factorization fails the rank rule.
+    """
+    mu2, Rinv, G, H = _factors(sys, order)
+    rhs = Rinv.T @ (sys.A.T @ sys.b)
+    S = np.empty_like(G)
+    for lam in lambdas:
+        np.multiply(H, lam / mu2, out=S)
+        S += G
+        try:
+            y = np.linalg.solve(S, rhs)
+        except np.linalg.LinAlgError:
+            yield None
+            continue
+        yield Rinv @ y
 
 
 def _factors(sys: InverseSystem, order: int):

@@ -19,6 +19,7 @@ def _problem(components=1):
 P1, P2 = _problem(1), _problem(2)
 SYSTEM = wf.assemble_single(P1, np.ones(4))
 BG = SYSTEM.background
+INITIAL, BOUNDARY = P1.initial, P1.boundary
 
 
 def _points(first_residual):
@@ -103,6 +104,45 @@ OTHER_SLOTS = {
                        [(1e-3, 1.0, 1.0)] * 3]),
     "add_noise.series": (BG[0], lambda v: wf.add_noise(v, wf.NoiseSpec(0.01, 1)),
                          _catalogue(np.zeros(4)) + [np.zeros(4)]),
+    "InverseSystem.noise": (
+        wf.NoiseSpec(0.01, 1), lambda v: wf.InverseSystem(SYSTEM.A, SYSTEM.b, G, BG, P1.source, v),
+        ["abc", np.zeros(5), G]),
+}
+
+#: callables whose output does not broadcast to a grid of M = N = 4
+NOT_BROADCASTING = [lambda *a: np.ones(3), lambda *a: np.ones((2, 2, 2)), lambda *a: RAGGED]
+
+# slot -> (valid callable, call with the slot filled)
+CALLABLE_SLOTS = {
+    "sample_grid.fn": (lambda x, t: x * t, lambda v: wf.sample_grid(G, v)),
+    "InitialData.from_callables.u0": (
+        np.zeros_like, lambda v: wf.InitialData.from_callables(G, v, np.zeros_like)),
+    "InitialData.from_callables.v0": (
+        np.zeros_like, lambda v: wf.InitialData.from_callables(G, np.zeros_like, v)),
+    "BoundaryData.from_callables.p0": (
+        np.zeros_like, lambda v: wf.BoundaryData.from_callables(G, v, np.zeros_like)),
+    "BoundaryData.from_callables.pl": (
+        np.zeros_like, lambda v: wf.BoundaryData.from_callables(G, np.zeros_like, v)),
+}
+
+#: malformed stand-ins for an object slot, besides an object of the wrong type
+BAD_OBJECTS = [None, "abc", np.zeros(5)]
+
+# slot -> (valid object, call with the slot filled, an object of another
+# of the package's types)
+OBJECT_SLOTS = {
+    "WaveProblem.grid": (G, lambda v: wf.WaveProblem(v, INITIAL, BOUNDARY, P1.source), INITIAL),
+    "WaveProblem.initial": (INITIAL, lambda v: wf.WaveProblem(G, v, BOUNDARY, P1.source), BOUNDARY),
+    "WaveProblem.boundary": (BOUNDARY, lambda v: wf.WaveProblem(G, INITIAL, v, P1.source), INITIAL),
+    "WaveProblem.source": (P1.source, lambda v: wf.WaveProblem(G, INITIAL, BOUNDARY, v), G),
+    "InverseSystem.grid": (G, lambda v: wf.InverseSystem(SYSTEM.A, SYSTEM.b, v, BG, P1.source),
+                           P1.source),
+    "InverseSystem.source": (P1.source, lambda v: wf.InverseSystem(SYSTEM.A, SYSTEM.b, G, BG, v),
+                             wf.KnownForce(ONES)),
+    "tikhonov_solve.sys": (SYSTEM, lambda v: wf.tikhonov_solve(v, wf.RegConfig(1, 1e-3)), P1),
+    "tikhonov_solve.cfg": (wf.RegConfig(1, 1e-3), lambda v: wf.tikhonov_solve(SYSTEM, v),
+                           wf.NoiseSpec(0.01)),
+    "sweep.sys": (SYSTEM, lambda v: wf.sweep(v, 0, WEIGHTS), P1),
 }
 
 
@@ -113,6 +153,10 @@ def _cases():
         yield slot, valid, call, BAD_SCALARS
     for slot, (valid, call, bad) in OTHER_SLOTS.items():
         yield slot, valid, call, bad
+    for slot, (valid, call) in CALLABLE_SLOTS.items():
+        yield slot, valid, call, NOT_BROADCASTING
+    for slot, (valid, call, other_type) in OBJECT_SLOTS.items():
+        yield slot, valid, call, BAD_OBJECTS + [other_type]
 
 
 def test_malformed_input_raises_only_typed_errors():

@@ -173,6 +173,32 @@ def test_with_measurement_equals_fresh_noisy_assembly(bench):
         d.system.with_measurement(d.measured)
 
 
+def test_with_measurement_takes_only_b_through_the_intake(bench, monkeypatch):
+    import waveforce.inverse
+    import waveforce.model
+    a = bench(2, 20)
+    wf.tikhonov_solve(a.system, wf.RegConfig(order=1, lam=1e-4))
+    names = []
+    readonly = waveforce.model._readonly
+
+    def counted(arr, name, ndim=1):
+        names.append(name)
+        return readonly(arr, name, ndim)
+
+    for module in (waveforce.model, waveforce.inverse):
+        monkeypatch.setattr(module, "_readonly", counted)
+    copy = a.system.with_measurement(a.measured)
+    assert names == ["b"]
+    assert copy.A is a.system.A and copy._factors is a.system._factors
+    assert copy.background is a.system.background and copy.source is a.system.source
+    assert np.array_equal(copy.b, a.system.b) and not copy.b.flags.writeable
+    # a noise draw adds the noisy series' own intake, never A's
+    names.clear()
+    noisy = a.system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 3))
+    assert names.count("b") == 1 and "A" not in names
+    assert noisy.noise == wf.NoiseSpec(0.01, 3) and noisy.A is a.system.A
+
+
 def test_bad_measurement_rejected_before_any_march(bench, monkeypatch):
     a = bench(2, 10)
     d = bench(5, 10)

@@ -160,3 +160,95 @@ def test_sweep_skips_failing_weights():
     s = fabricated_system(A, np.ones(5))
     assert len(wf.sweep(s, 0)) == wf.DEFAULT_LAMBDA_GRID.size
     assert wf.sweep(s, 2) == []
+
+
+def per_weight_sweep(sys, order, lambdas=None):
+    """Slow predecessor of sweep: one public tikhonov_solve per weight, on
+    a copy that keeps no solutions. Returns the points and the solution
+    of each point."""
+    sys = dataclasses.replace(sys)
+    if lambdas is None:
+        lambdas = wf.DEFAULT_LAMBDA_GRID if order == 0 else wf.EXTENDED_LAMBDA_GRID
+    points, solutions = [], []
+    for lam in lambdas:
+        try:
+            f = wf.tikhonov_solve(sys, wf.RegConfig(order=order, lam=float(lam)))
+        except wf.WaveforceError:
+            continue
+        res = float(np.linalg.norm(sys.A @ f.values - sys.b))
+        sol = float(np.linalg.norm(np.diff(f.values.reshape(f.components, -1), n=order)))
+        points.append(wf.LCurvePoint(float(lam), res, sol))
+        solutions.append(f.values)
+    return points, solutions
+
+
+def _draws(a):
+    series = (a.measured,) if a.measured_right is None else (a.measured, a.measured_right)
+    return [a.system.with_measurement(*series, noise=noise)
+            for noise in (None, wf.NoiseSpec(0.01, 1))]
+
+
+@pytest.mark.parametrize("example", [1, 2, 3, 4, 5])
+def test_sweep_matches_per_weight_solves_bit_for_bit(bench, example):
+    for s in _draws(bench(example, 40)):
+        for order in (0, 1, 2):
+            want, solutions = per_weight_sweep(s, order)
+            got = wf.sweep(s, order)
+            assert got == want
+            for p, f in zip(got, solutions):
+                assert np.array_equal(s._solutions[order, p.lam], f)
+            # the final solve at the corner is the fresh solve, bit for bit
+            lam = wf.corner(got).lam
+            cfg = wf.RegConfig(order=order, lam=lam)
+            assert np.array_equal(wf.tikhonov_solve(s, cfg).values,
+                                  wf.tikhonov_solve(dataclasses.replace(s), cfg).values)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda S, r: calls.append(S.shape) or solve(S, r))
+    return calls
+
+
+def test_corner_solve_reuses_the_sweep(bench, monkeypatch):
+    a = bench(4, 40)
+    noisy = a.system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 2))
+    calls = _count_solves(monkeypatch)
+    for order in (0, 1, 2):
+        calls.clear()
+        points = wf.sweep(noisy, order)
+        wf.tikhonov_solve(noisy, wf.RegConfig(order=order, lam=wf.corner(points).lam))
+        grid = wf.DEFAULT_LAMBDA_GRID if order == 0 else wf.EXTENDED_LAMBDA_GRID
+        assert len(calls) == len(points) == grid.size
+
+
+def test_stored_solutions_are_read_only_for_the_last_sweep(bench, monkeypatch):
+    a = bench(2, 40)
+    noisy = a.system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 1))
+    first = [1e-4, 1e-3, 1e-2]
+    wf.sweep(noisy, 1, first)
+    assert sorted(noisy._solutions) == [(1, lam) for lam in first]
+    calls = _count_solves(monkeypatch)
+
+    def solved_afresh(system, order, lam):
+        calls.clear()
+        cfg = wf.RegConfig(order=order, lam=lam)
+        got = wf.tikhonov_solve(system, cfg).values
+        solves = len(calls)
+        assert np.array_equal(got, wf.tikhonov_solve(dataclasses.replace(system), cfg).values)
+        return solves == 1
+
+    assert not solved_afresh(noisy, 1, 1e-3)  # a swept weight is looked up
+    assert solved_afresh(noisy, 1, 5e-3)  # a weight outside the sweep
+    assert solved_afresh(noisy, 2, 1e-3)  # another order
+    # a with_measurement copy, even of the same measurement, keeps none
+    copy = noisy.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 1))
+    assert copy._solutions == {} and copy._factors is noisy._factors
+    assert solved_afresh(copy, 1, 1e-3)
+    # the next sweep replaces the whole set
+    second = [2e-3, 2e-2]
+    wf.sweep(noisy, 1, second)
+    assert sorted(noisy._solutions) == [(1, lam) for lam in second]
+    assert solved_afresh(noisy, 1, 1e-3)
+    assert not solved_afresh(noisy, 1, 2e-3)
