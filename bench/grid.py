@@ -18,14 +18,18 @@ run by run and share the host's drift. It writes BENCH_<LABEL>.json into
 `--timings` file (data, assembly, sweep, corner, solve, cond, output), of
 their sum (`stages`) and of the process wall time from start to exit
 (`process`, which adds interpreter start-up and imports), all in
-seconds; plus nproc, the Python and numpy versions, the platform and the
-git commit of SRC's checkout. Nothing is asserted: the file is a record,
-and a speed-up is read off a pair of files measured together.
+seconds; plus nproc, the Python and numpy versions, the platform, the
+git commit of SRC's checkout with whether its tree differs from that
+commit, and `source`, a digest of SRC's `waveforce/*.py`. A label measured
+on uncommitted work carries its parent's commit, so `source` is what names
+the code it timed. Nothing is asserted: the file is a record, and a
+speed-up is read off a pair of files measured together.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -53,6 +57,14 @@ def git_commit(src):
         return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
     except (OSError, subprocess.CalledProcessError):
         return None, None
+
+
+def source_digest(src):
+    """sha256 of the package's Python files under `src`, by name and content."""
+    h = hashlib.sha256()
+    for path in sorted((Path(src) / "waveforce").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def run_once(src, example, M, tmp):
@@ -112,6 +124,7 @@ def main(argv=None):
             "platform": platform.platform(),
             "commit": commit,
             "dirty": dirty,
+            "source": source_digest(src),
             "cells": [{"example": ex, "M": M, "N": M, **summary(runs[label, (ex, M)])}
                       for ex, M in cells],
         }

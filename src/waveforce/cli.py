@@ -13,7 +13,9 @@ artifacts. --timings FILE writes the wall time of each stage as one JSON
 object; it is not an artifact, so it stays out of the manifest. Failures,
 a malformed flag or config value included, exit with status 1 and a
 single "ErrorClass: message" line on stderr; a flag the command does not
-take is an argparse usage error (status 2).
+take is an argparse usage error (status 2). A setting the run's mode does
+not read fails like a malformed value: --lambda-grid without --lambda
+lcurve, and --data-refine above 1 without --example.
 """
 
 from __future__ import annotations
@@ -57,7 +59,13 @@ from .model import (
     _integer,
 )
 from .noise import NoiseSpec
-from .tikhonov import RegConfig, accuracy_error, condition_number, tikhonov_solve
+from .tikhonov import (
+    RegConfig,
+    _condition_number,
+    accuracy_error,
+    condition_number,
+    tikhonov_solve,
+)
 
 _TABLE_SIZES = (10, 20, 40, 80)
 _TABLE_NOISE_PCT = (1, 3, 5)
@@ -295,6 +303,8 @@ def _assemble(cfg: RunConfig, stages: _Stages):
     ForceVector or None); the stages "data" and "assembly" are booked.
     """
     grid = cfg.grid()
+    if cfg.example is None and cfg.data_refine != 1:
+        raise WaveforceError("'data_refine' applies only to simulated data (--example)")
     if cfg.example is not None:
         problem = inverse_problem(cfg.example, grid)
         ends = (LEFT, RIGHT)[:problem.source.unknowns]
@@ -328,6 +338,8 @@ def _write_lcurve(outdir: Path, points) -> str:
 
 
 def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
+    if cfg.lam != "lcurve" and cfg.lambda_grid is not None:
+        raise WaveforceError("'lambda_grid' is read only with --lambda lcurve")
     system, exact = _assemble(cfg, stages)
     points = None
     if cfg.lam == "lcurve":
@@ -339,7 +351,7 @@ def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
         lam = float(cfg.lam)
     solution = tikhonov_solve(system, RegConfig(order=cfg.reg_order, lam=lam))
     stages.lap("solve")
-    cond = condition_number(system.A)
+    cond = _condition_number(system)
     stages.lap("cond")
     artifacts = [] if points is None else [_write_lcurve(outdir, points)]
     grid = system.grid

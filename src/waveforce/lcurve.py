@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateCurve, InvalidDimension, SingularSystem
 from .inverse import InverseSystem
 from .model import _instance
-from .tikhonov import RegConfig, _differences, _weight_loop
+from .tikhonov import RegConfig, _factors
 
 _COLLINEAR_TOL = 1e-12
 
@@ -82,8 +82,8 @@ def sweep(sys: InverseSystem, order: int = 0,
         One entry per lambda that solved cleanly; weights whose solve
         fails (a singular system, a non-finite solution) are skipped.
 
-    The solutions behind the points replace those the system kept from
-    its previous sweep, so that tikhonov_solve at a swept weight, such as
+    The solutions behind the points replace those kept from the previous
+    sweep of this order, so that tikhonov_solve at a swept weight, such as
     the corner's, looks its solution up instead of solving again.
     """
     _instance(sys, (InverseSystem,), "system")
@@ -92,14 +92,12 @@ def sweep(sys: InverseSystem, order: int = 0,
         lambdas = DEFAULT_LAMBDA_GRID if order == 0 else EXTENDED_LAMBDA_GRID
     lams = _checked_grid(lambdas).tolist()
     try:
-        solved = [(lam, f) for lam, f in zip(lams, _weight_loop(sys, order, lams))
-                  if f is not None and np.isfinite(f).all()]
+        factors = _factors(sys, order)
     except SingularSystem:  # the factorization failed, so every weight does
-        solved = []
-    object.__setattr__(sys, "_solutions", {(order, lam): f for lam, f in solved})
-    return [LCurvePoint(lam, float(np.linalg.norm(sys.A @ f - sys.b)),
-                        float(np.linalg.norm(_differences(f, order, sys.components))))
-            for lam, f in solved]
+        return []
+    return [LCurvePoint(lam, float(np.linalg.norm(sys.A @ f - sys.b)), factors.penalty_norm(f))
+            for lam, f in zip(lams, factors.solutions(sys.b, lams, keep=True))
+            if f is not None and np.isfinite(f).all()]
 
 
 def _menger(x: np.ndarray, y: np.ndarray) -> np.ndarray:

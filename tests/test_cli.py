@@ -207,12 +207,18 @@ def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
     cases = [("lambda", lam) for lam in ("abc", "-1", "nan", "inf")]
     cases += [("reg_order", "5"), ("noise_pct", "nan"), ("seed", "-1"), ("data_refine", "0")]
     cases += [("lambda_grid", "1e-3,-1")]
-    for name, value in cases:
+    cases = [("--example", 1, "--" + name.replace("_", "-"), value) for name, value in cases]
+    # settings that only some modes read: a sweep grid without a sweep, and
+    # a finer data mesh for external data, which no simulation produces
+    cases += [("--example", 1, "--lambda-grid", "1e-3,1e-2"),
+              ("--example", 1, "--lambda", "1e-3", "--lambda-grid", "1e-3,1e-2"),
+              ("--measured-left", tmp_path / "q.csv", "--data-refine", 2)]
+    for argv in cases:
         capsys.readouterr()
-        assert run("invert", "--example", 1, "--M", 10, "--" + name.replace("_", "-"), value,
-                   "--out", tmp_path / "bl") == 1
+        assert run("invert", *argv, "--M", 10, "--out", tmp_path / "bl") == 1
         err = capsys.readouterr().err
         assert err.startswith("WaveforceError:") and err.count("\n") == 1
+        name = next(a for a in reversed(argv) if str(a).startswith("--"))[2:].replace("-", "_")
         assert repr(name) in err
 
 

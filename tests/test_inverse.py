@@ -349,10 +349,17 @@ def test_right_rows_mirror_left_rows(case):
     mirrored = dataclasses.replace(
         problem, source=wf.Source(tuple(h[::-1] for h in problem.source.modulations)))
     n, m = problem.grid.N, problem.grid.M - 1
-    right = _assemble_zero_data(problem).A[n:]
+    system = _assemble_zero_data(problem)
+    right = system.A[n:]
     left = _assemble_zero_data(mirrored).A[:n]
     for c in range(2):
         assert np.array_equal(right[:, c * m:(c + 1) * m], left[:, c * m:(c + 1) * m][:, ::-1])
+    # so A has the mirror relation the regularized solve splits on exactly
+    # when every modulation is its own mirror image on the interior nodes
+    interior = [h[1:-1] for h in problem.source.modulations]
+    assert system._mirrored == all(np.array_equal(h, h[::-1]) for h in interior)
+    # (the perturbed entry sits on the middle node, its own mirror image)
+    assert system._mirrored == (case != "stretched-dual")
 
 
 def test_flux_affinity_at_M_640():

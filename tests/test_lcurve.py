@@ -182,6 +182,12 @@ def per_weight_sweep(sys, order, lambdas=None):
     return points, solutions
 
 
+def kept(system, order):
+    """{lambda: solution} kept from the last sweep of `order` on the system's b."""
+    b, solutions = system._factors[order]._swept
+    return solutions if b is system.b else {}
+
+
 def _draws(a):
     series = (a.measured,) if a.measured_right is None else (a.measured, a.measured_right)
     return [a.system.with_measurement(*series, noise=noise)
@@ -196,7 +202,7 @@ def test_sweep_matches_per_weight_solves_bit_for_bit(bench, example):
             got = wf.sweep(s, order)
             assert got == want
             for p, f in zip(got, solutions):
-                assert np.array_equal(s._solutions[order, p.lam], f)
+                assert np.array_equal(kept(s, order)[p.lam], f)
             # the final solve at the corner is the fresh solve, bit for bit
             lam = wf.corner(got).lam
             cfg = wf.RegConfig(order=order, lam=lam)
@@ -228,7 +234,7 @@ def test_stored_solutions_are_read_only_for_the_last_sweep(bench, monkeypatch):
     noisy = a.system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 1))
     first = [1e-4, 1e-3, 1e-2]
     wf.sweep(noisy, 1, first)
-    assert sorted(noisy._solutions) == [(1, lam) for lam in first]
+    assert sorted(kept(noisy, 1)) == first
     calls = _count_solves(monkeypatch)
 
     def solved_afresh(system, order, lam):
@@ -244,11 +250,42 @@ def test_stored_solutions_are_read_only_for_the_last_sweep(bench, monkeypatch):
     assert solved_afresh(noisy, 2, 1e-3)  # another order
     # a with_measurement copy, even of the same measurement, keeps none
     copy = noisy.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 1))
-    assert copy._solutions == {} and copy._factors is noisy._factors
+    assert kept(copy, 1) == {} and copy._factors is noisy._factors
     assert solved_afresh(copy, 1, 1e-3)
-    # the next sweep replaces the whole set
+    # the next sweep of the order replaces the whole set
     second = [2e-3, 2e-2]
     wf.sweep(noisy, 1, second)
-    assert sorted(noisy._solutions) == [(1, lam) for lam in second]
+    assert sorted(kept(noisy, 1)) == second
     assert solved_afresh(noisy, 1, 1e-3)
     assert not solved_afresh(noisy, 1, 2e-3)
+
+
+def test_split_sweep_matches_stacked_lstsq(bench):
+    from test_tikhonov import ORACLE_GRID_TOL, ORACLE_TINY_LAMBDA_TOL, stacked_lstsq
+    grid = [1e-14, *wf.EXTENDED_LAMBDA_GRID]
+    worst = {ORACLE_GRID_TOL: 0.0, ORACLE_TINY_LAMBDA_TOL: 0.0}
+    for m in (40, 80):
+        for s in _draws(bench(5, m)):
+            assert s._mirrored
+            for order in (0, 1, 2):
+                assert [p.lam for p in wf.sweep(s, order, grid)] == grid
+                for lam, f in kept(s, order).items():
+                    want = stacked_lstsq(s.A, s.b, order, lam, 2)
+                    tol = ORACLE_TINY_LAMBDA_TOL if lam == 1e-14 else ORACLE_GRID_TOL
+                    worst[tol] = max(worst[tol], np.max(np.abs(f - want)) / np.max(np.abs(want)))
+    print(f"split sweep vs stacked lstsq: grid {worst[ORACLE_GRID_TOL]:.2e}, "
+          f"lambda 1e-14 {worst[ORACLE_TINY_LAMBDA_TOL]:.2e}")
+    assert all(w <= tol for tol, w in worst.items())
+
+
+def test_split_keeps_the_corner(bench):
+    # the corner of the dual scenario at M = 160, order 2, on 30 noise
+    # draws: the same weight from the split as from the whole system
+    from test_tikhonov import unsplit
+    a = bench(5, 160)
+    whole = unsplit(a.system)
+    for seed in range(1, 31):
+        noise = wf.NoiseSpec(0.01, seed)
+        split = a.system.with_measurement(a.measured, a.measured_right, noise=noise)
+        oracle = whole.with_measurement(a.measured, a.measured_right, noise=noise)
+        assert wf.corner(wf.sweep(split, 2)).lam == wf.corner(wf.sweep(oracle, 2)).lam

@@ -12,10 +12,11 @@ from test_inverse import fabricated_system
 
 # Largest max|f - f_oracle| / max|f_oracle| of the factored solve against
 # stacked_lstsq over scenarios 1-5 at M = N = 40 and 80, orders 0-2, with
-# noise-free and 1%-noise data: 3.7e-10 over the extended weight grid
-# (dual scenario 5, order 2, M = 80) and 2.5e-7 at lambda = 1e-14
-# (scenario 4, order 0, noise-free), where the factored route's squared
-# conditioning shows. The tolerances leave a factor of about 3-4.
+# noise-free and 1%-noise data: 4.0e-10 over the extended weight grid
+# (scenario 4, order 2, lambda = 0.5, M = 80; the mirror-split dual
+# scenario 5 reaches 2.1e-10) and 2.5e-7 at lambda = 1e-14 (scenario 4,
+# order 0, noise-free), where the factored route's squared conditioning
+# shows. The tolerances leave a factor of about 2.5-4.
 ORACLE_GRID_TOL = 1e-9
 ORACLE_TINY_LAMBDA_TOL = 1e-6
 
@@ -41,6 +42,14 @@ def stacked_lstsq(A, b, order, lam, components=1):
     D = penalty(order, A.shape[1] // components, components)
     return np.linalg.lstsq(np.vstack([A, np.sqrt(lam) * D]),
                            np.concatenate([b, np.zeros(D.shape[0])]), rcond=None)[0]
+
+
+def unsplit(system):
+    """A copy of a dual system that factors A whole, as every system
+    without the mirror relation does: the oracle of the mirror split."""
+    copy = dataclasses.replace(system)
+    object.__setattr__(copy, "_mirrored", False)
+    return copy
 
 
 def test_difference_operator_forms():
@@ -110,6 +119,7 @@ def test_factored_solve_matches_stacked_lstsq(bench):
             series = (a.measured,) if a.measured_right is None else (a.measured, a.measured_right)
             for noise in (None, wf.NoiseSpec(0.01, 1)):
                 s = a.system.with_measurement(*series, noise=noise)
+                assert s._mirrored == (example == 5)  # scenario 5 takes the mirror split
                 for order in (0, 1, 2):
                     for lam in [*wf.EXTENDED_LAMBDA_GRID, 1e-14]:
                         got = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
@@ -150,6 +160,69 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
     wf.tikhonov_solve(noisy, wf.RegConfig(order=1, lam=1e-3))
     assert len(calls) == 2
     assert sorted(noisy._factors) == [1, 2]
+    # a mirrored dual system factors its even and odd halves once per
+    # order, each about half the size of the whole, and its draws share them
+    calls.clear()
+    d = bench(5, 40)
+    dual = dataclasses.replace(d.system)
+    noisy = dual.with_measurement(d.measured, d.measured_right, noise=wf.NoiseSpec(0.01, 1))
+    lam = wf.corner(wf.sweep(noisy, 2)).lam
+    wf.tikhonov_solve(noisy, wf.RegConfig(order=2, lam=lam))
+    assert calls == [(40, 40), (38, 38)]  # m = 39: 20 even and 19 odd per profile
+    draw = dual.with_measurement(d.measured, d.measured_right, noise=wf.NoiseSpec(0.01, 2))
+    wf.tikhonov_solve(draw, wf.RegConfig(order=2, lam=lam))
+    wf.sweep(draw, 2)
+    assert len(calls) == 2
+    wf.sweep(draw, 1)
+    assert len(calls) == 4
+
+
+def test_fold_is_orthonormal():
+    from waveforce.tikhonov import _fold, _unfold
+    rng = np.random.default_rng(3)
+    for m in (4, 5):
+        X = rng.normal(size=(3, 2 * m))
+        parts = [_fold(X, parity, 2) for parity in (1, -1)]
+        assert [p.shape for p in parts] == [(3, 2 * (m - m // 2)), (3, 2 * (m // 2))]
+        # V_+ V_+^T + V_- V_-^T = I, and V^T V = I on each half
+        back = sum(_unfold(p, parity, 2, m) for parity, p in zip((1, -1), parts))
+        assert np.max(np.abs(back - X)) <= 1e-14
+        for parity, p in zip((1, -1), parts):
+            assert np.max(np.abs(_fold(_unfold(p, parity, 2, m), parity, 2) - p)) <= 1e-14
+        # each m-long block folds on its own: an even block has no odd part
+        even = np.concatenate([np.arange(m) * (m - 1 - np.arange(m)), np.ones(m)])
+        assert not np.any(_fold(even, -1, 2))
+
+
+def test_mirror_split_condition_number(bench):
+    from waveforce.tikhonov import _condition_number
+    for m in (40, 80):
+        s = bench(5, m).system
+        assert s._mirrored
+        want = wf.condition_number(s.A)
+        assert abs(_condition_number(s) - want) <= 1e-12 * want
+    # any other system is condition_number itself
+    s = bench(2, 40).system
+    assert not s._mirrored and _condition_number(s) == wf.condition_number(s.A)
+
+
+def test_off_mirror_dual_falls_back_to_the_whole_system(bench):
+    # one entry of the second modulation moved off its mirror image: A
+    # loses the mirror relation and is factored whole, within the oracle
+    a = bench(5, 40)
+    problem = wf.inverse_problem(5, a.grid)
+    h, theta = problem.source.modulations
+    theta = theta.copy()
+    theta[5, 7] += 1e-3
+    off = wf.WaveProblem(a.grid, problem.initial, problem.boundary, wf.Source((h, theta)))
+    s = wf.assemble_dual(off, a.measured, a.measured_right, noise=wf.NoiseSpec(0.01, 1))
+    assert not s._mirrored
+    for order in (0, 1, 2):
+        for lam in (1e-8, 1e-5, 1e-2):
+            got = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
+            want = stacked_lstsq(s.A, s.b, order, lam, 2)
+            assert np.max(np.abs(got - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
+    assert not s._factors[0].split
 
 
 def test_other_A_never_reuses_factors(bench):
