@@ -14,8 +14,9 @@ object; it is not an artifact, so it stays out of the manifest. Failures,
 a malformed flag or config value included, exit with status 1 and a
 single "ErrorClass: message" line on stderr; a flag the command does not
 take is an argparse usage error (status 2). A setting the run's mode does
-not read fails like a malformed value: --lambda-grid without --lambda
-lcurve, and --data-refine above 1 without --example.
+not read fails like a malformed value unless it keeps its default:
+--lambda-grid without --lambda lcurve, --data-refine without --example,
+--seed without noise, and the external data files with --example.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .tikhonov import (
     RegConfig,
     _condition_number,
     accuracy_error,
-    condition_number,
     tikhonov_solve,
 )
 
@@ -75,15 +75,29 @@ _PROBLEM = ("direct", "invert", "lcurve")  # the commands that build one problem
 _IDENTIFY = ("invert", "lcurve")
 
 
-def _setting(default, help, commands, *, name=None, check=None, flag_only=False):
+def _setting(default, help, commands, *, name=None, check=None, flag_only=False, only=None):
     """A RunConfig field read by `commands`, which take it as a flag and a config key.
 
     `name` replaces the field name as flag, config key and manifest name;
     `check(value)` raises on a value out of range; a flag_only setting is
-    neither a config key nor recorded in the manifest.
+    neither a config key nor recorded in the manifest; outside the mode
+    `only` (see _SIMULATED) a value other than the default fails.
     """
-    return field(default=default, metadata={
-        "help": help, "commands": commands, "name": name, "check": check, "flag_only": flag_only})
+    return field(default=default, metadata={"help": help, "commands": commands, "name": name,
+                                            "check": check, "flag_only": flag_only, "only": only})
+
+
+# modes in which alone a setting is read: (the mode's text, whether a
+# resolved RunConfig is in it)
+_SIMULATED = ("with --example", lambda cfg: cfg.example is not None)
+_EXTERNAL = ("without --example", lambda cfg: cfg.example is None)
+_NOISY = ("with --noise-pct above 0", lambda cfg: cfg.command == "tables" or cfg.noise_pct > 0)
+_SWEPT = ("with --lambda lcurve", lambda cfg: cfg.command == "lcurve" or cfg.lam == "lcurve")
+
+
+def _data_file(help, commands):
+    """An external data file: no default, read only without --example."""
+    return _setting(None, help, commands, only=_EXTERNAL)
 
 
 def _at_least_one(value) -> None:
@@ -109,27 +123,27 @@ class RunConfig:
     noise_pct: float = _setting(0.0, "noise level as a percentage of the flux peak", _IDENTIFY,
                                 check=lambda pct: NoiseSpec(pct / 100.0))
     seed: int = _setting(1, "noise seed", ("invert", "lcurve", "tables"),
-                         check=lambda seed: NoiseSpec(0.0, seed))
+                         check=lambda seed: NoiseSpec(0.0, seed), only=_NOISY)
     reg_order: int = _setting(0, "penalty order 0, 1 or 2", _IDENTIFY,
                               check=lambda order: RegConfig(order=order))
     lam: str = _setting("0", "regularization weight, or 'lcurve' to pick the corner", ("invert",),
                         name="lambda", check=lambda lam: lam == "lcurve" or RegConfig(lam=float(lam)))
     lambda_grid: list | None = _setting(None, "comma-separated ascending weights for the sweep",
-                                        _IDENTIFY, check=_checked_grid)
+                                        _IDENTIFY, check=_checked_grid, only=_SWEPT)
     out: str = _setting("out", "output directory", _ALL)
     data_refine: int = _setting(1, "simulate measured data on a mesh this many times finer",
-                                _IDENTIFY, check=_at_least_one)
+                                _IDENTIFY, check=_at_least_one, only=_SIMULATED)
     dump_system: bool = _setting(False, "also write system_A.csv and system_b.csv", ("invert",))
-    u0: str | None = _setting(None, "initial displacement series file (M+1 values)", _PROBLEM)
-    v0: str | None = _setting(None, "initial velocity series file (M+1 values)", _PROBLEM)
-    bc_left: str | None = _setting(None, "left Dirichlet series file (N+1 values)", _PROBLEM)
-    bc_right: str | None = _setting(None, "right Dirichlet series file (N+1 values)", _PROBLEM)
-    force: str | None = _setting(None, "force profile series file (M-1 or M+1 values)", ("direct",))
-    modulation: str | None = _setting(None, "source modulation matrix file ((M+1) x (N+1))", _PROBLEM)
-    modulation2: str | None = _setting(None, "second modulation matrix file (dual source)", _IDENTIFY)
-    measured_left: str | None = _setting(None, "measured left flux series file (N values)", _IDENTIFY)
-    measured_right: str | None = _setting(None, "measured right flux series file "
-                                          "(N values, dual source)", _IDENTIFY)
+    u0: str | None = _data_file("initial displacement series file (M+1 values)", _PROBLEM)
+    v0: str | None = _data_file("initial velocity series file (M+1 values)", _PROBLEM)
+    bc_left: str | None = _data_file("left Dirichlet series file (N+1 values)", _PROBLEM)
+    bc_right: str | None = _data_file("right Dirichlet series file (N+1 values)", _PROBLEM)
+    force: str | None = _data_file("force profile series file (M-1 or M+1 values)", ("direct",))
+    modulation: str | None = _data_file("source modulation matrix file ((M+1) x (N+1))", _PROBLEM)
+    modulation2: str | None = _data_file("second modulation matrix file (dual source)", _IDENTIFY)
+    measured_left: str | None = _data_file("measured left flux series file (N values)", _IDENTIFY)
+    measured_right: str | None = _data_file("measured right flux series file "
+                                            "(N values, dual source)", _IDENTIFY)
     config: str | None = _setting(None, "JSON file with defaults; flags override it", _ALL,
                                   flag_only=True)
     timings: str | None = _setting(None, "write per-stage wall times (JSON) to this file; "
@@ -248,7 +262,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                 setting.metadata["check"](value)
         except (TypeError, ValueError) as exc:
             raise WaveforceError(f"bad value for {name!r}: {exc}") from None
-    return RunConfig(command=args.command, **merged)
+    cfg = RunConfig(command=args.command, **merged)
+    for name, setting in _SETTINGS.items():
+        only = setting.metadata["only"]
+        if only and getattr(cfg, setting.name) != setting.default and not only[1](cfg):
+            raise WaveforceError(f"{name!r} is read only {only[0]}")
+    return cfg
 
 
 def _write_manifest(outdir: Path, cfg: RunConfig, artifacts: list) -> None:
@@ -303,8 +322,6 @@ def _assemble(cfg: RunConfig, stages: _Stages):
     ForceVector or None); the stages "data" and "assembly" are booked.
     """
     grid = cfg.grid()
-    if cfg.example is None and cfg.data_refine != 1:
-        raise WaveforceError("'data_refine' applies only to simulated data (--example)")
     if cfg.example is not None:
         problem = inverse_problem(cfg.example, grid)
         ends = (LEFT, RIGHT)[:problem.source.unknowns]
@@ -338,8 +355,6 @@ def _write_lcurve(outdir: Path, points) -> str:
 
 
 def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    if cfg.lam != "lcurve" and cfg.lambda_grid is not None:
-        raise WaveforceError("'lambda_grid' is read only with --lambda lcurve")
     system, exact = _assemble(cfg, stages)
     points = None
     if cfg.lam == "lcurve":
@@ -411,7 +426,7 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     # the M = 80 systems of table1
     assembled = {(ex, m): _assemble(RunConfig(cfg.command, example=ex, M=m, N=m), stages)
                  for ex in wanted for m in _TABLE_SIZES}
-    rows = [(str(ex), str(m), condition_number(system.A))
+    rows = [(str(ex), str(m), _condition_number(system))
             for (ex, m), (system, _) in assembled.items()]
     write_rows(outdir / "table1.csv", ["example", "M", "cond"], rows)
     artifacts.append("table1.csv")

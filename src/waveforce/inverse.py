@@ -29,9 +29,9 @@ Mirror relation. When, in addition, every modulation equals its own
 mirror image on the interior nodes (h(x_k, t) = h(x_{M-k}, t), as for
 any modulation that depends on time only), the right block of each
 component is its left block with the columns reversed, so a dual A reads
-[[B, C], [B J, C J]] for the reversal J of the M-1 unknowns, bit for bit.
-InverseSystem checks this once per A; the regularized solve then splits
-the system into an even and an odd half (see tikhonov).
+[[B, C], [B J, C J]] for the reversal J of the M-1 unknowns, bit for bit,
+and the regularized solve splits the system into an even and an odd half
+(see tikhonov).
 
 Row convention: each row is stated in cleared-denominator stencil units,
 i.e. both the columns and b carry a factor 2*dx relative to raw flux units.
@@ -78,10 +78,10 @@ class InverseSystem:
     zero-force flux series (left, and right for dual) in raw flux units.
     `noise` records the perturbation applied to the measurement, if any.
     A and b are read-only copies of the caller's arrays. Copies made by
-    with_measurement share A, the factors of the regularized solve and
-    the mirror check; any other copy starts without them. The factors keep
-    each order's last sweep with the b it solved, so a copy, whose b is its
-    own, never finds another system's solutions.
+    with_measurement share A and the factors of the regularized solve; any
+    other copy starts without them. The factors keep each order's last
+    sweep with the b it solved, so a copy, whose b is its own, never finds
+    another system's solutions.
     """
 
     A: np.ndarray
@@ -93,8 +93,6 @@ class InverseSystem:
     # {order: tikhonov._Factors} of each penalty order solved, holding the
     # solutions of that order's last sweep (tikhonov._factors)
     _factors: dict = field(default_factory=dict, init=False, repr=False)
-    # whether A has the mirror relation (_has_mirror), checked once per A
-    _mirrored: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         _instance(self.grid, (GridSpec,), "grid")
@@ -104,8 +102,7 @@ class InverseSystem:
         if A.shape[0] != b.size:
             raise DimensionMismatch(f"A is {A.shape} but b has {b.size} entries")
         background = tuple(_checked_measurement(self.background, self.components, self.grid.N))
-        for name, value in (("A", A), ("b", b), ("background", background),
-                            ("_mirrored", _has_mirror(A, self.components))):
+        for name, value in (("A", A), ("b", b), ("background", background)):
             object.__setattr__(self, name, value)
 
     @property
@@ -131,20 +128,6 @@ class InverseSystem:
         copy = object.__new__(type(self))
         vars(copy).update(vars(self), b=_readonly(b, "b"), noise=noise)
         return copy
-
-
-def _has_mirror(A, components):
-    """Whether A is a dual system whose right rows equal its left rows with
-    each component block's columns reversed, [[B, C], [B J, C J]] for the
-    reversal J of the interior nodes, with each half of the mirror split at
-    least square (tikhonov's module docstring). The assembly gives this
-    relation bit for bit when each modulation equals its own mirror image
-    on the interior nodes (see the module docstring)."""
-    n, m = A.shape[0] // 2, A.shape[1] // 2
-    if components != 2 or A.shape != (2 * n, 2 * m) or m < 2 or n < 2 * (m - m // 2):
-        return False
-    left, right = A[:n].reshape(n, 2, m), A[n:].reshape(n, 2, m)
-    return np.array_equal(right, left[..., ::-1])
 
 
 def _observed_ends(components):

@@ -26,33 +26,31 @@ looks its solution up instead of solving again. The next sweep of the
 order replaces them; a with_measurement copy has its own b, so it finds
 none.
 
-Mirror split. A dual system whose right rows equal its left rows with
-each component block's columns reversed (InverseSystem's mirror relation,
-met when both modulations equal their own mirror image) splits into two
-independent half-size problems. Let V_+ and V_- be orthonormal bases of
-the profiles even and odd under node reversal J (see _fold). Rotating the
-rows to b_+- = (b_L +- b_R) / sqrt 2 and the unknowns to f = V_+ y_+ +
-V_- y_- makes A block-diagonal, with blocks A_+- = sqrt 2 L V_+- for the
-left rows L; D_k^T D_k commutes with J, so the penalty splits the same
-way. The object then factors each half as above, both with the full
-system's mu^2, and recombines f = V_+ y_+ + V_- y_-. Each half is
-about m/2 per component, so the factors take half the memory of the
-whole system's, and every factorization and weight about a quarter of
-its flops. The rotation and the folds are orthogonal, so the halves'
-singular values together are A's (and the stacked halves' those of
-[A; mu D_k]), and the rank rule below holds unchanged. Every other
-system, single-source ones included, is factored whole.
+Mirror split. The solve runs on a list of parts, each a parity with an
+orthonormal basis V of the profiles (_fold_rule): 0 is the whole system
+(V = I), 1 and -1 the profiles even and odd under node reversal J. A dual
+system whose right rows equal its left rows with each component block's
+columns reversed (_has_mirror; met when both modulations equal their own
+mirror image) splits into those two halves: its normal equations commute
+with J, so A^T A, mu^2 D_k^T D_k (written on its band) and A^T b are
+folded onto each half, and no rows are rotated. Each part is factored as
+above with the whole system's mu^2, and f is the sum of V y over the
+parts. A half is about m/2 per component, so the two take half the
+memory of the whole system's factors and a quarter of its flops per
+factorization and weight. The folds are orthogonal, so the parts'
+singular values together are A's (and the stacked parts' those of
+[A; mu D_k]). Any other system is the one part of parity 0.
 
 Rank rule for lambda > 0, checked once per factorization: SingularSystem
 when the Cholesky fails or when cond([A; mu D_k]) >= COND_LIMIT = 1e6
 (= 1 / sqrt(RANK_TOL)). The system solved has condition number up to
 cond([A; mu D_k])^2, so past that limit its error is no longer small
 against the stacked least-squares solution it replaces, which the tests
-keep as their oracle. For a split system the condition number is the
-largest singular value of the two halves over the smallest, which is
-cond([A; mu D_k]) itself (not the worse half's own condition number,
-which can be smaller). Scenarios 1-5 up to M = N = 320 sit at 1.1e4 or
-below (scenario 4, order 2, M = 320).
+keep as their oracle. The condition number is the largest singular value
+of the parts over the smallest, which is cond([A; mu D_k]) itself (for a
+split system not the worse half's own condition number, which can be
+smaller). Scenarios 1-5 up to M = N = 320 sit at 1.1e4 or below
+(scenario 4, order 2, M = 320).
 
 Memory: a system keeps the factors of each penalty order it solved,
 three m x m arrays per order (at most nine in all, 7 MB at m = 319; a
@@ -84,9 +82,6 @@ RANK_TOL = 1e-12
 COND_LIMIT = 1.0 / np.sqrt(RANK_TOL)
 
 _SQRT2 = np.sqrt(2.0)
-
-#: the even and odd halves of a mirror-split system, in that order
-_PARITIES = (1, -1)
 
 
 @dataclass(frozen=True)
@@ -150,47 +145,70 @@ def _differences(X: np.ndarray, order: int, components: int) -> np.ndarray:
     return np.diff(blocks, n=order, axis=-1).reshape(X.shape[:-1] + (-1,))
 
 
-def _add_penalty_gram(K: np.ndarray, stencil: np.ndarray, components: int, scale: float) -> None:
-    """K += scale * D^T D for the block penalty, written on its band: row i
-    of D_k holds the stencil (a row of D_k) at columns i..i+k."""
-    m = K.shape[0] // components
-    rows = np.arange(m - stencil.size + 1)
-    for c in range(components):
-        for i, si in enumerate(stencil):
-            for j, sj in enumerate(stencil):
-                K[c * m + rows + i, c * m + rows + j] += scale * si * sj
+def _fold_rule(m, parity):
+    """The fold rule of a profile of m nodes: (wl, wh) such that column i
+    of the parity's orthonormal basis V is wl[i] e_i + wh[i] e_{m-1-i}.
+
+    Parity 0 is the whole profile, V = I (wl = 1, wh = 0). Parity 1 (-1)
+    is the part even (odd) under node reversal: column i < m // 2 pairs
+    node i with its mirror image (wl = 1 / sqrt 2, wh = parity / sqrt 2),
+    and an odd m adds the middle node, its own image, to the even part
+    alone (wl = 1, wh = 0): m - m // 2 even columns and m // 2 odd ones.
+    """
+    if not parity:
+        return np.ones(m), np.zeros(m)
+    h = m // 2
+    wl = np.full(m - h if parity > 0 else h, 1.0 / _SQRT2)
+    wh = parity * wl
+    if wl.size > h:
+        wl[h], wh[h] = 1.0, 0.0
+    return wl, wh
 
 
 def _fold(X, parity, components):
     """X V along the last axis, block by block over the components, for the
-    orthonormal basis V of the m-vectors even (parity 1) or odd (-1) under
-    node reversal.
-
-    Column i < m // 2 of V is (e_i + parity e_{m-1-i}) / sqrt 2, and an odd
-    m adds e_{m // 2} to the even basis; so the even block is m - m // 2
-    long and the odd one m // 2. No basis is formed: each pair of mirror
-    columns is folded onto one.
-    """
+    basis V of the parity (_fold_rule); parity 0 returns X itself. No
+    basis is formed: each node is weighted with its mirror image."""
+    if not parity:
+        return X
     blocks = X.reshape(X.shape[:-1] + (components, -1))
-    m = blocks.shape[-1]
-    h = m // 2
-    half = (blocks[..., :h] + parity * blocks[..., ::-1][..., :h]) / _SQRT2
-    if parity > 0 and m % 2:
-        half = np.concatenate([half, blocks[..., h:h + 1]], axis=-1)
-    return half.reshape(X.shape[:-1] + (-1,))
+    wl, wh = _fold_rule(blocks.shape[-1], parity)
+    Y = blocks[..., :wl.size] * wl + blocks[..., ::-1][..., :wl.size] * wh
+    return Y.reshape(X.shape[:-1] + (-1,))
 
 
 def _unfold(Y, parity, components, m):
     """Y V^T along the last axis: the m-vectors of the folded coordinates
-    Y, the inverse of _fold."""
+    Y, the inverse of _fold; parity 0 returns Y itself."""
+    if not parity:
+        return Y
     blocks = Y.reshape(Y.shape[:-1] + (components, -1))
-    h = m // 2
-    X = np.empty(blocks.shape[:-1] + (m,))
-    X[..., :h] = blocks[..., :h] / _SQRT2
-    X[..., ::-1][..., :h] = parity * X[..., :h]
-    if m % 2:
-        X[..., h] = blocks[..., h] if parity > 0 else 0.0
+    wl, wh = _fold_rule(m, parity)
+    X = np.zeros(blocks.shape[:-1] + (m,))
+    X[..., :wl.size] = blocks * wl
+    X[..., ::-1][..., :wl.size] += blocks * wh
     return X.reshape(Y.shape[:-1] + (-1,))
+
+
+def _add_penalty_gram(K, stencil, components, scale, m, parity):
+    """K += scale V^T D^T D V for the block penalty on profiles of m nodes,
+    in the folded coordinates of the parity (_fold_rule), written on its
+    band; returns K. Row r of D_k holds the stencil (a row of D_k) at nodes
+    r..r+k, and node a lands on one coordinate, index[a], with the weight
+    V[a, index[a]] (the odd part's middle node on none: weight 0)."""
+    wl, wh = _fold_rule(m, parity)
+    size = wl.size
+    index, weight = np.zeros(m, dtype=int), np.zeros(m)
+    for nodes, w in ((np.arange(size), wl), (m - 1 - np.arange(size), wh)):
+        on = w != 0
+        index[nodes[on]], weight[nodes[on]] = np.flatnonzero(on), w[on]
+    rows = np.arange(m - stencil.size + 1)
+    for c in range(components):
+        for i, si in enumerate(stencil):
+            for j, sj in enumerate(stencil):
+                np.add.at(K, (c * size + index[rows + i], c * size + index[rows + j]),
+                          scale * si * sj * weight[rows + i] * weight[rows + j])
+    return K
 
 
 def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
@@ -231,7 +249,7 @@ def _factors(sys: InverseSystem, order: int) -> _Factors:
     store = sys._factors
     if order not in store:
         try:
-            store[order] = _Factors(sys.A, order, sys.components, sys._mirrored)
+            store[order] = _Factors(sys.A, order, sys.components)
         except SingularSystem as exc:
             store[order] = str(exc)
     if isinstance(store[order], str):
@@ -239,13 +257,25 @@ def _factors(sys: InverseSystem, order: int) -> _Factors:
     return store[order]
 
 
-def _folded_penalty_gram(m, stencil, scale, parity):
-    """V^T (scale D_k^T D_k) V for one profile of m nodes, V the folded
-    basis of the parity (see _fold); D_k^T D_k commutes with the node
-    reversal, so this is its whole part on that half."""
-    penalty = np.zeros((m, m))
-    _add_penalty_gram(penalty, stencil, 1, scale)
-    return _fold(_fold(penalty, parity, 1).T, parity, 1)
+def _has_mirror(A, components):
+    """Whether A is a dual system [[B, C], [B J, C J]] for the reversal J of
+    the interior nodes (inverse's mirror relation: each modulation equals
+    its own mirror image), with at least as many distinct rows as unknowns
+    in each half of the split."""
+    n, m = A.shape[0] // 2, A.shape[1] // 2
+    if components != 2 or A.shape != (2 * n, 2 * m) or m < 2 or n < 2 * (m - m // 2):
+        return False
+    left, right = A[:n].reshape(n, 2, m), A[n:].reshape(n, 2, m)
+    return np.array_equal(right, left[..., ::-1])
+
+
+def _parts(A, components):
+    """(parities, rows) of A's parts: the whole system and A, or, when A has
+    the mirror relation, its two halves and sqrt 2 times its left rows L
+    ([L; L J] V = [L V; +-L V] has the gram and singular values of sqrt 2 L V)."""
+    if not _has_mirror(A, components):
+        return (0,), A
+    return (1, -1), _SQRT2 * A[:A.shape[0] // 2]
 
 
 def _check_rank(Ls, Linvs):
@@ -253,8 +283,8 @@ def _check_rank(Ls, Linvs):
     one per part: SingularSystem when cond([A; mu D_k]) >= COND_LIMIT.
 
     ||L||_F ||L^-1||_F bounds the 2-norm condition number from above (over
-    two halves L is block-diagonal, so the norms add in squares), and the
-    singular values are needed only when the bound reaches the limit.
+    several parts L is block-diagonal, so the norms add in squares), and
+    the singular values are needed only when the bound reaches the limit.
     """
     frobenius = [np.linalg.norm([np.linalg.norm(X) for X in Xs]) for Xs in (Ls, Linvs)]
     if frobenius[0] * frobenius[1] >= COND_LIMIT:
@@ -264,22 +294,15 @@ def _check_rank(Ls, Linvs):
                                  f"at or above {COND_LIMIT:g}")
 
 
-def _halves(A):
-    """The blocks sqrt 2 L V_+ and sqrt 2 L V_- of a mirrored dual A, for its
-    left rows L (see the module docstring)."""
-    left = A[:A.shape[0] // 2]
-    return [_SQRT2 * _fold(left, parity, 2) for parity in _PARITIES]
-
-
 class _Factors:
-    """Factors of the regularized solve of one (A, order), whole or split
-    into the mirror halves (see the module docstring), and the solutions of
-    the last sweep on them. SingularSystem on construction when [A; mu D_k]
-    fails the rank rule."""
+    """Factors of the regularized solve of one (A, order), one set per part
+    (see the module docstring), and the solutions of the last sweep on
+    them. SingularSystem on construction when [A; mu D_k] fails the rank
+    rule."""
 
-    def __init__(self, A, order, components, mirrored):
-        self.A, self.order, self.components, self.split = A, order, components, mirrored
-        self.parities = _PARITIES if mirrored else (0,)
+    def __init__(self, A, order, components):
+        self.A, self.order, self.components = A, order, components
+        self.parities, rows = _parts(A, components)
         self.m = m = A.shape[1] // components
         # Besides A, no step keeps more than four arrays the size of the
         # gram (or of A) alive: the penalty is never formed over the whole
@@ -287,65 +310,44 @@ class _Factors:
         stencil = difference_operator(order, order + 1)[0]
         penalty_rows = A.shape[1] - components * order
         mu2 = np.vdot(A, A) / (penalty_rows * np.dot(stencil, stencil))  # ||A||_F^2 / ||D||_F^2
-        blocks = _halves(A) if mirrored else [A]
-        grams = []
-        for parity, Ab in zip(self.parities, blocks):
-            K = Ab.T @ Ab
-            if parity:
-                P = _folded_penalty_gram(m, stencil, mu2, parity)
-                n = P.shape[0]
-                K[:n, :n] += P
-                K[n:, n:] += P
-            else:
-                _add_penalty_gram(K, stencil, components, mu2)
-            grams.append(K)
+        folded = [_fold(rows, parity, components) for parity in self.parities]  # A V
+        grams = [_add_penalty_gram(Ab.T @ Ab, stencil, components, mu2, m, parity)
+                 for parity, Ab in zip(self.parities, folded)]
         try:
             Ls = [np.linalg.cholesky(K) for K in grams]  # K = L L^T, so R = L^T
         except np.linalg.LinAlgError:
             raise SingularSystem("A and the penalty share a null vector") from None
-        del grams, K
+        del grams
         Linvs = [np.linalg.inv(L) for L in Ls]
         _check_rank(Ls, Linvs)
         del Ls
         self.mu2, self.parts = mu2, []
-        for parity, Linv, Ab in zip(self.parities, Linvs, blocks):
-            Z = Linv @ Ab.T  # (A R^-1)^T
+        for parity, Linv, Ab in zip(self.parities, Linvs, folded):
+            Z = Linv @ Ab.T  # (A V R^-1)^T
             G = Z @ Z.T
             del Z
-            Y = _differences(_unfold(Linv, parity, components, m) if parity else Linv,
-                             order, components)  # (D_k R^-1)^T up to sign
+            # (D_k V R^-1)^T up to sign
+            Y = _differences(_unfold(Linv, parity, components, m), order, components)
             H = Y @ Y.T
             H *= mu2
             del Y
-            self.parts.append((Linv.T, G, H))
+            self.parts.append((parity, Linv.T, G, H))
         self._swept = (None, {})
 
     def solutions(self, b, lambdas, keep=False):
         """The solution of each weight lambda > 0 in turn, or None where
-        LAPACK finds G + (lambda / mu^2) H singular. With keep, the solutions
-        replace those kept from the last sweep (see solve)."""
-        if self.split:
-            # rows rotated to b_+- = (b_L +- b_R) / sqrt 2, then A_+-^T b_+-
-            n = b.size // 2
-            rotated = [(b[:n] + parity * b[n:]) / _SQRT2 for parity in self.parities]
-            Atb = [_SQRT2 * _fold(self.A[:n].T @ r, parity, 2)
-                   for parity, r in zip(self.parities, rotated)]
-        else:
-            Atb = [self.A.T @ b]
-        parts = [list(_weight_loop(*part, self.mu2, rhs, lambdas))
-                 for part, rhs in zip(self.parts, Atb)]
-        out = [None if any(y is None for y in ys) else self._combine(ys) for ys in zip(*parts)]
+        LAPACK finds a part's G + (lambda / mu^2) H singular. With keep, the
+        solutions replace those kept from the last sweep (see solve)."""
+        Atb = self.A.T @ b
+        parts = [[None if y is None else _unfold(y, parity, self.components, self.m)
+                  for y in _weight_loop(Rinv, G, H, self.mu2, _fold(Atb, parity, self.components),
+                                        lambdas)]
+                 for parity, Rinv, G, H in self.parts]
+        # f = sum of V y over the parts, from the first: one part is f itself
+        out = [None if any(f is None for f in fs) else sum(fs[1:], fs[0]) for fs in zip(*parts)]
         if keep:
             self._swept = (b, {lam: f for lam, f in zip(lambdas, out) if f is not None})
         return out
-
-    def _combine(self, ys):
-        """f of the parts' solutions: the one solution, or V_+ y_+ + V_- y_-."""
-        if not self.split:
-            return ys[0]
-        even, odd = (_unfold(y, parity, self.components, self.m)
-                     for parity, y in zip(self.parities, ys))
-        return even + odd
 
     def solve(self, b, lam):
         """The solution at one weight: the last sweep's when it solved b at
@@ -376,15 +378,20 @@ def _weight_loop(Rinv, G, H, mu2, Atb, lambdas):
         yield Rinv @ y
 
 
-def _condition_number(sys: InverseSystem) -> float:
-    """condition_number(sys.A), from the singular values of the two halves
-    when the system splits (see the module docstring)."""
-    if not sys._mirrored:
-        return condition_number(sys.A)
-    sv = np.concatenate([np.linalg.svd(half, compute_uv=False) for half in _halves(sys.A)])
-    if not sv.max():
+def _ratio(sv):
+    """The largest over the smallest of a matrix's singular values: inf
+    when the smallest is zero, ZeroMatrix when all are."""
+    if not np.any(sv):
         raise ZeroMatrix("condition number of an all-zero matrix")
     return float(sv.max() / sv.min()) if sv.min() else float("inf")
+
+
+def _condition_number(sys: InverseSystem) -> float:
+    """condition_number(sys.A), from the singular values of the parts the
+    system is factored in (see the module docstring)."""
+    parities, rows = _parts(sys.A, sys.components)
+    return _ratio(np.concatenate([np.linalg.svd(_fold(rows, parity, sys.components),
+                                                compute_uv=False) for parity in parities]))
 
 
 def condition_number(A) -> float:
@@ -399,13 +406,7 @@ def condition_number(A) -> float:
     ZeroMatrix
         When A has no nonzero entry.
     """
-    A = _checked_array(A, "matrix", ndim=2)
-    if not np.any(A):
-        raise ZeroMatrix("condition number of an all-zero matrix")
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] == 0.0:
-        return float("inf")
-    return float(sv[0] / sv[-1])
+    return _ratio(np.linalg.svd(_checked_array(A, "matrix", ndim=2), compute_uv=False))
 
 
 def accuracy_error(f_num, f_exact) -> float:

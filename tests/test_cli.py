@@ -202,24 +202,37 @@ def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
     def no_march(problem):
         raise AssertionError("marched before validating the settings")
 
-    monkeypatch.setattr("waveforce.inverse.solve_direct", no_march)
-    monkeypatch.setattr("waveforce.benchmarks.solve_direct", no_march)
+    for module in ("inverse", "benchmarks", "cli"):
+        monkeypatch.setattr(f"waveforce.{module}.solve_direct", no_march)
     cases = [("lambda", lam) for lam in ("abc", "-1", "nan", "inf")]
     cases += [("reg_order", "5"), ("noise_pct", "nan"), ("seed", "-1"), ("data_refine", "0")]
     cases += [("lambda_grid", "1e-3,-1")]
-    cases = [("--example", 1, "--" + name.replace("_", "-"), value) for name, value in cases]
-    # settings that only some modes read: a sweep grid without a sweep, and
-    # a finer data mesh for external data, which no simulation produces
-    cases += [("--example", 1, "--lambda-grid", "1e-3,1e-2"),
-              ("--example", 1, "--lambda", "1e-3", "--lambda-grid", "1e-3,1e-2"),
-              ("--measured-left", tmp_path / "q.csv", "--data-refine", 2)]
-    for argv in cases:
+    cases = [("invert", "--example", 1, "--" + name.replace("_", "-"), value) for name, value in cases]
+    # settings that only some modes read: a sweep grid without a sweep, a
+    # finer data mesh for external data, which no simulation produces, a
+    # noise seed without noise, and external data files with a scenario
+    cases += [("invert", "--example", 1, "--lambda-grid", "1e-3,1e-2"),
+              ("invert", "--example", 1, "--lambda", "1e-3", "--lambda-grid", "1e-3,1e-2"),
+              ("invert", "--measured-left", tmp_path / "q.csv", "--data-refine", 2)]
+    data_files = {"direct": ["u0", "v0", "bc_left", "bc_right", "modulation", "force"],
+                  "invert": ["u0", "v0", "bc_left", "bc_right", "modulation", "modulation2",
+                             "measured_left", "measured_right"]}
+    data_files["lcurve"] = data_files["invert"]
+    for command, names in data_files.items():
+        cases += [(command, "--example", 1, "--" + name.replace("_", "-"), tmp_path / "x.csv")
+                  for name in names]
+    cases += [(command, "--example", 1, *noise, "--seed", 2)
+              for command in ("invert", "lcurve") for noise in ((), ("--noise-pct", 0))]
+    for command, *argv in cases:
         capsys.readouterr()
-        assert run("invert", *argv, "--M", 10, "--out", tmp_path / "bl") == 1
+        assert run(command, *argv, "--M", 10, "--out", tmp_path / "bl") == 1
         err = capsys.readouterr().err
         assert err.startswith("WaveforceError:") and err.count("\n") == 1
         name = next(a for a in reversed(argv) if str(a).startswith("--"))[2:].replace("-", "_")
         assert repr(name) in err
+    # a mode-only setting left at its default is taken
+    monkeypatch.undo()
+    assert run("invert", "--example", 1, "--seed", 1, "--M", 10, "--out", tmp_path / "ok") == 0
 
 
 # malformed values of each setting, each tried as a config value and, when it

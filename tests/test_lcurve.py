@@ -266,9 +266,9 @@ def test_split_sweep_matches_stacked_lstsq(bench):
     worst = {ORACLE_GRID_TOL: 0.0, ORACLE_TINY_LAMBDA_TOL: 0.0}
     for m in (40, 80):
         for s in _draws(bench(5, m)):
-            assert s._mirrored
             for order in (0, 1, 2):
                 assert [p.lam for p in wf.sweep(s, order, grid)] == grid
+                assert s._factors[order].parities == (1, -1)
                 for lam, f in kept(s, order).items():
                     want = stacked_lstsq(s.A, s.b, order, lam, 2)
                     tol = ORACLE_TINY_LAMBDA_TOL if lam == 1e-14 else ORACLE_GRID_TOL
@@ -278,14 +278,15 @@ def test_split_sweep_matches_stacked_lstsq(bench):
     assert all(w <= tol for tol, w in worst.items())
 
 
-def test_split_keeps_the_corner(bench):
+def test_split_keeps_the_corner(bench, monkeypatch):
     # the corner of the dual scenario at M = 160, order 2, on 30 noise
     # draws: the same weight from the split as from the whole system
     from test_tikhonov import unsplit
     a = bench(5, 160)
-    whole = unsplit(a.system)
+    whole = unsplit(a.system, 2, monkeypatch)
     for seed in range(1, 31):
         noise = wf.NoiseSpec(0.01, seed)
         split = a.system.with_measurement(a.measured, a.measured_right, noise=noise)
         oracle = whole.with_measurement(a.measured, a.measured_right, noise=noise)
         assert wf.corner(wf.sweep(split, 2)).lam == wf.corner(wf.sweep(oracle, 2)).lam
+    assert split._factors[2].parities == (1, -1) and oracle._factors[2].parities == (0,)

@@ -9,12 +9,13 @@ import pytest
 
 import waveforce as wf
 from test_inverse import fabricated_system
+from waveforce import tikhonov
 
 # Largest max|f - f_oracle| / max|f_oracle| of the factored solve against
 # stacked_lstsq over scenarios 1-5 at M = N = 40 and 80, orders 0-2, with
 # noise-free and 1%-noise data: 4.0e-10 over the extended weight grid
 # (scenario 4, order 2, lambda = 0.5, M = 80; the mirror-split dual
-# scenario 5 reaches 2.1e-10) and 2.5e-7 at lambda = 1e-14 (scenario 4,
+# scenario 5 reaches 1.7e-10) and 2.5e-7 at lambda = 1e-14 (scenario 4,
 # order 0, noise-free), where the factored route's squared conditioning
 # shows. The tolerances leave a factor of about 2.5-4.
 ORACLE_GRID_TOL = 1e-9
@@ -44,11 +45,15 @@ def stacked_lstsq(A, b, order, lam, components=1):
                            np.concatenate([b, np.zeros(D.shape[0])]), rcond=None)[0]
 
 
-def unsplit(system):
-    """A copy of a dual system that factors A whole, as every system
-    without the mirror relation does: the oracle of the mirror split."""
-    copy = dataclasses.replace(system)
-    object.__setattr__(copy, "_mirrored", False)
+def unsplit(system, order, monkeypatch):
+    """A copy of a dual system holding the factors of `order` of A whole,
+    as every system without the mirror relation has them: the oracle of the
+    mirror split. Its with_measurement copies share them."""
+    copy = dataclasses.replace(system)  # a copy without factors
+    with monkeypatch.context() as patch:
+        patch.setattr(tikhonov, "_has_mirror", lambda A, components: False)
+        tikhonov._factors(copy, order)
+    assert copy._factors[order].parities == (0,)
     return copy
 
 
@@ -119,7 +124,6 @@ def test_factored_solve_matches_stacked_lstsq(bench):
             series = (a.measured,) if a.measured_right is None else (a.measured, a.measured_right)
             for noise in (None, wf.NoiseSpec(0.01, 1)):
                 s = a.system.with_measurement(*series, noise=noise)
-                assert s._mirrored == (example == 5)  # scenario 5 takes the mirror split
                 for order in (0, 1, 2):
                     for lam in [*wf.EXTENDED_LAMBDA_GRID, 1e-14]:
                         got = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
@@ -127,6 +131,8 @@ def test_factored_solve_matches_stacked_lstsq(bench):
                         tol = ORACLE_TINY_LAMBDA_TOL if lam == 1e-14 else ORACLE_GRID_TOL
                         rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
                         worst[tol] = max(worst[tol], rel)
+                    # scenario 5 takes the mirror split
+                    assert s._factors[order].parities == ((1, -1) if example == 5 else (0,))
     print(f"factored vs stacked lstsq: grid {worst[ORACLE_GRID_TOL]:.2e}, "
           f"lambda 1e-14 {worst[ORACLE_TINY_LAMBDA_TOL]:.2e}")
     assert all(w <= tol for tol, w in worst.items())
@@ -180,6 +186,9 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
 def test_fold_is_orthonormal():
     from waveforce.tikhonov import _fold, _unfold
     rng = np.random.default_rng(3)
+    # the whole system's part is the identity: no copy, no arithmetic
+    X = rng.normal(size=(3, 10))
+    assert _fold(X, 0, 2) is X and _unfold(X, 0, 2, 5) is X
     for m in (4, 5):
         X = rng.normal(size=(3, 2 * m))
         parts = [_fold(X, parity, 2) for parity in (1, -1)]
@@ -194,16 +203,39 @@ def test_fold_is_orthonormal():
         assert not np.any(_fold(even, -1, 2))
 
 
+def test_folded_penalty_band():
+    # the penalty written on its band in folded coordinates is V^T D^T D V,
+    # V the basis _fold gives of the identity; parity 0 writes D^T D itself
+    from waveforce.tikhonov import _add_penalty_gram, _fold
+    for m in (6, 7):
+        for order in (0, 1, 2):
+            D = wf.difference_operator(order, m)
+            stencil = D[0, :order + 1]
+            for parity in (0, 1, -1):
+                V = _fold(np.eye(m), parity, 1)
+                want = V.T @ D.T @ D @ V
+                for components in (1, 2):
+                    K = np.zeros((components * V.shape[1],) * 2)
+                    _add_penalty_gram(K, stencil, components, 1.0, m, parity)
+                    for c in range(components):
+                        block = slice(c * V.shape[1], (c + 1) * V.shape[1])
+                        assert np.max(np.abs(K[block, block] - want)) <= 1e-15
+                    if components == 2:
+                        assert not np.any(K[:V.shape[1], V.shape[1]:])
+                if not parity:
+                    assert np.array_equal(K[:m, :m], D.T @ D)
+
+
 def test_mirror_split_condition_number(bench):
     from waveforce.tikhonov import _condition_number
     for m in (40, 80):
         s = bench(5, m).system
-        assert s._mirrored
+        assert tikhonov._has_mirror(s.A, 2)
         want = wf.condition_number(s.A)
         assert abs(_condition_number(s) - want) <= 1e-12 * want
     # any other system is condition_number itself
     s = bench(2, 40).system
-    assert not s._mirrored and _condition_number(s) == wf.condition_number(s.A)
+    assert not tikhonov._has_mirror(s.A, 1) and _condition_number(s) == wf.condition_number(s.A)
 
 
 def test_off_mirror_dual_falls_back_to_the_whole_system(bench):
@@ -216,13 +248,13 @@ def test_off_mirror_dual_falls_back_to_the_whole_system(bench):
     theta[5, 7] += 1e-3
     off = wf.WaveProblem(a.grid, problem.initial, problem.boundary, wf.Source((h, theta)))
     s = wf.assemble_dual(off, a.measured, a.measured_right, noise=wf.NoiseSpec(0.01, 1))
-    assert not s._mirrored
+    assert not tikhonov._has_mirror(s.A, 2)
     for order in (0, 1, 2):
         for lam in (1e-8, 1e-5, 1e-2):
             got = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
             want = stacked_lstsq(s.A, s.b, order, lam, 2)
             assert np.max(np.abs(got - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
-    assert not s._factors[0].split
+    assert all(s._factors[order].parities == (0,) for order in (0, 1, 2))
 
 
 def test_other_A_never_reuses_factors(bench):
