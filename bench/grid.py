@@ -6,7 +6,8 @@ Usage, from the root of a source checkout:
 
 Each LABEL times the package under SRC (default: this checkout's `src/`).
 For scenarios 2 (one unknown profile), 3 (one, with the only modulation
-that varies in x, so the one lag-loop assembly) and 5 (two) at M = N in
+that varies in x, so the one lag-loop assembly), 4 (one, the worst
+conditioned, as in the noise study) and 5 (two) at M = N in
 {80, 160, 320, 640}, the script runs
 
     python -m waveforce invert --example E --M M --noise-pct 1 --reg-order 2
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-EXAMPLES = (2, 3, 5)
+EXAMPLES = (2, 3, 4, 5)
 SIZES = (80, 160, 320, 640)
 FLAGS = ["--noise-pct", "1", "--reg-order", "2", "--lambda", "lcurve", "--seed", "1"]
 

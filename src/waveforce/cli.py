@@ -319,7 +319,8 @@ def _assemble(cfg: RunConfig, stages: _Stages):
 
     One measured series per observed end: the left end, and the right end
     too when the source has two modulations. Returns (system, exact
-    ForceVector or None); the stages "data" and "assembly" are booked.
+    ForceVector or None, the noise-free measured series); the stages
+    "data" and "assembly" are booked.
     """
     grid = cfg.grid()
     if cfg.example is not None:
@@ -345,7 +346,7 @@ def _assemble(cfg: RunConfig, stages: _Stages):
     assemble = assemble_single if len(measured) == 1 else assemble_dual
     system = assemble(problem, *measured, cfg.noise())
     stages.lap("assembly")
-    return system, exact
+    return system, exact, measured
 
 
 def _write_lcurve(outdir: Path, points) -> str:
@@ -355,7 +356,7 @@ def _write_lcurve(outdir: Path, points) -> str:
 
 
 def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    system, exact = _assemble(cfg, stages)
+    system, exact, _ = _assemble(cfg, stages)
     points = None
     if cfg.lam == "lcurve":
         points = sweep(system, cfg.reg_order, cfg.lambda_grid)
@@ -397,7 +398,7 @@ def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
 
 
 def _run_lcurve(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    system, _ = _assemble(cfg, stages)
+    system, _, _ = _assemble(cfg, stages)
     points = sweep(system, cfg.reg_order, cfg.lambda_grid)
     stages.lap("sweep")
     best = corner(points)
@@ -422,12 +423,12 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
             raise WaveforceError(f"tables cover scenarios 1..4, got {ex}")
     artifacts = []
 
-    # (scenario, M) -> (noise-free system, exact profile); tables 4-6 reuse
-    # the M = 80 systems of table1
+    # (scenario, M) -> (noise-free system, exact profile, measured series);
+    # tables 4-6 reuse the M = 80 systems and measurements of table1
     assembled = {(ex, m): _assemble(RunConfig(cfg.command, example=ex, M=m, N=m), stages)
                  for ex in wanted for m in _TABLE_SIZES}
     rows = [(str(ex), str(m), _condition_number(system))
-            for (ex, m), (system, _) in assembled.items()]
+            for (ex, m), (system, _, _) in assembled.items()]
     write_rows(outdir / "table1.csv", ["example", "M", "cond"], rows)
     artifacts.append("table1.csv")
 
@@ -448,14 +449,13 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
         if ex not in wanted:
             continue
         # popped, so each system's factors are freed once its table is written
-        system, exact = assembled.pop((ex, 80))
-        measured = measured_flux(ex, system.grid, LEFT)
+        system, exact, measured = assembled.pop((ex, 80))
         rows = []
         for order in (0, 1, 2):
             for pct in _TABLE_NOISE_PCT:
                 lam, _ = REFERENCE_REGULARIZATION[(ex, order, pct)]
                 noisy = system.with_measurement(
-                    measured, noise=NoiseSpec(pct / 100.0, cfg.seed))
+                    *measured, noise=NoiseSpec(pct / 100.0, cfg.seed))
                 solution = tikhonov_solve(noisy, RegConfig(order=order, lam=lam))
                 rows.append((str(ex), str(order), str(pct), lam,
                              accuracy_error(solution, exact)))

@@ -54,17 +54,28 @@ def solve_direct(problem: WaveProblem) -> WaveField:
     u0 = problem.initial.displacement
     v0 = problem.initial.velocity
 
-    u = np.zeros((M + 1, N + 1))
-    u[:, 0] = u0
-    u[0, :] = problem.boundary.left
-    u[M, :] = problem.boundary.right
+    # Time-major, so that each level is a contiguous row. Row j + 1 holds
+    # dt^2 F at level j until that level is marched onto it; the update
+    # runs in place, in the operation order of the formula above.
+    u = np.empty((N + 1, M + 1))
+    np.multiply(F.T[:-1], dt * dt, out=u[1:])
+    u[0] = u0
+    u[:, 0] = problem.boundary.left
+    u[:, M] = problem.boundary.right
     # first marched row: velocity condition folded in, half-weight force
-    u[1:M, 1] = (0.5 * r2 * (u0[2:] + u0[:M - 1]) + (1.0 - r2) * u0[1:M]
+    u[1, 1:M] = (0.5 * r2 * (u0[2:] + u0[:M - 1]) + (1.0 - r2) * u0[1:M]
                  + dt * v0[1:M] + 0.5 * dt * dt * F[1:M, 0])
+    centre = 2.0 * (1.0 - r2)
+    acc, term = np.empty(M - 1), np.empty(M - 1)
     for j in range(1, N):
-        u[1:M, j + 1] = (r2 * (u[2:, j] + u[:M - 1, j]) + 2.0 * (1.0 - r2) * u[1:M, j]
-                         - u[1:M, j - 1] + dt * dt * F[1:M, j])
-    return WaveField(g, u)
+        np.add(u[j, 2:], u[j, :M - 1], out=acc)
+        acc *= r2
+        np.multiply(u[j, 1:M], centre, out=term)
+        acc += term
+        acc -= u[j - 1, 1:M]
+        nxt = u[j + 1, 1:M]
+        np.add(acc, nxt, out=nxt)
+    return WaveField(g, u.T)
 
 
 def flux(field: WaveField, end: str) -> FluxSeries:

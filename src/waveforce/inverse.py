@@ -62,6 +62,7 @@ from .model import (
     InitialData,
     KnownForce,
     Source,
+    WaveField,
     WaveProblem,
     _instance,
     _readonly,
@@ -79,9 +80,7 @@ class InverseSystem:
     `noise` records the perturbation applied to the measurement, if any.
     A and b are read-only copies of the caller's arrays. Copies made by
     with_measurement share A and the factors of the regularized solve; any
-    other copy starts without them. The factors keep each order's last
-    sweep with the b it solved, so a copy, whose b is its own, never finds
-    another system's solutions.
+    other copy starts without them.
     """
 
     A: np.ndarray
@@ -90,8 +89,7 @@ class InverseSystem:
     background: tuple
     source: Source
     noise: NoiseSpec | None = None
-    # {order: tikhonov._Factors} of each penalty order solved, holding the
-    # solutions of that order's last sweep (tikhonov._factors)
+    # {order: tikhonov._Factors} of each penalty order solved (tikhonov._factors)
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -172,7 +170,12 @@ def _assemble(problem, measured, noise):
 
     m = g.M - 1
     ends = _observed_ends(components)
-    bg_field = solve_direct(problem.with_force(*[np.zeros(m)] * components))
+    data = np.concatenate([problem.initial.displacement, problem.initial.velocity,
+                           problem.boundary.left, problem.boundary.right])
+    if np.any(data) or np.any(np.signbit(data)):
+        bg_field = solve_direct(problem.with_force(*[np.zeros(m)] * components))
+    else:  # all data +0.0: the march would give +0.0 everywhere
+        bg_field = WaveField(g, np.zeros((g.M + 1, g.N + 1)))
     background = tuple(flux(bg_field, end) for end in ends)
     A = np.zeros((len(ends) * g.N, components * m))
     kernel = None

@@ -79,12 +79,9 @@ def sweep(sys: InverseSystem, order: int = 0,
     Returns
     -------
     list of LCurvePoint
-        One entry per lambda that solved cleanly; weights whose solve
-        fails (a singular system, a non-finite solution) are skipped.
-
-    The solutions behind the points replace those kept from the previous
-    sweep of this order, so that tikhonov_solve at a swept weight, such as
-    the corner's, looks its solution up instead of solving again.
+        One entry per lambda whose solution is finite; when the system
+        fails the rank rule of the regularized solve, every weight is
+        skipped.
     """
     _instance(sys, (InverseSystem,), "system")
     order = RegConfig(order=order).order
@@ -96,8 +93,8 @@ def sweep(sys: InverseSystem, order: int = 0,
     except SingularSystem:  # the factorization failed, so every weight does
         return []
     return [LCurvePoint(lam, float(np.linalg.norm(sys.A @ f - sys.b)), factors.penalty_norm(f))
-            for lam, f in zip(lams, factors.solutions(sys.b, lams, keep=True))
-            if f is not None and np.isfinite(f).all()]
+            for lam, f in zip(lams, factors.solutions(sys.b, lams))
+            if np.isfinite(f).all()]
 
 
 def _menger(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -8,23 +8,45 @@ SingularSystem when A is numerically rank-deficient (smallest singular
 value at or below RANK_TOL times the largest).
 
 lambda > 0 runs on one factor object (_Factors) per (A, order), built on
-first use and shared by every weight and every measurement on A. With
-mu^2 = ||A||_F^2 / ||D_k||_F^2, the Cholesky factor R of
-A^T A + mu^2 D_k^T D_k is the triangular factor of the stacked [A; mu D_k].
-The factors kept are R^-1, G = (A R^-1)^T (A R^-1) and
-H = mu^2 (D_k R^-1)^T (D_k R^-1), and a weight then costs one m x m solve,
+first use and shared by every weight and every measurement on A: one
+generalized eigenbasis of the pencil (A^T A, K), K = A^T A + mu^2 D_k^T D_k
+with mu^2 = ||A||_F^2 / ||D_k||_F^2, in which every weight is a diagonal
+filter (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998).
 
-    (G + (lambda / mu^2) H) y = R^-T A^T b,    f = R^-1 y.
+Build. The Cholesky factor L of K = L L^T whitens the system: with
+G = (L^-1 A^T)(L^-1 A^T)^T and H = mu^2 (L^-1 D_k^T)(L^-1 D_k^T)^T,
+G + H = L^-1 K L^-T is I, but in floating point only to about
+eps cond(K): 3.5e-5 and 5.5e-5 on the tilted ones(5, 3) of the tests
+(cond([A; mu D_2]) = 6.1e5, just under the rank rule's limit below)
+scaled by 1e-3 and 1e-5. A filter that took H = I - G would carry that
+error times t = lambda / mu^2, which reaches 7e8 on the default grids
+(scenario 4, order 2, M = 320) and 4e10 on that system. So the factors are re-whitened: with C the
+Cholesky factor of the computed G + H and R^-1 = L^-T C^-T,
+R^-T K R^-1 = C^-1 (G + H) C^-T is I to rounding (X^T K X - I reads
+3e-11 on the near-limit system, the rounding of X itself). Then
+g, Q = eigh(C^-1 G C^-T), with g clipped to [0, 1], and X = R^-1 Q give
 
-The object gives the solutions of a list of weights (None where LAPACK
-finds a weight's matrix singular), taking R^-T A^T b once and building
-each weight's matrix in one reused buffer, and ||D_k f|| of a solution.
-tikhonov_solve asks it for one weight, and lcurve.sweep for its whole
-grid. The sweep's solutions stay on the object with the b they solve, so
-that tikhonov_solve at a swept weight (the corner's, say) on that same b
-looks its solution up instead of solving again. The next sweep of the
-order replaces them; a with_measurement copy has its own b, so it finds
-none.
+    X^T A^T A X = diag(g),    mu^2 X^T D_k^T D_k X = I - diag(g),
+
+so that (A^T A + lambda D_k^T D_k)^-1 = X diag(1 / s) X^T with
+s = g + t (1 - g) >= min(1, t) > 0: no weight is singular.
+
+Per weight. The filtered solution f0 = X ((X^T A^T b) / s) is followed by
+one step of iterative refinement on the true normal equations,
+
+    r = A^T (b - A f0) - lambda D_k^T D_k f0,    f = f0 + X ((X^T r) / s).
+
+The residual is formed in the data space first: b - A f0 is small where
+the data fit, so its rounding is too, and the step then brings the
+solution to within 7.8e-13 of stacked least squares on the test grid up
+to M = 160 (5.6e-11 at lambda = 1e-14), where the LU route it replaced
+read 1.2e-8 (and 8.1e-7). A weight costs a few m-vector products with X
+and A, and a new measurement one product A^T b and one X^T A^T b. The
+weights of a list are solved one at a time with the same operations as a
+single weight, so a sweep's solution and a fresh solve at that weight
+(the corner's, say) are equal bit for bit, and no solution is kept.
+tikhonov_solve asks the object for one weight, lcurve.sweep for its
+whole grid; penalty_norm gives ||D_k f||.
 
 Mirror split. The solve runs on a list of parts, each a parity with an
 orthonormal basis V of the profiles (_fold_rule): 0 is the whole system
@@ -34,11 +56,12 @@ columns reversed (_has_mirror; met when both modulations equal their own
 mirror image) splits into those two halves: its normal equations commute
 with J, so A^T A, mu^2 D_k^T D_k (written on its band) and A^T b are
 folded onto each half, and no rows are rotated. Each part is factored as
-above with the whole system's mu^2, and f is the sum of V y over the
-parts. A half is about m/2 per component, so the two take half the
-memory of the whole system's factors and a quarter of its flops per
-factorization and weight. The folds are orthogonal, so the parts'
-singular values together are A's (and the stacked parts' those of
+above with the whole system's mu^2, and its basis is unfolded once, at
+the build, to V R^-1 Q over the whole profile: X holds the parts'
+columns side by side, so a weight sees one m x m X and no fold. A half
+is about m/2 per component, so the two halves' factorizations and eighs
+take a quarter of the whole system's flops. The folds are orthogonal, so the
+parts' singular values together are A's (and the stacked parts' those of
 [A; mu D_k]). Any other system is the one part of parity 0.
 
 Rank rule for lambda > 0, checked once per factorization: SingularSystem
@@ -52,11 +75,14 @@ split system not the worse half's own condition number, which can be
 smaller). Scenarios 1-5 up to M = N = 320 sit at 1.1e4 or below
 (scenario 4, order 2, M = 320).
 
-Memory: a system keeps the factors of each penalty order it solved,
-three m x m arrays per order (at most nine in all, 7 MB at m = 319; a
-split dual system two halves of about a quarter that each), and copies
-made by InverseSystem.with_measurement share them, so cycling the orders
-on one A factors each order once.
+Memory: a system keeps X (one m x m array, 0.8 MB at m = 319) and g for
+each penalty order it solved, and copies made by
+InverseSystem.with_measurement share them, so cycling the orders on one
+A builds each order once. The build frees each temporary as soon as it
+is spent: at the eigh, the largest step, the arrays alive besides A are
+R^-1, C^-1 G C^-T, and eigh's copy of it, its workspace (two m x m) and
+its Q, six m x m arrays, one more than the LU route's sweep held (its
+three factors, the weight's matrix and LAPACK's copy of it).
 """
 
 from __future__ import annotations
@@ -215,9 +241,8 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
     """Unique minimizer of ||A f - b||^2 + lambda ||D_k f||^2.
 
     At lambda = 0 this is plain least squares on A f = b. For lambda > 0
-    it reuses the system's factors of order k, computing them on first
-    use, and at a weight of the last sweep on the same b it returns that
-    sweep's solution (see the module docstring).
+    it filters on the system's eigenbasis of order k, computing it on
+    first use, and refines once (see the module docstring).
 
     Raises
     ------
@@ -235,9 +260,7 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
         if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0]:
             raise SingularSystem("system is numerically rank-deficient at lambda = 0")
         return ForceVector(sol, sys.components)
-    f = _factors(sys, cfg.order).solve(sys.b, cfg.lam)
-    if f is None:
-        raise SingularSystem(f"regularized system is singular at lambda = {cfg.lam:g}")
+    f, = _factors(sys, cfg.order).solutions(sys.b, [cfg.lam])
     return ForceVector(f, sys.components)
 
 
@@ -295,18 +318,15 @@ def _check_rank(Ls, Linvs):
 
 
 class _Factors:
-    """Factors of the regularized solve of one (A, order), one set per part
-    (see the module docstring), and the solutions of the last sweep on
-    them. SingularSystem on construction when [A; mu D_k] fails the rank
-    rule."""
+    """The eigenbasis of the regularized solve of one (A, order): X, in
+    full coordinates with the parts' columns side by side, and g (see the
+    module docstring). SingularSystem on construction when [A; mu D_k]
+    fails the rank rule."""
 
     def __init__(self, A, order, components):
         self.A, self.order, self.components = A, order, components
         self.parities, rows = _parts(A, components)
-        self.m = m = A.shape[1] // components
-        # Besides A, no step keeps more than four arrays the size of the
-        # gram (or of A) alive: the penalty is never formed over the whole
-        # unknown vector, and products scale in place.
+        m = A.shape[1] // components
         stencil = difference_operator(order, order + 1)[0]
         penalty_rows = A.shape[1] - components * order
         mu2 = np.vdot(A, A) / (penalty_rows * np.dot(stencil, stencil))  # ||A||_F^2 / ||D||_F^2
@@ -314,68 +334,83 @@ class _Factors:
         grams = [_add_penalty_gram(Ab.T @ Ab, stencil, components, mu2, m, parity)
                  for parity, Ab in zip(self.parities, folded)]
         try:
-            Ls = [np.linalg.cholesky(K) for K in grams]  # K = L L^T, so R = L^T
+            Ls = [np.linalg.cholesky(K) for K in grams]  # K = L L^T
         except np.linalg.LinAlgError:
             raise SingularSystem("A and the penalty share a null vector") from None
         del grams
         Linvs = [np.linalg.inv(L) for L in Ls]
         _check_rank(Ls, Linvs)
         del Ls
-        self.mu2, self.parts = mu2, []
-        for parity, Linv, Ab in zip(self.parities, Linvs, folded):
-            Z = Linv @ Ab.T  # (A V R^-1)^T
-            G = Z @ Z.T
-            del Z
-            # (D_k V R^-1)^T up to sign
-            Y = _differences(_unfold(Linv, parity, components, m), order, components)
-            H = Y @ Y.T
-            H *= mu2
-            del Y
-            self.parts.append((parity, Linv.T, G, H))
-        self._swept = (None, {})
+        # popped: _eigenbasis holds the only reference to its part's L^-1
+        bases = [_eigenbasis(Linvs.pop(0), Ab, order, components, mu2, m, parity)
+                 for parity, Ab in zip(self.parities, folded)]
+        g, Xt = (np.concatenate(a) for a in zip(*bases))
+        self.mu2, self.g, self.X = mu2, np.clip(g, 0.0, 1.0), Xt.T
 
-    def solutions(self, b, lambdas, keep=False):
-        """The solution of each weight lambda > 0 in turn, or None where
-        LAPACK finds a part's G + (lambda / mu^2) H singular. With keep, the
-        solutions replace those kept from the last sweep (see solve)."""
-        Atb = self.A.T @ b
-        parts = [[None if y is None else _unfold(y, parity, self.components, self.m)
-                  for y in _weight_loop(Rinv, G, H, self.mu2, _fold(Atb, parity, self.components),
-                                        lambdas)]
-                 for parity, Rinv, G, H in self.parts]
-        # f = sum of V y over the parts, from the first: one part is f itself
-        out = [None if any(f is None for f in fs) else sum(fs[1:], fs[0]) for fs in zip(*parts)]
-        if keep:
-            self._swept = (b, {lam: f for lam, f in zip(lambdas, out) if f is not None})
+    def solutions(self, b, lambdas):
+        """The solution of each weight lambda > 0 in turn: the diagonal
+        filter, then one refinement step on the normal equations."""
+        A, X, g = self.A, self.X, self.g
+        Atb = A.T @ b
+        XtAtb = X.T @ Atb
+        out = []
+        for lam in lambdas:
+            s = g + lam / self.mu2 * (1.0 - g)
+            f = X @ (XtAtb / s)
+            r = A.T @ (b - A @ f) - lam * _penalty_gradient(f, self.order, self.components)
+            f += X @ ((X.T @ r) / s)
+            out.append(f)
         return out
-
-    def solve(self, b, lam):
-        """The solution at one weight: the last sweep's when it solved b at
-        lam, else a fresh solve (None where singular)."""
-        swept_b, swept = self._swept
-        if b is swept_b and lam in swept:
-            return swept[lam]
-        return self.solutions(b, [lam])[0]
 
     def penalty_norm(self, f):
         """||D_k f||, block by block over the components."""
         return float(np.linalg.norm(_differences(f, self.order, self.components)))
 
 
-def _weight_loop(Rinv, G, H, mu2, Atb, lambdas):
-    """R^-1 y for each weight, solving (G + (lambda / mu^2) H) y = R^-T A^T b
-    in one reused buffer, or None where LAPACK finds the matrix singular."""
-    rhs = Rinv.T @ Atb
-    S = np.empty_like(G)
-    for lam in lambdas:
-        np.multiply(H, lam / mu2, out=S)
-        S += G
-        try:
-            y = np.linalg.solve(S, rhs)
-        except np.linalg.LinAlgError:
-            yield None
-            continue
-        yield Rinv @ y
+def _eigenbasis(Linv, Ab, order, components, mu2, m, parity):
+    """(g, X^T) of one part, from its L^-1 and folded rows A V: the
+    eigenvalues g and the rows of X^T = (V R^-1 Q)^T over the whole profile,
+    where R^-1 = L^-T C^-T re-whitens with the Cholesky factor C of
+    G + H = L^-1 K L^-T and g, Q = eigh(C^-1 G C^-T).
+
+    The caller passes the only reference to L^-1, so that it is freed
+    before the eigh, which then sees R^-1 and its own input alive.
+    """
+    # Far from the diagonal L^-1 can decay below the smallest normal double
+    # (scenario 4 at M >= 320). As zeros those entries change no sum at
+    # working precision; as subnormals they slow each product several-fold.
+    Linv[np.abs(Linv) < np.finfo(float).tiny] = 0.0
+    Z = Linv @ Ab.T  # (A V L^-T)^T
+    G = Z @ Z.T
+    del Z
+    Y = _differences(_unfold(Linv, parity, components, m), order, components)  # (D V L^-T)^T up to sign
+    S = Y @ Y.T
+    del Y
+    S *= mu2
+    S += G  # G + H
+    C = np.linalg.cholesky(S)
+    del S
+    Cinv = np.linalg.inv(C)
+    del C
+    Rinv = Linv.T @ Cinv.T
+    del Linv
+    T = Cinv @ G
+    np.matmul(T, Cinv.T, out=G)  # C^-1 G C^-T
+    del T, Cinv
+    g, Q = np.linalg.eigh(G)
+    del G
+    W = Rinv @ Q
+    del Rinv, Q
+    return g, _unfold(W.T, parity, components, m)
+
+
+def _penalty_gradient(f, order, components):
+    """D_k^T D_k f, block by block over the components: np.diff is D_k up to
+    the sign (-1)^k, and its adjoint is the difference of the zero-padded
+    differences with that sign again."""
+    d = np.diff(f.reshape(components, -1), n=order, axis=-1)
+    d = np.pad(d, ((0, 0), (order, order)))
+    return (-1) ** order * np.diff(d, n=order, axis=-1).reshape(-1)
 
 
 def _ratio(sv):

@@ -164,8 +164,8 @@ def test_sweep_skips_failing_weights():
 
 def per_weight_sweep(sys, order, lambdas=None):
     """Slow predecessor of sweep: one public tikhonov_solve per weight, on
-    a copy that keeps no solutions. Returns the points and the solution
-    of each point."""
+    a copy without factors. Returns the points and the solution of each
+    point."""
     sys = dataclasses.replace(sys)
     if lambdas is None:
         lambdas = wf.DEFAULT_LAMBDA_GRID if order == 0 else wf.EXTENDED_LAMBDA_GRID
@@ -182,12 +182,6 @@ def per_weight_sweep(sys, order, lambdas=None):
     return points, solutions
 
 
-def kept(system, order):
-    """{lambda: solution} kept from the last sweep of `order` on the system's b."""
-    b, solutions = system._factors[order]._swept
-    return solutions if b is system.b else {}
-
-
 def _draws(a):
     series = (a.measured,) if a.measured_right is None else (a.measured, a.measured_right)
     return [a.system.with_measurement(*series, noise=noise)
@@ -201,63 +195,11 @@ def test_sweep_matches_per_weight_solves_bit_for_bit(bench, example):
             want, solutions = per_weight_sweep(s, order)
             got = wf.sweep(s, order)
             assert got == want
+            # a solve on the swept system's factors is the per-weight solve
+            # on a fresh copy, bit for bit, at every weight: the corner's too
             for p, f in zip(got, solutions):
-                assert np.array_equal(kept(s, order)[p.lam], f)
-            # the final solve at the corner is the fresh solve, bit for bit
-            lam = wf.corner(got).lam
-            cfg = wf.RegConfig(order=order, lam=lam)
-            assert np.array_equal(wf.tikhonov_solve(s, cfg).values,
-                                  wf.tikhonov_solve(dataclasses.replace(s), cfg).values)
-
-
-def _count_solves(monkeypatch):
-    calls = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda S, r: calls.append(S.shape) or solve(S, r))
-    return calls
-
-
-def test_corner_solve_reuses_the_sweep(bench, monkeypatch):
-    a = bench(4, 40)
-    noisy = a.system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 2))
-    calls = _count_solves(monkeypatch)
-    for order in (0, 1, 2):
-        calls.clear()
-        points = wf.sweep(noisy, order)
-        wf.tikhonov_solve(noisy, wf.RegConfig(order=order, lam=wf.corner(points).lam))
-        grid = wf.DEFAULT_LAMBDA_GRID if order == 0 else wf.EXTENDED_LAMBDA_GRID
-        assert len(calls) == len(points) == grid.size
-
-
-def test_stored_solutions_are_read_only_for_the_last_sweep(bench, monkeypatch):
-    a = bench(2, 40)
-    noisy = a.system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 1))
-    first = [1e-4, 1e-3, 1e-2]
-    wf.sweep(noisy, 1, first)
-    assert sorted(kept(noisy, 1)) == first
-    calls = _count_solves(monkeypatch)
-
-    def solved_afresh(system, order, lam):
-        calls.clear()
-        cfg = wf.RegConfig(order=order, lam=lam)
-        got = wf.tikhonov_solve(system, cfg).values
-        solves = len(calls)
-        assert np.array_equal(got, wf.tikhonov_solve(dataclasses.replace(system), cfg).values)
-        return solves == 1
-
-    assert not solved_afresh(noisy, 1, 1e-3)  # a swept weight is looked up
-    assert solved_afresh(noisy, 1, 5e-3)  # a weight outside the sweep
-    assert solved_afresh(noisy, 2, 1e-3)  # another order
-    # a with_measurement copy, even of the same measurement, keeps none
-    copy = noisy.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 1))
-    assert kept(copy, 1) == {} and copy._factors is noisy._factors
-    assert solved_afresh(copy, 1, 1e-3)
-    # the next sweep of the order replaces the whole set
-    second = [2e-3, 2e-2]
-    wf.sweep(noisy, 1, second)
-    assert sorted(kept(noisy, 1)) == second
-    assert solved_afresh(noisy, 1, 1e-3)
-    assert not solved_afresh(noisy, 1, 2e-3)
+                cfg = wf.RegConfig(order=order, lam=p.lam)
+                assert np.array_equal(wf.tikhonov_solve(s, cfg).values, f)
 
 
 def test_split_sweep_matches_stacked_lstsq(bench):
@@ -269,7 +211,8 @@ def test_split_sweep_matches_stacked_lstsq(bench):
             for order in (0, 1, 2):
                 assert [p.lam for p in wf.sweep(s, order, grid)] == grid
                 assert s._factors[order].parities == (1, -1)
-                for lam, f in kept(s, order).items():
+                for lam in grid:
+                    f = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
                     want = stacked_lstsq(s.A, s.b, order, lam, 2)
                     tol = ORACLE_TINY_LAMBDA_TOL if lam == 1e-14 else ORACLE_GRID_TOL
                     worst[tol] = max(worst[tol], np.max(np.abs(f - want)) / np.max(np.abs(want)))

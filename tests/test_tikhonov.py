@@ -11,13 +11,16 @@ import waveforce as wf
 from test_inverse import fabricated_system
 from waveforce import tikhonov
 
-# Largest max|f - f_oracle| / max|f_oracle| of the factored solve against
-# stacked_lstsq over scenarios 1-5 at M = N = 40 and 80, orders 0-2, with
-# noise-free and 1%-noise data: 4.0e-10 over the extended weight grid
-# (scenario 4, order 2, lambda = 0.5, M = 80; the mirror-split dual
-# scenario 5 reaches 1.7e-10) and 2.5e-7 at lambda = 1e-14 (scenario 4,
-# order 0, noise-free), where the factored route's squared conditioning
-# shows. The tolerances leave a factor of about 2.5-4.
+# Largest max|f - f_oracle| / max|f_oracle| of the LU route (lu_route,
+# the factored solve before the eigenbasis) against stacked_lstsq over
+# scenarios 1-5 at M = N = 40 and 80, orders 0-2, with noise-free and
+# 1%-noise data: 4.1e-10 over the extended weight grid (scenario 5, order
+# 2, lambda = 1e-9, M = 80, noise-free) and 2.5e-7 at lambda = 1e-14
+# (scenario 4, order 0, M = 40, noise-free), where the normal equations'
+# squared conditioning shows.
+# The tolerances leave a factor of about 2.5-4 to that route; the
+# eigenbasis route reads 7.8e-13 and 5.6e-11 on the same cells up to
+# M = 160 (test_factored_solve_matches_stacked_lstsq prints its figures).
 ORACLE_GRID_TOL = 1e-9
 ORACLE_TINY_LAMBDA_TOL = 1e-6
 
@@ -43,6 +46,21 @@ def stacked_lstsq(A, b, order, lam, components=1):
     D = penalty(order, A.shape[1] // components, components)
     return np.linalg.lstsq(np.vstack([A, np.sqrt(lam) * D]),
                            np.concatenate([b, np.zeros(D.shape[0])]), rcond=None)[0]
+
+
+def lu_route(A, b, order, lambdas, components=1):
+    """Oracle: the factored solve the eigenbasis replaced. The Cholesky
+    factor L of K = A^T A + mu^2 D^T D whitens the system; each weight then
+    takes one LU solve of (G + (lambda / mu^2) H) y = L^-1 A^T b, with
+    G = (L^-1 A^T)(L^-1 A^T)^T, H = mu^2 (L^-1 D^T)(L^-1 D^T)^T and
+    f = L^-T y. The whole system is solved, split or not."""
+    D = penalty(order, A.shape[1] // components, components)
+    mu2 = np.vdot(A, A) / np.vdot(D, D)
+    Linv = np.linalg.inv(np.linalg.cholesky(A.T @ A + mu2 * (D.T @ D)))
+    Z, Y = Linv @ A.T, Linv @ D.T
+    G, H = Z @ Z.T, mu2 * (Y @ Y.T)
+    rhs = Linv @ (A.T @ b)
+    return [Linv.T @ np.linalg.solve(G + lam / mu2 * H, rhs) for lam in lambdas]
 
 
 def unsplit(system, order, monkeypatch):
@@ -117,42 +135,56 @@ def test_matches_normal_equations_randomized():
 
 
 def test_factored_solve_matches_stacked_lstsq(bench):
-    worst = {ORACLE_GRID_TOL: 0.0, ORACLE_TINY_LAMBDA_TOL: 0.0}
+    # the eigenbasis route against stacked_lstsq and against the LU route,
+    # within the oracle tolerances at M = 40 and 80; at M = 160, where the
+    # LU route itself exceeds ORACLE_GRID_TOL (1.2e-8 at scenario 4, order
+    # 2, lambda = 0.5), no worse than it
+    worst = {}  # (M, route, tolerance) -> largest gap to stacked_lstsq
     for example in (1, 2, 3, 4, 5):
-        for m in (40, 80):
+        for m in (40, 80, 160):
             a = bench(example, m)
             series = (a.measured,) if a.measured_right is None else (a.measured, a.measured_right)
             for noise in (None, wf.NoiseSpec(0.01, 1)):
                 s = a.system.with_measurement(*series, noise=noise)
                 for order in (0, 1, 2):
-                    for lam in [*wf.EXTENDED_LAMBDA_GRID, 1e-14]:
+                    lams = [*wf.EXTENDED_LAMBDA_GRID, 1e-14]
+                    for lam, lu in zip(lams, lu_route(s.A, s.b, order, lams, s.components)):
                         got = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
                         want = stacked_lstsq(s.A, s.b, order, lam, s.components)
                         tol = ORACLE_TINY_LAMBDA_TOL if lam == 1e-14 else ORACLE_GRID_TOL
-                        rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
-                        worst[tol] = max(worst[tol], rel)
+                        for route, f in (("eigenbasis", got), ("lu", lu)):
+                            rel = np.max(np.abs(f - want)) / np.max(np.abs(want))
+                            worst[m, route, tol] = max(worst.get((m, route, tol), 0.0), rel)
+                        if m < 160:
+                            assert np.max(np.abs(got - lu)) <= tol * np.max(np.abs(lu))
                     # scenario 5 takes the mirror split
                     assert s._factors[order].parities == ((1, -1) if example == 5 else (0,))
-    print(f"factored vs stacked lstsq: grid {worst[ORACLE_GRID_TOL]:.2e}, "
-          f"lambda 1e-14 {worst[ORACLE_TINY_LAMBDA_TOL]:.2e}")
-    assert all(w <= tol for tol, w in worst.items())
+    for key in sorted(worst):
+        print(f"vs stacked lstsq, M = {key[0]}, {key[1]} route, tolerance {key[2]:g}: "
+              f"{worst[key]:.2e}")
+    for (m, route, tol), w in worst.items():
+        if route == "eigenbasis":
+            assert w <= tol and w <= worst[m, "lu", tol]
 
 
 def test_one_factorization_per_system_and_order(bench, monkeypatch):
+    # per part, one Cholesky of K, one of the re-whitened G + H and one eigh
     calls = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda K: calls.append(K.shape) or cholesky(K))
+    for name in ("cholesky", "eigh"):
+        routine = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda K, routine=routine, name=name:
+                            calls.append((name, K.shape)) or routine(K))
     a = bench(2, 40)
     system = dataclasses.replace(a.system)  # a copy without factors
     noisy = system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 1))
     lam = wf.corner(wf.sweep(noisy, 2)).lam
     f = wf.tikhonov_solve(noisy, wf.RegConfig(order=2, lam=lam))
-    assert len(calls) == 1
+    assert calls == [("cholesky", (39, 39))] * 2 + [("eigh", (39, 39))]
     # a new draw shares A, so it shares the factors
     draw = system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 2))
     g = wf.tikhonov_solve(draw, wf.RegConfig(order=2, lam=lam))
     wf.sweep(draw, 2)
-    assert len(calls) == 1
+    assert len(calls) == 3
     for s, sol in ((noisy, f), (draw, g)):
         want = stacked_lstsq(s.A, s.b, 2, lam)
         assert np.max(np.abs(sol.values - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
@@ -160,11 +192,11 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
     wf.sweep(draw, 1)
     wf.tikhonov_solve(noisy, wf.RegConfig(order=1, lam=1e-4))
     wf.tikhonov_solve(noisy, wf.RegConfig())
-    assert len(calls) == 2
+    assert len(calls) == 6
     # each order keeps its factors: going back to order 2 factors nothing
     wf.sweep(draw, 2)
     wf.tikhonov_solve(noisy, wf.RegConfig(order=1, lam=1e-3))
-    assert len(calls) == 2
+    assert len(calls) == 6
     assert sorted(noisy._factors) == [1, 2]
     # a mirrored dual system factors its even and odd halves once per
     # order, each about half the size of the whole, and its draws share them
@@ -174,13 +206,15 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
     noisy = dual.with_measurement(d.measured, d.measured_right, noise=wf.NoiseSpec(0.01, 1))
     lam = wf.corner(wf.sweep(noisy, 2)).lam
     wf.tikhonov_solve(noisy, wf.RegConfig(order=2, lam=lam))
-    assert calls == [(40, 40), (38, 38)]  # m = 39: 20 even and 19 odd per profile
+    # m = 39: 20 even and 19 odd per profile
+    assert sorted(calls) == sorted([("cholesky", (40, 40))] * 2 + [("eigh", (40, 40))]
+                                   + [("cholesky", (38, 38))] * 2 + [("eigh", (38, 38))])
     draw = dual.with_measurement(d.measured, d.measured_right, noise=wf.NoiseSpec(0.01, 2))
     wf.tikhonov_solve(draw, wf.RegConfig(order=2, lam=lam))
     wf.sweep(draw, 2)
-    assert len(calls) == 2
+    assert len(calls) == 6
     wf.sweep(draw, 1)
-    assert len(calls) == 4
+    assert len(calls) == 12
 
 
 def test_fold_is_orthonormal():
@@ -291,6 +325,37 @@ def test_near_degenerate_stack_raises():
     # rounding and leaves cond near 1e8
     with pytest.raises(wf.SingularSystem):
         wf.tikhonov_solve(fabricated_system(np.ones((5, 3)), np.ones(5)), cfg)
+
+
+def test_rewhitening_near_the_rank_limit():
+    # The tilted ones(5, 3) of test_near_degenerate_stack_raises at eps =
+    # 1e-5 sits just under COND_LIMIT (cond([A; mu D_2]) about 6.1e5, so
+    # cond(K) about 3.7e11), scaled so that lambda / mu^2 reaches 4e6 and
+    # 4e10 on these weights. After L alone, X^T K X - I reads 3.5e-5 and
+    # 5.5e-5 here; the re-whitened basis reads 2.4e-11 and 3.0e-11, the
+    # rounding of X itself (about eps cond([A; mu D_2]) = 1.4e-10).
+    lams = 10.0 ** np.arange(-9, 2)
+    D = wf.difference_operator(2, 3)
+    for scale in (1e-3, 1e-5):
+        A = np.ones((5, 3))
+        A[0, 2] += 1e-5
+        A *= scale
+        s = fabricated_system(A, np.arange(1.0, 6.0))
+        factors = tikhonov._factors(s, 2)
+        AX, DX = A @ factors.X, D @ factors.X
+        whitened = AX.T @ AX + factors.mu2 * (DX.T @ DX)
+        assert np.max(np.abs(whitened - np.eye(3))) <= 1e-9
+        assert np.max(np.abs(AX.T @ AX - np.diag(factors.g))) <= 1e-9
+        # the solutions stay as close to stacked_lstsq as the LU route's
+        # (4.7e-8 and 4.0e-6 for both: the oracle's own error at this
+        # conditioning)
+        gaps = {"eigenbasis": 0.0, "lu": 0.0}
+        for lam, lu in zip(lams, lu_route(A, s.b, 2, lams)):
+            want = stacked_lstsq(A, s.b, 2, lam)
+            got = wf.tikhonov_solve(s, wf.RegConfig(order=2, lam=lam)).values
+            for route, f in (("eigenbasis", got), ("lu", lu)):
+                gaps[route] = max(gaps[route], np.max(np.abs(f - want)) / np.max(np.abs(want)))
+        assert gaps["eigenbasis"] <= 2.0 * gaps["lu"]
 
 
 def test_failed_factorization_raises_a_fresh_error(monkeypatch):
