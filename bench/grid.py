@@ -24,8 +24,12 @@ seconds; plus nproc, the Python and numpy versions, the platform, the
 git commit of SRC's checkout with whether its tree differs from that
 commit, and `source`, a digest of SRC's `waveforce/*.py`. A label measured
 on uncommitted work carries its parent's commit, so `source` is what names
-the code it timed. Nothing is asserted: the file is a record, and a
-speed-up is read off a pair of files measured together.
+the code it timed. Each SRC must lie in a git checkout, so that its commit
+is recorded: the script stops before the first run when one does not (a
+`git archive` export, say); check such a commit out with
+`git worktree add <dir> <commit>` and pass `<dir>/src`. Nothing is
+asserted: the file is a record, and a speed-up is read off a pair of files
+measured together.
 """
 
 from __future__ import annotations
@@ -97,12 +101,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    sources = {}
+    sources, commits = {}, {}
     for spec in args.labels:
         label, _, src = spec.partition("=")
         sources[label] = Path(src or ROOT / "src").resolve()
         if not (sources[label] / "waveforce").is_dir():
             parser.error(f"{sources[label]} holds no waveforce package")
+        commits[label] = git_commit(sources[label])
+        if commits[label][0] is None:
+            parser.error(f"{label}: {sources[label]} is in no git checkout, so no commit would "
+                         "be recorded; check the commit out with `git worktree add <dir> "
+                         "<commit>` and pass <dir>/src")
 
     cells = [(ex, M) for ex in EXAMPLES for M in SIZES]
     runs = {(label, cell): [] for label in sources for cell in cells}
@@ -114,7 +123,7 @@ def main(argv=None):
             print(f"repeat {rep + 1}/{args.repeats} done", file=sys.stderr)
 
     for label, src in sources.items():
-        commit, dirty = git_commit(src)
+        commit, dirty = commits[label]
         doc = {
             "label": label,
             "command": "waveforce invert --example E --M M " + " ".join(FLAGS),

@@ -46,7 +46,7 @@ from .benchmarks import (
 from .csvio import ensure_dir, read_matrix, read_series, write_matrix, write_rows, write_series
 from .errors import WaveforceError
 from .fdm import flux, solve_direct
-from .inverse import assemble_dual, assemble_single
+from .inverse import _observed_ends, assemble_dual, assemble_single
 from .lcurve import _checked_grid, corner, sweep
 from .model import (
     LEFT,
@@ -62,8 +62,8 @@ from .model import (
 from .noise import NoiseSpec
 from .tikhonov import (
     RegConfig,
-    _condition_number,
     accuracy_error,
+    condition_number,
     tikhonov_solve,
 )
 
@@ -325,8 +325,8 @@ def _assemble(cfg: RunConfig, stages: _Stages):
     grid = cfg.grid()
     if cfg.example is not None:
         problem = inverse_problem(cfg.example, grid)
-        ends = (LEFT, RIGHT)[:problem.source.unknowns]
-        measured = [measured_flux(cfg.example, grid, end, cfg.data_refine) for end in ends]
+        measured = [measured_flux(cfg.example, grid, end, cfg.data_refine)
+                    for end in _observed_ends(problem.source.unknowns)]
         exact = exact_force(cfg.example, grid)
     else:
         if cfg.measured_left is None:
@@ -367,17 +367,12 @@ def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
         lam = float(cfg.lam)
     solution = tikhonov_solve(system, RegConfig(order=cfg.reg_order, lam=lam))
     stages.lap("solve")
-    cond = _condition_number(system)
+    cond = condition_number(system.A)
     stages.lap("cond")
     artifacts = [] if points is None else [_write_lcurve(outdir, points)]
-    grid = system.grid
-    if system.components == 2:
-        header = ["x", "f", "g"]
-        rows = list(zip(grid.interior_x, solution.f, solution.g))
-    else:
-        header = ["x", "f"]
-        rows = list(zip(grid.interior_x, solution.f))
-    write_rows(outdir / "force.csv", header, rows)
+    k = system.components
+    write_rows(outdir / "force.csv", ["x", "f", "g"][:1 + k],
+               zip(system.grid.interior_x, *solution.values.reshape(k, -1)))
     artifacts.append("force.csv")
     metrics = [
         ("lambda", lam),
@@ -427,7 +422,7 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     # tables 4-6 reuse the M = 80 systems and measurements of table1
     assembled = {(ex, m): _assemble(RunConfig(cfg.command, example=ex, M=m, N=m), stages)
                  for ex in wanted for m in _TABLE_SIZES}
-    rows = [(str(ex), str(m), _condition_number(system))
+    rows = [(str(ex), str(m), condition_number(system.A))
             for (ex, m), (system, _, _) in assembled.items()]
     write_rows(outdir / "table1.csv", ["example", "M", "cond"], rows)
     artifacts.append("table1.csv")

@@ -37,9 +37,9 @@ Row convention: each row is stated in cleared-denominator stencil units,
 i.e. both the columns and b carry a factor 2*dx relative to raw flux units.
 In these units row j of the single-source system is literally the identity
 3u[0,j] - 4u[1,j] + u[2,j] = 2*dx*q(t_j) with unit coefficients, which is
-the form the eliminated global FDM system takes. Least-squares solutions,
-condition numbers, and normalized singular values are invariant to this
-uniform row scale; the Tikhonov lambda axis is stated in these units.
+the form the eliminated global FDM system takes. Least-squares solutions
+and condition numbers are invariant to this uniform row scale; the
+Tikhonov lambda axis is stated in these units.
 
 A dual measurement (both ends observed, two unknown profiles) stacks left
 flux rows then right flux rows, and first-component columns then

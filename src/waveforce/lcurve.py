@@ -71,7 +71,8 @@ def sweep(sys: InverseSystem, order: int = 0,
     ----------
     sys : InverseSystem
     order : int
-        Penalty order k, in {0, 1, 2}.
+        Penalty order k, in {0, 1, 2}; InvalidDimension when the system's
+        profiles have k nodes or fewer, so that D_k has no row.
     lambdas : sequence of float, optional
         Strictly increasing positive weights, 1-dimensional. Defaults to
         DEFAULT_LAMBDA_GRID for order 0 and EXTENDED_LAMBDA_GRID otherwise.

@@ -39,12 +39,12 @@ one step of iterative refinement on the true normal equations,
 The residual is formed in the data space first: b - A f0 is small where
 the data fit, so its rounding is too, and the step then brings the
 solution to within 7.8e-13 of stacked least squares on the test grid up
-to M = 160 (5.6e-11 at lambda = 1e-14), where the LU route it replaced
-read 1.2e-8 (and 8.1e-7). A weight costs a few m-vector products with X
-and A, and a new measurement one product A^T b and one X^T A^T b. The
-weights of a list are solved one at a time with the same operations as a
-single weight, so a sweep's solution and a fresh solve at that weight
-(the corner's, say) are equal bit for bit, and no solution is kept.
+to M = 160 (5.6e-11 at lambda = 1e-14). A weight costs a few m-vector
+products with X and A, and a new measurement one product A^T b and one
+X^T A^T b. The weights of a list are solved one at a time with the same
+operations as a single weight, so a sweep's solution and a fresh solve at
+that weight (the corner's, say) are equal bit for bit, and no solution is
+kept.
 tikhonov_solve asks the object for one weight, lcurve.sweep for its
 whole grid; penalty_norm gives ||D_k f||.
 
@@ -81,8 +81,7 @@ InverseSystem.with_measurement share them, so cycling the orders on one
 A builds each order once. The build frees each temporary as soon as it
 is spent: at the eigh, the largest step, the arrays alive besides A are
 R^-1, C^-1 G C^-T, and eigh's copy of it, its workspace (two m x m) and
-its Q, six m x m arrays, one more than the LU route's sweep held (its
-three factors, the weight's matrix and LAPACK's copy of it).
+its Q, six m x m arrays.
 """
 
 from __future__ import annotations
@@ -136,6 +135,15 @@ class RegConfig:
         object.__setattr__(self, "lam", lam)
 
 
+def _checked_nodes(order, m):
+    """(order, m) as ints if D_k has rows on profiles of m nodes: order in
+    {0, 1, 2} (RegConfig's rule) and m > order; else InvalidDimension."""
+    order, m = RegConfig(order=order).order, _integer(m, "m")
+    if m <= order:
+        raise InvalidDimension(f"operator of order {order} needs at least {order + 1} entries, got {m}")
+    return order, m
+
+
 def difference_operator(order: int, m: int) -> np.ndarray:
     """Difference operator D_k acting on vectors of length m.
 
@@ -145,19 +153,12 @@ def difference_operator(order: int, m: int) -> np.ndarray:
     Raises
     ------
     InvalidDimension
-        When order or m is not an integer, or m <= order (no rows would
-        remain).
+        When order or m is not an integer, order is not 0, 1 or 2, or
+        m <= order (no rows would remain).
     """
-    order, m = _integer(order, "order"), _integer(m, "m")
-    if order not in (0, 1, 2):
-        raise InvalidDimension(f"order must be 0, 1 or 2, got {order}")
-    if m <= order:
-        raise InvalidDimension(f"operator of order {order} needs at least {order + 1} entries, got {m}")
-    if order == 0:
-        return np.eye(m)
-    if order == 1:
-        return np.eye(m - 1, m) - np.eye(m - 1, m, k=1)
-    return np.eye(m - 2, m) - 2.0 * np.eye(m - 2, m, k=1) + np.eye(m - 2, m, k=2)
+    order, m = _checked_nodes(order, m)
+    # row i of np.diff(I) is D_k e_i up to (-1)^k; + 0.0 turns -0.0 into 0.0
+    return (-1) ** order * _differences(np.eye(m), order, 1).T + 0.0
 
 
 def _differences(X: np.ndarray, order: int, components: int) -> np.ndarray:
@@ -246,6 +247,9 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
 
     Raises
     ------
+    InvalidDimension
+        When lambda > 0 and a profile has no more than k nodes, so that
+        D_k has no row.
     SingularSystem
         When lambda = 0 and A is numerically rank-deficient, or when
         lambda > 0 and [A; mu D_k] fails the rank rule (possible only if
@@ -311,22 +315,23 @@ def _check_rank(Ls, Linvs):
     """
     frobenius = [np.linalg.norm([np.linalg.norm(X) for X in Xs]) for Xs in (Ls, Linvs)]
     if frobenius[0] * frobenius[1] >= COND_LIMIT:
-        sv = np.concatenate([np.linalg.svd(L, compute_uv=False) for L in Ls])
-        if sv.max() >= COND_LIMIT * sv.min():
-            raise SingularSystem(f"[A; mu D] has condition number {sv.max() / sv.min():.3g}, "
-                                 f"at or above {COND_LIMIT:g}")
+        cond = _ratio(Ls)
+        if cond >= COND_LIMIT:
+            raise SingularSystem(f"[A; mu D] has condition number {cond:.3g}, at or above {COND_LIMIT:g}")
 
 
 class _Factors:
     """The eigenbasis of the regularized solve of one (A, order): X, in
     full coordinates with the parts' columns side by side, and g (see the
-    module docstring). SingularSystem on construction when [A; mu D_k]
-    fails the rank rule."""
+    module docstring). On construction, InvalidDimension when D_k has no
+    row on the profiles (_checked_nodes), before any product, and
+    SingularSystem when [A; mu D_k] fails the rank rule."""
 
     def __init__(self, A, order, components):
+        m = A.shape[1] // components
+        _checked_nodes(order, m)
         self.A, self.order, self.components = A, order, components
         self.parities, rows = _parts(A, components)
-        m = A.shape[1] // components
         stencil = difference_operator(order, order + 1)[0]
         penalty_rows = A.shape[1] - components * order
         mu2 = np.vdot(A, A) / (penalty_rows * np.dot(stencil, stencil))  # ||A||_F^2 / ||D||_F^2
@@ -405,32 +410,28 @@ def _eigenbasis(Linv, Ab, order, components, mu2, m, parity):
 
 
 def _penalty_gradient(f, order, components):
-    """D_k^T D_k f, block by block over the components: np.diff is D_k up to
-    the sign (-1)^k, and its adjoint is the difference of the zero-padded
-    differences with that sign again."""
-    d = np.diff(f.reshape(components, -1), n=order, axis=-1)
-    d = np.pad(d, ((0, 0), (order, order)))
-    return (-1) ** order * np.diff(d, n=order, axis=-1).reshape(-1)
+    """D_k^T D_k f, block by block over the components: _differences is D_k
+    up to the sign (-1)^k, and its adjoint is the difference of the
+    zero-padded differences with that sign again."""
+    d = np.pad(_differences(f, order, components).reshape(components, -1), ((0, 0), (order, order)))
+    return (-1) ** order * _differences(d.reshape(-1), order, components)
 
 
-def _ratio(sv):
-    """The largest over the smallest of a matrix's singular values: inf
-    when the smallest is zero, ZeroMatrix when all are."""
+def _ratio(matrices):
+    """The largest over the smallest singular value of all the matrices
+    together: inf when the smallest is zero, ZeroMatrix when all are."""
+    sv = np.concatenate([np.linalg.svd(X, compute_uv=False) for X in matrices])
     if not np.any(sv):
         raise ZeroMatrix("condition number of an all-zero matrix")
     return float(sv.max() / sv.min()) if sv.min() else float("inf")
 
 
-def _condition_number(sys: InverseSystem) -> float:
-    """condition_number(sys.A), from the singular values of the parts the
-    system is factored in (see the module docstring)."""
-    parities, rows = _parts(sys.A, sys.components)
-    return _ratio(np.concatenate([np.linalg.svd(_fold(rows, parity, sys.components),
-                                                compute_uv=False) for parity in parities]))
-
-
 def condition_number(A) -> float:
     """2-norm condition number sv(1) / sv(min dimension).
+
+    A dual system with the mirror relation (see the module docstring)
+    takes its singular values from the mirror split, two quarter-size SVDs
+    of its even and odd halves; any other A, from one SVD of A.
 
     Raises
     ------
@@ -441,7 +442,8 @@ def condition_number(A) -> float:
     ZeroMatrix
         When A has no nonzero entry.
     """
-    return _ratio(np.linalg.svd(_checked_array(A, "matrix", ndim=2), compute_uv=False))
+    parities, rows = _parts(_checked_array(A, "matrix", ndim=2), 2)
+    return _ratio([_fold(rows, parity, 2) for parity in parities])
 
 
 def accuracy_error(f_num, f_exact) -> float:

@@ -1,7 +1,10 @@
 """The typed-error boundary: malformed input to a public entry point fails
 with a WaveforceError subclass, never a plain numpy or Python error."""
 
+import warnings
+
 import numpy as np
+import pytest
 
 import waveforce as wf
 
@@ -11,9 +14,9 @@ RAGGED = [[1.0], [1.0, 2.0]]
 WEIGHTS = [1e-3, 1e-2, 1e-1]
 
 
-def _problem(components=1):
-    return wf.WaveProblem(G, wf.InitialData.zero(G), wf.BoundaryData.zero(G),
-                          wf.Source((ONES,) * components))
+def _problem(components=1, grid=G):
+    return wf.WaveProblem(grid, wf.InitialData.zero(grid), wf.BoundaryData.zero(grid),
+                          wf.Source((np.ones((grid.M + 1, grid.N + 1)),) * components))
 
 
 P1, P2 = _problem(1), _problem(2)
@@ -173,6 +176,22 @@ def test_malformed_input_raises_only_typed_errors():
             else:
                 escaped.append(f"{slot} <- {bad!r}: accepted")
     assert not escaped, "\n".join(escaped)
+
+
+def test_order_the_profile_cannot_carry():
+    # lambda > 0 with a penalty of order k on profiles of k nodes or fewer:
+    # InvalidDimension before any product, so no RuntimeWarning either
+    for M, order in ((2, 1), (2, 2), (3, 2)):  # M - 1 nodes per profile
+        grid = wf.GridSpec(1.0, 1.0, M, M)
+        single = wf.assemble_single(_problem(1, grid), np.ones(M))
+        dual = wf.assemble_dual(_problem(2, grid), np.ones(M), np.ones(M))
+        for system in (single, dual):
+            for call in (lambda: wf.tikhonov_solve(system, wf.RegConfig(order, 1e-3)),
+                         lambda: wf.sweep(system, order, WEIGHTS)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(wf.InvalidDimension, match=f"order {order} needs"):
+                        call()
 
 
 def test_inverse_system_keeps_its_own_copy():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,17 @@ def test_error_reporting(tmp_path, capsys):
     code = run("invert", "--M", 10, "--N", 10, "--out", tmp_path / "y")
     assert code == 1
     assert "measured" in capsys.readouterr().err
+
+
+def test_order_the_profile_cannot_carry_exits_with_one_line(tmp_path, capsys):
+    # a penalty order with no row on M - 1 nodes per profile, single and dual
+    for argv, nodes in ((("invert", "--example", 2, "--M", 2, "--lambda", "1e-3"), 1),
+                        (("lcurve", "--example", 5, "--M", 3), 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "--reg-order", 2, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == \
+            f"InvalidDimension: operator of order 2 needs at least 3 entries, got {nodes}\n"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -86,6 +86,11 @@ def test_difference_operator_forms():
     assert not np.any(wf.difference_operator(1, 6) @ np.full(6, 3.7))
     x = np.linspace(0, 1, 6)
     assert np.max(np.abs(wf.difference_operator(2, 6) @ (2.0 + 5.0 * x))) <= 1e-12
+    # no entry is -0.0
+    for order in (0, 1, 2):
+        for m in (order + 1, 5):
+            D = wf.difference_operator(order, m)
+            assert not np.any(np.signbit(D[D == 0]))
 
 
 def test_difference_operator_needs_enough_nodes():
@@ -260,16 +265,54 @@ def test_folded_penalty_band():
                     assert np.array_equal(K[:m, :m], D.T @ D)
 
 
+def mirrored(n, m, odd_scale):
+    """A dual [L; L J] with the mirror relation, n rows and m nodes per
+    profile in L, whose rows' odd parts are odd_scale times their even ones."""
+    L = np.random.default_rng(0).normal(size=(n, 2, m))
+    L = (L + L[..., ::-1]) + odd_scale * (L - L[..., ::-1])
+    return np.vstack([L, L[..., ::-1]]).reshape(2 * n, 2 * m)
+
+
+def svd_ratio(A):
+    """Oracle: the largest over the smallest singular value of one SVD of A."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    return sv.max() / sv.min()
+
+
 def test_mirror_split_condition_number(bench):
-    from waveforce.tikhonov import _condition_number
+    # a mirrored dual takes its singular values from the two halves
     for m in (40, 80):
         s = bench(5, m).system
         assert tikhonov._has_mirror(s.A, 2)
-        want = wf.condition_number(s.A)
-        assert abs(_condition_number(s) - want) <= 1e-12 * want
-    # any other system is condition_number itself
+        want = svd_ratio(s.A)
+        assert abs(wf.condition_number(s.A) - want) <= 1e-12 * want
+    # the odd half holds the smallest singular values and the even half the
+    # largest: both halves count
+    A = mirrored(8, 3, 0.1)
+    assert tikhonov._has_mirror(A, 2)
+    assert abs(wf.condition_number(A) - svd_ratio(A)) <= 1e-12 * svd_ratio(A)
+    # any other system takes the SVD of A itself
     s = bench(2, 40).system
-    assert not tikhonov._has_mirror(s.A, 1) and _condition_number(s) == wf.condition_number(s.A)
+    assert not tikhonov._has_mirror(s.A, 2) and wf.condition_number(s.A) == svd_ratio(s.A)
+
+
+def test_rank_rule_counts_both_halves():
+    # an odd half that order 2 leaves nearly singular (D_2 has an odd null
+    # vector) and a well-conditioned even half: the rule reads cond([A; mu D])
+    # over both, so the split system fails it where the even half would pass
+    for odd_scale, fails in ((1e-4, False), (1e-7, True)):
+        A = mirrored(12, 5, odd_scale)
+        D = np.kron(np.eye(2), wf.difference_operator(2, 5))
+        cond = svd_ratio(np.vstack([A, np.sqrt(np.vdot(A, A) / np.vdot(D, D)) * D]))
+        assert tikhonov._has_mirror(A, 2) and (cond >= tikhonov.COND_LIMIT) == fails
+        system = wf.InverseSystem(A, np.ones(24), wf.GridSpec(1.0, 1.0, 6, 12), (np.zeros(12),) * 2,
+                                  wf.Source((np.ones((7, 13)),) * 2))
+        if fails:
+            with pytest.raises(wf.SingularSystem):
+                wf.tikhonov_solve(system, wf.RegConfig(2, 1e-3))
+        else:
+            wf.tikhonov_solve(system, wf.RegConfig(2, 1e-3))
+            assert system._factors[2].parities == (1, -1)
 
 
 def test_off_mirror_dual_falls_back_to_the_whole_system(bench):
