@@ -30,6 +30,10 @@ g, Q = eigh(C^-1 G C^-T), with g clipped to [0, 1], and X = R^-1 Q give
 
 so that (A^T A + lambda D_k^T D_k)^-1 = X diag(1 / s) X^T with
 s = g + t (1 - g) >= min(1, t) > 0: no weight is singular.
+L^-1 and C^-1 are formed by halves (_lower_inverse): a third of the flops
+of an LU inverse, nearly all of them in matrix products, so that one
+inverse at m = 319 takes 1.5-2.4 ms against 5.4-7.0 ms for np.linalg.inv
+(medians of 40, 2 vCPUs, numpy 2.4 with OpenBLAS 0.3).
 
 Per weight. The filtered solution f0 = X ((X^T A^T b) / s) is followed by
 one step of iterative refinement on the true normal equations,
@@ -105,6 +109,10 @@ RANK_TOL = 1e-12
 #: [A; mu D_k] at or above this condition number counts as rank-deficient
 #: for lambda > 0 (see the module docstring)
 COND_LIMIT = 1.0 / np.sqrt(RANK_TOL)
+
+#: _lower_inverse leaves triangles of at most this order to np.linalg.inv
+#: (orders 32 to 64 time alike)
+_INVERSE_BLOCK = 64
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -343,7 +351,7 @@ class _Factors:
         except np.linalg.LinAlgError:
             raise SingularSystem("A and the penalty share a null vector") from None
         del grams
-        Linvs = [np.linalg.inv(L) for L in Ls]
+        Linvs = [_lower_inverse(L) for L in Ls]
         _check_rank(Ls, Linvs)
         del Ls
         # popped: _eigenbasis holds the only reference to its part's L^-1
@@ -381,9 +389,12 @@ def _eigenbasis(Linv, Ab, order, components, mu2, m, parity):
     The caller passes the only reference to L^-1, so that it is freed
     before the eigh, which then sees R^-1 and its own input alive.
     """
-    # Far from the diagonal L^-1 can decay below the smallest normal double
-    # (scenario 4 at M >= 320). As zeros those entries change no sum at
-    # working precision; as subnormals they slow each product several-fold.
+    # Far from the diagonal L^-1 can decay below the smallest normal double:
+    # an LU inverse left 876 subnormal entries at scenario 4, order 2,
+    # M = 320 and 15,008 at M = 640. _lower_inverse leaves none there, but
+    # another BLAS may round differently. As zeros those entries change no
+    # sum at working precision; as subnormals they slow each product
+    # several-fold.
     Linv[np.abs(Linv) < np.finfo(float).tiny] = 0.0
     Z = Linv @ Ab.T  # (A V L^-T)^T
     G = Z @ Z.T
@@ -395,7 +406,7 @@ def _eigenbasis(Linv, Ab, order, components, mu2, m, parity):
     S += G  # G + H
     C = np.linalg.cholesky(S)
     del S
-    Cinv = np.linalg.inv(C)
+    Cinv = _lower_inverse(C)
     del C
     Rinv = Linv.T @ Cinv.T
     del Linv
@@ -407,6 +418,35 @@ def _eigenbasis(Linv, Ab, order, components, mu2, m, parity):
     W = Rinv @ Q
     del Rinv, Q
     return g, _unfold(W.T, parity, components, m)
+
+
+def _lower_inverse(L):
+    """L^-1 of a nonsingular lower-triangular L, by halves (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 14):
+
+        [[L11, 0], [L21, L22]]^-1 = [[X11, 0], [-X22 L21 X11, X22]],
+
+    each half inverted the same way down to triangles of at most
+    _INVERSE_BLOCK rows, which np.linalg.inv inverts. That is about
+    2 m^3 / 3 flops, nearly all in matrix products, where an LU inverse of
+    L (getrf and getri) takes about 2 m^3, much of it in matrix-vector
+    steps. The halves are written into one array, and its entries above
+    the diagonal are exact zeros.
+    """
+    X = np.zeros_like(L)
+
+    def fill(L, X):
+        if L.shape[0] <= _INVERSE_BLOCK:
+            X[...] = np.tril(np.linalg.inv(L))  # the LU leaves rounding above the diagonal
+            return
+        h = L.shape[0] // 2
+        fill(L[:h, :h], X[:h, :h])
+        fill(L[h:, h:], X[h:, h:])
+        np.matmul(X[h:, h:], L[h:, :h] @ X[:h, :h], out=X[h:, :h])
+        X[h:, :h] *= -1.0
+
+    fill(L, X)
+    return X
 
 
 def _penalty_gradient(f, order, components):

@@ -173,12 +173,15 @@ def test_factored_solve_matches_stacked_lstsq(bench):
 
 
 def test_one_factorization_per_system_and_order(bench, monkeypatch):
-    # per part, one Cholesky of K, one of the re-whitened G + H and one eigh
-    calls = []
+    # per part, one Cholesky of K, one of the re-whitened G + H and one eigh;
+    # np.linalg.inv sees only the triangular blocks of _lower_inverse
+    calls, inverses = [], []
     for name in ("cholesky", "eigh"):
         routine = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda K, routine=routine, name=name:
                             calls.append((name, K.shape)) or routine(K))
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda X: inverses.append(X.shape[0]) or inv(X))
     a = bench(2, 40)
     system = dataclasses.replace(a.system)  # a copy without factors
     noisy = system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 1))
@@ -220,6 +223,40 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
     assert len(calls) == 6
     wf.sweep(draw, 1)
     assert len(calls) == 12
+    # above the block size (m = 159) the factors reach np.linalg.inv only
+    # as blocks of at most _INVERSE_BLOCK rows
+    inverses.clear()
+    a = bench(2, 160)
+    wf.tikhonov_solve(dataclasses.replace(a.system), wf.RegConfig(order=2, lam=1e-3))
+    assert inverses and max(inverses) <= tikhonov._INVERSE_BLOCK < a.system.A.shape[1]
+
+
+def test_lower_inverse_matches_lu_inverse(bench):
+    # _lower_inverse against np.linalg.inv, the LU inverse it replaced. On
+    # scenario 4's factor (order 2) the largest gap reads 1.1e-15 of
+    # max|L^-1| and ||L X - I||_F 1.6e-13 at M = 320 (the LU inverse's
+    # 4.0e-14), and 1.8e-15 and 7.7e-13 at M = 640 (1.1e-13); the
+    # tolerances hold both sizes
+    from waveforce.tikhonov import _INVERSE_BLOCK, _lower_inverse
+    rng = np.random.default_rng(5)
+    factors = []
+    for m in (1, 2, _INVERSE_BLOCK - 1, _INVERSE_BLOCK, _INVERSE_BLOCK + 1, 159, 319):
+        L = np.tril(rng.normal(size=(m, m))) / np.sqrt(m)
+        np.fill_diagonal(L, 1.0 + rng.random(m))  # well conditioned
+        factors.append(L)
+    # scenario 4's factor at M = 320: its LU inverse decays below the
+    # smallest normal double far from the diagonal
+    A = bench(4, 320).system.A
+    D = penalty(2, A.shape[1])
+    L = np.linalg.cholesky(A.T @ A + np.vdot(A, A) / np.vdot(D, D) * (D.T @ D))
+    lu = np.abs(np.linalg.inv(L))
+    assert np.any((lu > 0) & (lu < np.finfo(float).tiny))
+    factors.append(L)
+    for L in factors:
+        X, want = _lower_inverse(L), np.linalg.inv(L)
+        assert X.shape == L.shape and not np.any(np.triu(X, 1))
+        assert np.max(np.abs(X - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.linalg.norm(L @ X - np.eye(L.shape[0])) <= 1e-12
 
 
 def test_fold_is_orthonormal():
