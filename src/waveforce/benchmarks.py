@@ -36,7 +36,6 @@ from .errors import InvalidDimension, UnknownExample, WaveforceError
 from .fdm import flux, solve_direct
 from .model import (
     LEFT,
-    RIGHT,
     BoundaryData,
     FluxSeries,
     ForceVector,
@@ -45,6 +44,8 @@ from .model import (
     Source,
     WaveField,
     WaveProblem,
+    _checked_end,
+    _instance,
     _integer,
     sample_grid,
 )
@@ -152,7 +153,11 @@ def example_spec(example_id: int) -> ExampleSpec:
         raise UnknownExample(f"no benchmark scenario with id {example_id!r}") from None
 
 
-def _check_grid(spec: ExampleSpec, grid: GridSpec):
+def _scenario(example_id: int, grid: GridSpec) -> ExampleSpec:
+    """The spec of scenario `example_id`, once `grid` is a GridSpec the
+    scenario is defined on: the one way the scenario functions reach it."""
+    spec = example_spec(example_id)
+    _instance(grid, (GridSpec,), "grid")
     # closed forms are written for a unit-speed unit-length string; the
     # zero-data scenarios and the dual one additionally fix T = 1 so the
     # tabulated references apply
@@ -162,12 +167,20 @@ def _check_grid(spec: ExampleSpec, grid: GridSpec):
         )
     if spec.id != 1 and grid.T != 1.0:
         raise WaveforceError(f"scenario {spec.id} is defined for T = 1, got T={grid.T}")
+    return spec
+
+
+def _refinement(value) -> int:
+    """`value` as a mesh refinement factor, an integer >= 1, else InvalidDimension."""
+    r = _integer(value, "data_refine")
+    if r < 1:
+        raise InvalidDimension(f"data_refine must be a positive integer, got {value!r}")
+    return r
 
 
 def inverse_problem(example_id: int, grid: GridSpec) -> WaveProblem:
     """Identification problem for a scenario: source profile(s) left unknown."""
-    spec = example_spec(example_id)
-    _check_grid(spec, grid)
+    spec = _scenario(example_id, grid)
     return WaveProblem(grid,
                        InitialData.from_callables(grid, spec.u0, spec.v0),
                        BoundaryData.from_callables(grid, spec.left, spec.right),
@@ -176,19 +189,19 @@ def inverse_problem(example_id: int, grid: GridSpec) -> WaveProblem:
 
 def direct_problem(example_id: int, grid: GridSpec) -> WaveProblem:
     """Same scenario with the exact force bound: ready for a direct solve."""
-    spec = example_spec(example_id)
+    spec = _scenario(example_id, grid)
     return inverse_problem(example_id, grid).with_force(*(f(grid.x) for f in spec.exact_forces))
 
 
 def exact_force(example_id: int, grid: GridSpec) -> ForceVector:
     """Exact profile(s) at the interior nodes, stacked f then g for the dual case."""
-    forces = example_spec(example_id).exact_forces
+    forces = _scenario(example_id, grid).exact_forces
     return ForceVector(np.concatenate([f(grid.interior_x) for f in forces]), len(forces))
 
 
 def exact_field(example_id: int, grid: GridSpec) -> WaveField | None:
     """Closed-form displacement sampled on the grid, or None when unavailable."""
-    spec = example_spec(example_id)
+    spec = _scenario(example_id, grid)
     if spec.exact_field is None:
         return None
     return WaveField(grid, sample_grid(grid, spec.exact_field))
@@ -203,13 +216,8 @@ def measured_flux(example_id: int, grid: GridSpec, end: str = LEFT,
     (data_refine = 1, the default) or on a mesh refined by that integer
     factor in both directions, keeping every data_refine-th time sample.
     """
-    if end not in (LEFT, RIGHT):
-        raise WaveforceError(f"end must be {LEFT!r} or {RIGHT!r}, got {end!r}")
-    r = _integer(data_refine, "data_refine")
-    if r < 1:
-        raise InvalidDimension(f"data_refine must be a positive integer, got {data_refine!r}")
-    spec = example_spec(example_id)
-    _check_grid(spec, grid)
+    end, r = _checked_end(end), _refinement(data_refine)
+    spec = _scenario(example_id, grid)
     analytic = spec.flux_left if end == LEFT else spec.flux_right
     if analytic is not None:
         return FluxSeries(end, analytic(grid.t[1:]))

@@ -37,13 +37,14 @@ from . import __version__
 from .benchmarks import (
     REFERENCE_FLUX_TIMES,
     REFERENCE_REGULARIZATION,
+    _refinement,
     direct_problem,
     exact_force,
     example_spec,
     inverse_problem,
     measured_flux,
 )
-from .csvio import ensure_dir, read_matrix, read_series, write_matrix, write_rows, write_series
+from .csvio import read_matrix, read_series, write_matrix, write_rows, write_series
 from .errors import WaveforceError
 from .fdm import flux, solve_direct
 from .inverse import _observed_ends, assemble_dual, assemble_single
@@ -100,11 +101,6 @@ def _data_file(help, commands):
     return _setting(None, help, commands, only=_EXTERNAL)
 
 
-def _at_least_one(value) -> None:
-    if value < 1:
-        raise WaveforceError(f"must be >= 1, got {value}")
-
-
 @dataclass
 class RunConfig:
     """Fully resolved invocation: defaults, config file, and flags merged.
@@ -132,7 +128,7 @@ class RunConfig:
                                         _IDENTIFY, check=_checked_grid, only=_SWEPT)
     out: str = _setting("out", "output directory", _ALL)
     data_refine: int = _setting(1, "simulate measured data on a mesh this many times finer",
-                                _IDENTIFY, check=_at_least_one, only=_SIMULATED)
+                                _IDENTIFY, check=_refinement, only=_SIMULATED)
     dump_system: bool = _setting(False, "also write system_A.csv and system_b.csv", ("invert",))
     u0: str | None = _data_file("initial displacement series file (M+1 values)", _PROBLEM)
     v0: str | None = _data_file("initial velocity series file (M+1 values)", _PROBLEM)
@@ -283,18 +279,19 @@ def _write_manifest(outdir: Path, cfg: RunConfig, artifacts: list) -> None:
         fh.write("\n")
 
 
-def _external_data(cfg: RunConfig, grid: GridSpec):
+def _external_problem(cfg: RunConfig, grid: GridSpec) -> WaveProblem:
+    """The problem the external data files state: a series file not given
+    reads as zeros, and the source holds the --modulation matrix (ones
+    when not given), followed by the --modulation2 matrix when given."""
     u0 = read_series(cfg.u0) if cfg.u0 else np.zeros(grid.M + 1)
     v0 = read_series(cfg.v0) if cfg.v0 else np.zeros(grid.M + 1)
     left = read_series(cfg.bc_left) if cfg.bc_left else np.zeros(grid.N + 1)
     right = read_series(cfg.bc_right) if cfg.bc_right else np.zeros(grid.N + 1)
-    return InitialData(u0, v0), BoundaryData(left, right)
-
-
-def _external_modulation(cfg: RunConfig, grid: GridSpec) -> np.ndarray:
-    if cfg.modulation:
-        return read_matrix(cfg.modulation)
-    return np.ones((grid.M + 1, grid.N + 1))
+    modulations = [read_matrix(cfg.modulation) if cfg.modulation
+                   else np.ones((grid.M + 1, grid.N + 1))]
+    if cfg.modulation2 is not None:
+        modulations.append(read_matrix(cfg.modulation2))
+    return WaveProblem(grid, InitialData(u0, v0), BoundaryData(left, right), Source(modulations))
 
 
 def _run_direct(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
@@ -302,11 +299,8 @@ def _run_direct(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     if cfg.example is not None:
         problem = direct_problem(cfg.example, grid)
     else:
-        initial, boundary = _external_data(cfg, grid)
-        base = WaveProblem(grid, initial, boundary,
-                           Source((_external_modulation(cfg, grid),)))
         profile = read_series(cfg.force) if cfg.force else np.zeros(grid.M - 1)
-        problem = base.with_force(profile)
+        problem = _external_problem(cfg, grid).with_force(profile)
     field = solve_direct(problem)
     write_matrix(outdir / "field.csv", field.values)
     write_series(outdir / "flux_left.csv", flux(field, LEFT).values)
@@ -335,12 +329,9 @@ def _assemble(cfg: RunConfig, stages: _Stages):
         if dual != (cfg.modulation2 is not None):
             raise WaveforceError("dual identification needs both --modulation2 and --measured-right")
         measured = [FluxSeries(LEFT, read_series(cfg.measured_left))]
-        modulations = [_external_modulation(cfg, grid)]
         if dual:
             measured.append(FluxSeries(RIGHT, read_series(cfg.measured_right)))
-            modulations.append(read_matrix(cfg.modulation2))
-        initial, boundary = _external_data(cfg, grid)
-        problem = WaveProblem(grid, initial, boundary, Source(modulations))
+        problem = _external_problem(cfg, grid)
         exact = None
     stages.lap("data")
     assemble = assemble_single if len(measured) == 1 else assemble_dual
@@ -477,7 +468,8 @@ def main(argv=None) -> int:
     stages = _Stages()
     try:
         cfg = _resolve(args)
-        outdir = ensure_dir(cfg.out)
+        outdir = Path(cfg.out)
+        outdir.mkdir(parents=True, exist_ok=True)
         artifacts = _COMMANDS[cfg.command][0](cfg, outdir, stages)
         _write_manifest(outdir, cfg, artifacts + ["manifest.json"])
         stages.lap("output")

@@ -12,8 +12,6 @@ Three layouts:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .model import _checked_array
@@ -82,10 +80,3 @@ def read_rows(path):
         return [], []
     header = lines[0].split(",")
     return header, [ln.split(",") for ln in lines[1:]]
-
-
-def ensure_dir(path) -> Path:
-    """Create a directory (parents included) if needed and return it."""
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p

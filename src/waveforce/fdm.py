@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnresolvedForce
-from .model import LEFT, RIGHT, FluxSeries, KnownForce, WaveField, WaveProblem
+from .errors import UnresolvedForce
+from .model import LEFT, FluxSeries, KnownForce, WaveField, WaveProblem, _checked_end, _instance
 
 
 def solve_direct(problem: WaveProblem) -> WaveField:
@@ -44,6 +44,7 @@ def solve_direct(problem: WaveProblem) -> WaveField:
     UnresolvedForce
         If the source still has unknown components.
     """
+    _instance(problem, (WaveProblem,), "problem")
     if not isinstance(problem.source, KnownForce):
         raise UnresolvedForce("direct solve needs a fully specified force; use with_force")
     g = problem.grid
@@ -95,13 +96,12 @@ def flux(field: WaveField, end: str) -> FluxSeries:
     -------
     FluxSeries
     """
+    _instance(field, (WaveField,), "field")
     u = field.values
     g = field.grid
     two_dx = 2.0 * g.dx
-    if end == LEFT:
+    if _checked_end(end) == LEFT:
         vals = -(4.0 * u[1, 1:] - u[2, 1:] - 3.0 * u[0, 1:]) / two_dx
-    elif end == RIGHT:
-        vals = (3.0 * u[g.M, 1:] - 4.0 * u[g.M - 1, 1:] + u[g.M - 2, 1:]) / two_dx
     else:
-        raise DimensionMismatch(f"end must be {LEFT!r} or {RIGHT!r}, got {end!r}")
+        vals = (3.0 * u[g.M, 1:] - 4.0 * u[g.M - 1, 1:] + u[g.M - 2, 1:]) / two_dx
     return FluxSeries(end, vals)

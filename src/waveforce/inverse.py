@@ -159,6 +159,7 @@ def _assemble(problem, measured, noise):
     kernel. The right block is the mirror image (see the module
     docstring). b comes from with_measurement.
     """
+    _instance(problem, (WaveProblem,), "problem")
     components = len(measured)
     if problem.source.unknowns != components:
         raise WaveforceError(f"expected a source with {components} unknown profile(s), "

@@ -3,9 +3,9 @@
 No algorithms live here. Construction validates everything the solvers rely
 on (sizes, stability ratio, boundary/initial compatibility) so downstream
 code can assume well-formed inputs. Every caller array enters through
-_checked_array, the one intake rule of the package, and every object-valued
-argument through _instance; array payloads are copied and marked
-read-only, so instances are safe to share.
+_checked_array, the one intake rule of the package, every object-valued
+argument through _instance and every end through _checked_end; array
+payloads are copied and marked read-only, so instances are safe to share.
 """
 
 from __future__ import annotations
@@ -74,6 +74,14 @@ def _instance(value, types, name):
     if not isinstance(value, types):
         raise WrongType(f"{name} must be a {' or '.join(t.__name__ for t in types)}, "
                         f"got {type(value).__name__}")
+
+
+def _checked_end(end):
+    """`end` if it names an end of the string, else DimensionMismatch: the
+    intake rule for end arguments."""
+    if not isinstance(end, str) or end not in (LEFT, RIGHT):
+        raise DimensionMismatch(f"end must be {LEFT!r} or {RIGHT!r}, got {end!r}")
+    return end
 
 
 def _broadcast(values, shape, name):
@@ -162,6 +170,7 @@ def sample_grid(grid, fn):
     `fn` is called once with broadcastable arrays and may return a scalar
     (constant functions) or any broadcast-compatible array.
     """
+    _instance(grid, (GridSpec,), "grid")
     values = _broadcast(fn(grid.x[:, None], grid.t[None, :]), (grid.M + 1, grid.N + 1),
                         "sampled function")
     return _readonly(values, "sampled function", ndim=2)
@@ -185,11 +194,13 @@ class InitialData:
 
     @classmethod
     def from_callables(cls, grid, u0, v0):
+        _instance(grid, (GridSpec,), "grid")
         x = grid.x
         return cls(_broadcast(u0(x), x.shape, "displacement"), _broadcast(v0(x), x.shape, "velocity"))
 
     @classmethod
     def zero(cls, grid):
+        _instance(grid, (GridSpec,), "grid")
         z = np.zeros(grid.M + 1)
         return cls(z, z)
 
@@ -214,12 +225,14 @@ class BoundaryData:
 
     @classmethod
     def from_callables(cls, grid, p0, pl):
+        _instance(grid, (GridSpec,), "grid")
         t = grid.t
         return cls(_broadcast(p0(t), t.shape, "left boundary"),
                    _broadcast(pl(t), t.shape, "right boundary"))
 
     @classmethod
     def zero(cls, grid):
+        _instance(grid, (GridSpec,), "grid")
         z = np.zeros(grid.N + 1)
         return cls(z, z)
 
@@ -309,16 +322,11 @@ class WaveProblem:
             if a.shape != shape:
                 raise DimensionMismatch(f"source array shape {a.shape} does not match grid {shape}")
         u0 = self.initial.displacement
-        if abs(self.boundary.left[0] - u0[0]) > COMPATIBILITY_TOL:
-            raise IncompatibleData(
-                f"left boundary at t=0 is {self.boundary.left[0]!r} but initial "
-                f"displacement at x=0 is {u0[0]!r}"
-            )
-        if abs(self.boundary.right[0] - u0[-1]) > COMPATIBILITY_TOL:
-            raise IncompatibleData(
-                f"right boundary at t=0 is {self.boundary.right[0]!r} but initial "
-                f"displacement at x=L is {u0[-1]!r}"
-            )
+        for end, series, node, x in ((LEFT, self.boundary.left, 0, "0"),
+                                     (RIGHT, self.boundary.right, -1, "L")):
+            if abs(series[0] - u0[node]) > COMPATIBILITY_TOL:
+                raise IncompatibleData(f"{end} boundary at t=0 is {series[0]!r} but initial "
+                                       f"displacement at x={x} is {u0[node]!r}")
 
     def with_force(self, *profiles):
         """Bind one concrete space profile to each unknown source component.
@@ -349,6 +357,7 @@ class WaveField:
     values: np.ndarray
 
     def __post_init__(self):
+        _instance(self.grid, (GridSpec,), "grid")
         object.__setattr__(self, "values", _readonly(self.values, "field values", ndim=2))
         shape = (self.grid.M + 1, self.grid.N + 1)
         if self.values.shape != shape:
@@ -367,8 +376,7 @@ class FluxSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.end, str) or self.end not in (LEFT, RIGHT):
-            raise WaveforceError(f"end must be {LEFT!r} or {RIGHT!r}, got {self.end!r}")
+        _checked_end(self.end)
         object.__setattr__(self, "values", _readonly(self.values, "flux values"))
         if self.values.size < 1:
             raise DimensionMismatch("flux series is empty")

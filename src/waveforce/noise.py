@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WaveforceError
-from .model import LEFT, RIGHT, FluxSeries, _integer, _real
+from .model import LEFT, RIGHT, FluxSeries, _instance, _integer, _real
 
 _END_CODE = {LEFT: 0, RIGHT: 1}
 
@@ -47,8 +47,10 @@ class NoiseSpec:
 
 
 def noise_sigma(series: FluxSeries, p: float) -> float:
-    """Standard deviation used for a given series: p * max_j |q_j|."""
-    return float(p) * float(np.abs(series.values).max())
+    """Standard deviation used for a given series: p * max_j |q_j|, for a
+    noise fraction p as NoiseSpec takes it."""
+    _instance(series, (FluxSeries,), "series")
+    return NoiseSpec(p).p * float(np.abs(series.values).max())
 
 
 def add_noise(series: FluxSeries, spec: NoiseSpec) -> FluxSeries:
@@ -56,8 +58,8 @@ def add_noise(series: FluxSeries, spec: NoiseSpec) -> FluxSeries:
 
     p = 0 returns the input series unchanged (bit-exact, same object).
     """
-    if not isinstance(series, FluxSeries) or not isinstance(spec, NoiseSpec):
-        raise WaveforceError("add_noise takes a FluxSeries and a NoiseSpec")
+    _instance(series, (FluxSeries,), "series")
+    _instance(spec, (NoiseSpec,), "noise spec")
     if spec.p == 0.0:
         return series
     sigma = noise_sigma(series, spec.p)

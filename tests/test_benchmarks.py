@@ -13,6 +13,13 @@ def test_unknown_ids_rejected():
 
 
 def test_grid_preconditions():
+    # every scenario function takes its grid through the one scenario rule
+    for grid in (wf.GridSpec(2.0, 1.0, 8, 8), wf.GridSpec(1.0, 1.0, 8, 8, 0.5)):  # L, c != 1
+        for fn in (wf.inverse_problem, wf.direct_problem, wf.measured_flux, wf.exact_force,
+                   wf.exact_field):
+            for ex in (1, 2):
+                with pytest.raises(wf.WaveforceError, match="defined for c = L = 1"):
+                    fn(ex, grid)
     with pytest.raises(wf.WaveforceError):
         wf.inverse_problem(1, wf.GridSpec(2.0, 2.0, 10, 10))  # L != 1
     with pytest.raises(wf.WaveforceError):

@@ -1,6 +1,7 @@
 """The typed-error boundary: malformed input to a public entry point fails
 with a WaveforceError subclass, never a plain numpy or Python error."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ P1, P2 = _problem(1), _problem(2)
 SYSTEM = wf.assemble_single(P1, np.ones(4))
 BG = SYSTEM.background
 INITIAL, BOUNDARY = P1.initial, P1.boundary
+FIELD = wf.WaveField(G, ONES)
 
 
 def _points(first_residual):
@@ -45,6 +47,9 @@ def _catalogue(valid):
 #: malformed stand-ins for a scalar slot
 BAD_SCALARS = [RAGGED, [1.0], np.ones((2, 2, 2)), np.nan, np.inf, True, "abc", None]
 
+#: malformed stand-ins for an end slot
+BAD_ENDS = ["middle", None, True, [wf.LEFT, wf.RIGHT], np.array([wf.LEFT, wf.RIGHT])]
+
 # slot -> (valid value, call with the slot filled); the other arguments are valid
 ARRAY_SLOTS = {
     "InitialData.displacement": (np.zeros(5), lambda v: wf.InitialData(v, np.zeros(5))),
@@ -53,6 +58,7 @@ ARRAY_SLOTS = {
     "BoundaryData.right": (np.zeros(5), lambda v: wf.BoundaryData(np.zeros(5), v)),
     "Source.modulations[0]": (ONES, lambda v: wf.Source((v,))),
     "Source.modulations[1]": (ONES, lambda v: wf.Source((ONES, v))),
+    "KnownForce.values": (ONES, wf.KnownForce),
     "FluxSeries.values": (np.zeros(4), lambda v: wf.FluxSeries(wf.LEFT, v)),
     "ForceVector.values": (np.zeros(4), lambda v: wf.ForceVector(v)),
     "WaveProblem.with_force": (np.zeros(3), lambda v: P1.with_force(v)),
@@ -76,19 +82,24 @@ SCALAR_SLOTS = {
     "GridSpec.N": (4, lambda v: wf.GridSpec(1.0, 1.0, 4, v)),
     "GridSpec.c": (1.0, lambda v: wf.GridSpec(1.0, 1.0, 4, 4, v)),
     "ForceVector.components": (1, lambda v: wf.ForceVector(np.zeros(4), v)),
-    "tikhonov_solve.order": (1, lambda v: wf.tikhonov_solve(SYSTEM, wf.RegConfig(v, 1e-3))),
-    "tikhonov_solve.lam": (1e-3, lambda v: wf.tikhonov_solve(SYSTEM, wf.RegConfig(1, v))),
+    "RegConfig.order": (1, lambda v: wf.tikhonov_solve(SYSTEM, wf.RegConfig(v, 1e-3))),
+    "RegConfig.lam": (1e-3, lambda v: wf.tikhonov_solve(SYSTEM, wf.RegConfig(1, v))),
     "sweep.order": (1, lambda v: wf.sweep(SYSTEM, v, WEIGHTS)),
-    "add_noise.p": (0.01, lambda v: wf.add_noise(BG[0], wf.NoiseSpec(v, 1))),
-    "add_noise.seed": (1, lambda v: wf.add_noise(BG[0], wf.NoiseSpec(0.01, v))),
+    "NoiseSpec.p": (0.01, lambda v: wf.add_noise(BG[0], wf.NoiseSpec(v, 1))),
+    "NoiseSpec.seed": (1, lambda v: wf.add_noise(BG[0], wf.NoiseSpec(0.01, v))),
+    "difference_operator.order": (1, lambda v: wf.difference_operator(v, 3)),
+    "difference_operator.m": (3, lambda v: wf.difference_operator(1, v)),
 }
 
 # slot -> (valid value, call, malformed values): a slot whose valid value is
 # not an array, and wrong component counts
 OTHER_SLOTS = {
     "Source.modulations": ((ONES,), wf.Source, [(), (ONES,) * 3, ONES[0, 0], True, "abc", RAGGED]),
-    "FluxSeries.end": (wf.LEFT, lambda v: wf.FluxSeries(v, np.zeros(4)),
-                       ["middle", None, True, [wf.LEFT, wf.RIGHT], np.array([wf.LEFT, wf.RIGHT])]),
+    "FluxSeries.end": (wf.LEFT, lambda v: wf.FluxSeries(v, np.zeros(4)), BAD_ENDS),
+    "flux.end": (wf.LEFT, lambda v: wf.flux(FIELD, v), BAD_ENDS),
+    "measured_flux.end": (wf.LEFT, lambda v: wf.measured_flux(2, G, v), BAD_ENDS),
+    "noise_sigma.p": (0.01, lambda v: wf.noise_sigma(BG[0], v), BAD_SCALARS + ["0.1", -1.0]),
+    "example_spec.example_id": (2, wf.example_spec, [0, 6, 2.5, None, "2", RAGGED]),
     "ForceVector.components (count)": (2, lambda v: wf.ForceVector(np.zeros(4), v), [3, 0, -1]),
     "WaveProblem.with_force (count)": (
         (np.zeros(3),), lambda v: P1.with_force(*v), [(), (np.zeros(3),) * 2]),
@@ -146,6 +157,35 @@ OBJECT_SLOTS = {
     "tikhonov_solve.cfg": (wf.RegConfig(1, 1e-3), lambda v: wf.tikhonov_solve(SYSTEM, v),
                            wf.NoiseSpec(0.01)),
     "sweep.sys": (SYSTEM, lambda v: wf.sweep(v, 0, WEIGHTS), P1),
+    "solve_direct.problem": (P1.with_force(np.zeros(3)), wf.solve_direct, G),
+    "flux.field": (FIELD, lambda v: wf.flux(v, wf.LEFT), G),
+    "sample_grid.grid": (G, lambda v: wf.sample_grid(v, lambda x, t: x * t), INITIAL),
+    "InitialData.zero.grid": (G, wf.InitialData.zero, INITIAL),
+    "InitialData.from_callables.grid": (
+        G, lambda v: wf.InitialData.from_callables(v, np.zeros_like, np.zeros_like), INITIAL),
+    "BoundaryData.zero.grid": (G, wf.BoundaryData.zero, INITIAL),
+    "BoundaryData.from_callables.grid": (
+        G, lambda v: wf.BoundaryData.from_callables(v, np.zeros_like, np.zeros_like), INITIAL),
+    "WaveField.grid": (G, lambda v: wf.WaveField(v, ONES), INITIAL),
+    "noise_sigma.series": (BG[0], lambda v: wf.noise_sigma(v, 0.01), G),
+    "assemble_single.problem": (P1, lambda v: wf.assemble_single(v, np.zeros(4)), G),
+    "assemble_dual.problem": (P2, lambda v: wf.assemble_dual(v, np.zeros(4), np.zeros(4)), G),
+    **{f"{fn.__name__}.grid": (G, lambda v, fn=fn: fn(2, v), INITIAL)
+       for fn in (wf.inverse_problem, wf.direct_problem, wf.measured_flux, wf.exact_force,
+                  wf.exact_field)},
+}
+
+#: public callables with no row in the tables above, and why
+NO_ROWS = {
+    **dict.fromkeys(["WaveforceError", "WrongType", "CFLViolation", "InvalidDimension",
+                     "DimensionMismatch", "IncompatibleData", "UnresolvedForce",
+                     "UnderdeterminedSystem", "SingularSystem", "ZeroMatrix", "DegenerateCurve",
+                     "UnknownExample"],
+                    "an error class: it takes the message the package raises it with"),
+    "ExampleSpec": "a record of closed forms that only the package builds; a caller reaches a "
+                   "scenario by its id (rows example_spec and the scenario functions)",
+    "LCurvePoint": "a record of one sweep sample; corner checks the points it is given "
+                   "(row corner.points)",
 }
 
 
@@ -176,6 +216,16 @@ def test_malformed_input_raises_only_typed_errors():
             else:
                 escaped.append(f"{slot} <- {bad!r}: accepted")
     assert not escaped, "\n".join(escaped)
+
+
+def test_every_public_entry_point_has_a_row():
+    # a slot is named "<public name>.<argument>" or "<public name> (<what>)"
+    covered = {slot.split(".")[0].split(" ")[0] for slot, *_ in _cases()}
+    missing = [name for name in wf.__all__
+               if callable(getattr(wf, name)) and name not in NO_ROWS and name not in covered
+               and inspect.signature(getattr(wf, name)).parameters]
+    assert not missing, f"public callables with no row and no exemption: {missing}"
+    assert not set(NO_ROWS) - set(wf.__all__), "exemption of a name that is not public"
 
 
 def test_order_the_profile_cannot_carry():

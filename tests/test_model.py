@@ -88,15 +88,16 @@ def test_problem_size_checks():
 
 def test_corner_compatibility_enforced():
     g = wf.GridSpec(1.0, 1.0, 4, 4)
-    u0 = np.zeros(5)
-    u0[0] = 1.0  # disagrees with left(0) = 0
-    with pytest.raises(wf.IncompatibleData):
+    for end, node in ((wf.LEFT, 0), (wf.RIGHT, -1)):
+        u0 = np.zeros(5)
+        u0[node] = 1.0  # disagrees with the end's boundary value 0 at t = 0
+        with pytest.raises(wf.IncompatibleData, match=f"{end} boundary at t=0"):
+            wf.WaveProblem(g, wf.InitialData(u0, np.zeros(5)), wf.BoundaryData.zero(g),
+                           wf.Source((np.ones((5, 5)),)))
+        # mismatch below tolerance passes
+        u0[node] = 1e-13
         wf.WaveProblem(g, wf.InitialData(u0, np.zeros(5)), wf.BoundaryData.zero(g),
                        wf.Source((np.ones((5, 5)),)))
-    # mismatch below tolerance passes
-    u0[0] = 1e-13
-    wf.WaveProblem(g, wf.InitialData(u0, np.zeros(5)), wf.BoundaryData.zero(g),
-                   wf.Source((np.ones((5, 5)),)))
 
 
 def test_with_force_profile_lengths():
