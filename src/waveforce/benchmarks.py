@@ -47,34 +47,43 @@ from .model import (
     _checked_end,
     _instance,
     _integer,
+    _sampled,
     sample_grid,
 )
 
-ALL_EXAMPLES = (1, 2, 3, 4, 5)
+
+def _zero(_):
+    return 0.0
 
 
 def _hat(x):
     # rises to 0.5 at x = 1/2, falls back to 0 at x = 1; both branches
     # agree at the peak
-    x = np.asarray(x, dtype=float)
     return np.where(x <= 0.5, x, 1.0 - x)
 
 
-@dataclass(frozen=True, eq=False)
+def _smooth(x):
+    return 1.0 + np.pi ** 2 * np.sin(np.pi * x)
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ExampleSpec:
     """Closed forms defining one benchmark scenario.
 
-    All callables take and return arrays (broadcasting scalars is fine).
-    modulations and exact_forces pair up: one modulation and one exact
-    profile per unknown component (two for the dual scenario). exact_field
-    and the analytic flux closures are set only where a closed form exists.
+    Each closure states only its math: it is called with the grid's node
+    arrays (x, t, or x and t in broadcastable shapes) and may return
+    anything that broadcasts to the shape they span, a constant included.
+    The initial and boundary data are zero unless given. modulations and
+    exact_forces pair up: one modulation and one exact profile per unknown
+    component (two for the dual scenario). exact_field and the analytic
+    flux closures are set only where a closed form exists.
     """
 
     id: int
-    u0: Callable
-    v0: Callable
-    left: Callable
-    right: Callable
+    u0: Callable = _zero
+    v0: Callable = _zero
+    left: Callable = _zero
+    right: Callable = _zero
     modulations: tuple
     exact_forces: tuple
     exact_field: Callable | None = None
@@ -82,61 +91,37 @@ class ExampleSpec:
     flux_right: Callable | None = None
 
 
-_EXAMPLES = {
-    1: ExampleSpec(
+_EXAMPLES = {spec.id: spec for spec in (
+    ExampleSpec(
         id=1,
         u0=lambda x: np.sin(np.pi * x),
-        v0=lambda x: np.ones_like(x),
+        v0=lambda x: 1.0,
         left=lambda t: t + 0.5 * t * t,
         right=lambda t: t + 0.5 * t * t,
-        modulations=(lambda x, t: np.ones(np.broadcast_shapes(np.shape(x), np.shape(t))),),
-        exact_forces=(lambda x: 1.0 + np.pi ** 2 * np.sin(np.pi * x),),
+        modulations=(lambda x, t: 1.0,),
+        exact_forces=(_smooth,),
         exact_field=lambda x, t: np.sin(np.pi * x) + t + 0.5 * t * t,
-        flux_left=lambda t: np.full_like(np.asarray(t, dtype=float), -np.pi),
-        flux_right=lambda t: np.full_like(np.asarray(t, dtype=float), -np.pi),
+        flux_left=lambda t: -np.pi,
+        flux_right=lambda t: -np.pi,
     ),
-    2: ExampleSpec(
-        id=2,
-        u0=lambda x: np.zeros_like(x),
-        v0=lambda x: np.zeros_like(x),
-        left=lambda t: np.zeros_like(t),
-        right=lambda t: np.zeros_like(t),
-        modulations=(lambda x, t: 1.0 + t + 0.0 * x,),
-        exact_forces=(_hat,),
-    ),
-    3: ExampleSpec(
-        id=3,
-        u0=lambda x: np.zeros_like(x),
-        v0=lambda x: np.zeros_like(x),
-        left=lambda t: np.zeros_like(t),
-        right=lambda t: np.zeros_like(t),
-        modulations=(lambda x, t: 1.0 + x + t,),
-        exact_forces=(_hat,),
-    ),
-    4: ExampleSpec(
-        id=4,
-        u0=lambda x: np.zeros_like(x),
-        v0=lambda x: np.zeros_like(x),
-        left=lambda t: np.zeros_like(t),
-        right=lambda t: np.zeros_like(t),
-        modulations=(lambda x, t: t * t + 0.0 * x,),
-        exact_forces=(_hat,),
-    ),
-    5: ExampleSpec(
+    ExampleSpec(id=2, modulations=(lambda x, t: 1.0 + t,), exact_forces=(_hat,)),
+    ExampleSpec(id=3, modulations=(lambda x, t: 1.0 + x + t,), exact_forces=(_hat,)),
+    ExampleSpec(id=4, modulations=(lambda x, t: t * t,), exact_forces=(_hat,)),
+    ExampleSpec(
         id=5,
         u0=lambda x: np.sin(np.pi * x),
         v0=lambda x: x * x + 1.0,
         left=lambda t: t + 0.5 * t * t,
         right=lambda t: 2.0 * t + 0.5 * t * t,
-        modulations=(lambda x, t: np.ones(np.broadcast_shapes(np.shape(x), np.shape(t))),
-                     lambda x, t: t + 0.0 * x),
-        exact_forces=(lambda x: 1.0 + np.pi ** 2 * np.sin(np.pi * x),
-                      lambda x: np.full_like(np.asarray(x, dtype=float), -2.0)),
+        modulations=(lambda x, t: 1.0, lambda x, t: t),
+        exact_forces=(_smooth, lambda x: -2.0),
         exact_field=lambda x, t: x * x * t + np.sin(np.pi * x) + t + 0.5 * t * t,
-        flux_left=lambda t: np.full_like(np.asarray(t, dtype=float), -np.pi),
-        flux_right=lambda t: 2.0 * np.asarray(t, dtype=float) - np.pi,
+        flux_left=lambda t: -np.pi,
+        flux_right=lambda t: 2.0 * t - np.pi,
     ),
-}
+)}
+
+ALL_EXAMPLES = tuple(_EXAMPLES)
 
 
 def example_spec(example_id: int) -> ExampleSpec:
@@ -145,11 +130,11 @@ def example_spec(example_id: int) -> ExampleSpec:
     Raises
     ------
     UnknownExample
-        For ids outside 1..5.
+        For ids outside 1..5, bools and non-integral numbers included.
     """
     try:
-        return _EXAMPLES[example_id]
-    except (KeyError, TypeError):
+        return _EXAMPLES[_integer(example_id, "example id")]
+    except (InvalidDimension, KeyError):
         raise UnknownExample(f"no benchmark scenario with id {example_id!r}") from None
 
 
@@ -190,13 +175,15 @@ def inverse_problem(example_id: int, grid: GridSpec) -> WaveProblem:
 def direct_problem(example_id: int, grid: GridSpec) -> WaveProblem:
     """Same scenario with the exact force bound: ready for a direct solve."""
     spec = _scenario(example_id, grid)
-    return inverse_problem(example_id, grid).with_force(*(f(grid.x) for f in spec.exact_forces))
+    return inverse_problem(example_id, grid).with_force(
+        *(_sampled(f, (grid.x,), "exact force") for f in spec.exact_forces))
 
 
 def exact_force(example_id: int, grid: GridSpec) -> ForceVector:
     """Exact profile(s) at the interior nodes, stacked f then g for the dual case."""
     forces = _scenario(example_id, grid).exact_forces
-    return ForceVector(np.concatenate([f(grid.interior_x) for f in forces]), len(forces))
+    return ForceVector(np.concatenate([_sampled(f, (grid.interior_x,), "exact force")
+                                       for f in forces]), len(forces))
 
 
 def exact_field(example_id: int, grid: GridSpec) -> WaveField | None:
@@ -220,7 +207,7 @@ def measured_flux(example_id: int, grid: GridSpec, end: str = LEFT,
     spec = _scenario(example_id, grid)
     analytic = spec.flux_left if end == LEFT else spec.flux_right
     if analytic is not None:
-        return FluxSeries(end, analytic(grid.t[1:]))
+        return FluxSeries(end, _sampled(analytic, (grid.t[1:],), f"{end} flux"))
     fine = GridSpec(grid.L, grid.T, r * grid.M, r * grid.N, grid.c)
     q = flux(solve_direct(direct_problem(example_id, fine)), end)
     return FluxSeries(end, q.values[r - 1::r])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .model import _checked_array
 
 
@@ -30,15 +31,28 @@ def write_series(path, values):
             fh.write(fmt(v) + "\n")
 
 
+def _rows(path, width=None):
+    """The numbers of each non-blank line of a data file, `width` of them
+    per line when given, else DimensionMismatch naming the file and line."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append([float(tok) for tok in line.split(",")])
+            except ValueError:
+                raise DimensionMismatch(f"{path} line {lineno}: not a number in "
+                                        f"{line.strip()!r}") from None
+            if width is not None and len(rows[-1]) != width:
+                raise DimensionMismatch(f"{path} line {lineno}: {len(rows[-1])} values, "
+                                        f"expected {width}")
+    return rows
+
+
 def read_series(path) -> np.ndarray:
     """Read a one-value-per-line file; blank lines are ignored."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(float(line))
-    return _checked_array(out, f"series file {path}")
+    return _checked_array([v for v, in _rows(path, 1)], f"series file {path}")
 
 
 def write_matrix(path, values):
@@ -50,14 +64,8 @@ def write_matrix(path, values):
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a headerless comma-separated numeric file."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    return _checked_array(rows, f"matrix file {path}", ndim=2)
+    """Read a headerless comma-separated numeric file; blank lines are ignored."""
+    return _checked_array(_rows(path), f"matrix file {path}", ndim=2)
 
 
 def write_rows(path, header, rows):

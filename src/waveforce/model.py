@@ -4,8 +4,9 @@ No algorithms live here. Construction validates everything the solvers rely
 on (sizes, stability ratio, boundary/initial compatibility) so downstream
 code can assume well-formed inputs. Every caller array enters through
 _checked_array, the one intake rule of the package, every object-valued
-argument through _instance and every end through _checked_end; array
-payloads are copied and marked read-only, so instances are safe to share.
+argument through _instance, every end through _checked_end and every
+callable through _sampled; array payloads are copied and marked
+read-only, so instances are safe to share.
 """
 
 from __future__ import annotations
@@ -84,8 +85,15 @@ def _checked_end(end):
     return end
 
 
-def _broadcast(values, shape, name):
-    """A callable's output `values` broadcast to the grid's `shape`, or DimensionMismatch."""
+def _sampled(fn, axes, name):
+    """`fn(*axes)` broadcast to the shape the `axes` span, as a view: the
+    sampling rule for callable arguments. WrongType unless `fn` is
+    callable, DimensionMismatch when its output does not broadcast; the
+    type that stores the samples copies them."""
+    if not callable(fn):
+        raise WrongType(f"{name} must be a callable, got {type(fn).__name__}")
+    shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+    values = fn(*axes)
     try:
         return np.broadcast_to(values, shape)
     except ValueError:
@@ -171,8 +179,7 @@ def sample_grid(grid, fn):
     (constant functions) or any broadcast-compatible array.
     """
     _instance(grid, (GridSpec,), "grid")
-    values = _broadcast(fn(grid.x[:, None], grid.t[None, :]), (grid.M + 1, grid.N + 1),
-                        "sampled function")
+    values = _sampled(fn, (grid.x[:, None], grid.t[None, :]), "sampled function")
     return _readonly(values, "sampled function", ndim=2)
 
 
@@ -195,8 +202,8 @@ class InitialData:
     @classmethod
     def from_callables(cls, grid, u0, v0):
         _instance(grid, (GridSpec,), "grid")
-        x = grid.x
-        return cls(_broadcast(u0(x), x.shape, "displacement"), _broadcast(v0(x), x.shape, "velocity"))
+        x = (grid.x,)
+        return cls(_sampled(u0, x, "displacement"), _sampled(v0, x, "velocity"))
 
     @classmethod
     def zero(cls, grid):
@@ -226,9 +233,8 @@ class BoundaryData:
     @classmethod
     def from_callables(cls, grid, p0, pl):
         _instance(grid, (GridSpec,), "grid")
-        t = grid.t
-        return cls(_broadcast(p0(t), t.shape, "left boundary"),
-                   _broadcast(pl(t), t.shape, "right boundary"))
+        t = (grid.t,)
+        return cls(_sampled(p0, t, "left boundary"), _sampled(pl, t, "right boundary"))
 
     @classmethod
     def zero(cls, grid):

@@ -7,9 +7,11 @@ import waveforce as wf
 
 
 def test_unknown_ids_rejected():
-    for bad in (0, 6, -1, "2", None):
+    for bad in (0, 6, -1, "2", None, 2.5, True, np.True_):
         with pytest.raises(wf.UnknownExample):
             wf.example_spec(bad)
+    # an integral number is an id, as in every other integer slot
+    assert wf.example_spec(1.0) is wf.example_spec(np.int64(1)) is wf.example_spec(1)
 
 
 def test_grid_preconditions():

@@ -99,7 +99,8 @@ OTHER_SLOTS = {
     "flux.end": (wf.LEFT, lambda v: wf.flux(FIELD, v), BAD_ENDS),
     "measured_flux.end": (wf.LEFT, lambda v: wf.measured_flux(2, G, v), BAD_ENDS),
     "noise_sigma.p": (0.01, lambda v: wf.noise_sigma(BG[0], v), BAD_SCALARS + ["0.1", -1.0]),
-    "example_spec.example_id": (2, wf.example_spec, [0, 6, 2.5, None, "2", RAGGED]),
+    "example_spec.example_id": (2, wf.example_spec,
+                                [0, 6, 2.5, None, "2", RAGGED, True, np.True_]),
     "ForceVector.components (count)": (2, lambda v: wf.ForceVector(np.zeros(4), v), [3, 0, -1]),
     "WaveProblem.with_force (count)": (
         (np.zeros(3),), lambda v: P1.with_force(*v), [(), (np.zeros(3),) * 2]),
@@ -123,8 +124,10 @@ OTHER_SLOTS = {
         ["abc", np.zeros(5), G]),
 }
 
-#: callables whose output does not broadcast to a grid of M = N = 4
-NOT_BROADCASTING = [lambda *a: np.ones(3), lambda *a: np.ones((2, 2, 2)), lambda *a: RAGGED]
+#: malformed stand-ins for a callable slot: non-callables, and callables
+#: whose output does not broadcast to a grid of M = N = 4
+BAD_CALLABLES = [None, "abc", 3.0, np.zeros(5),
+                 lambda *a: np.ones(3), lambda *a: np.ones((2, 2, 2)), lambda *a: RAGGED]
 
 # slot -> (valid callable, call with the slot filled)
 CALLABLE_SLOTS = {
@@ -197,7 +200,7 @@ def _cases():
     for slot, (valid, call, bad) in OTHER_SLOTS.items():
         yield slot, valid, call, bad
     for slot, (valid, call) in CALLABLE_SLOTS.items():
-        yield slot, valid, call, NOT_BROADCASTING
+        yield slot, valid, call, BAD_CALLABLES
     for slot, (valid, call, other_type) in OBJECT_SLOTS.items():
         yield slot, valid, call, BAD_OBJECTS + [other_type]
 

@@ -41,6 +41,29 @@ def test_csvio_roundtrip(tmp_path):
     assert np.array_equal(read_matrix(tmp_path / "m.csv"), mat)
 
 
+def test_malformed_data_file_names_the_file_and_line(tmp_path):
+    # a token that is not a number, and a series line with two values;
+    # an empty series file is an empty series
+    cases = {"abc.csv": ("0.0\n\nabc\n", read_series, "line 3"),
+             "two.csv": ("0.0\n1.0,2.0\n", read_series, "line 2"),
+             "m.csv": ("1.0,2.0\n3.0,x\n", read_matrix, "line 2")}
+    for name, (text, reader, where) in cases.items():
+        (tmp_path / name).write_text(text)
+        with pytest.raises(wf.DimensionMismatch, match=f"{name} {where}"):
+            reader(tmp_path / name)
+    (tmp_path / "empty.csv").write_text("")
+    assert read_series(tmp_path / "empty.csv").shape == (0,)
+
+
+def test_malformed_data_file_exits_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.0\nabc\n")
+    assert run("direct", "--M", 10, "--N", 10, "--u0", bad, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("DimensionMismatch:") and str(bad) in err
+    assert err.count("\n") == 1
+
+
 def test_direct_scenario_artifacts(tmp_path):
     out = tmp_path / "d"
     assert run("direct", "--example", 1, "--M", 20, "--N", 20, "--out", out) == 0

@@ -56,6 +56,25 @@ def test_sample_grid_shapes_and_values():
     assert not s.flags.writeable
 
 
+def test_callables_are_sampled_through_one_rule():
+    # every callable slot: WrongType for a non-callable, DimensionMismatch
+    # for output that does not broadcast, a constant broadcast to the axes,
+    # and the stored samples a read-only copy of what the callable returned
+    g = wf.GridSpec(1.0, 1.0, 4, 4)
+    out = np.arange(5.0)
+    calls = (lambda fn: wf.sample_grid(g, fn),
+             lambda fn: wf.InitialData.from_callables(g, fn, fn).velocity,
+             lambda fn: wf.BoundaryData.from_callables(g, fn, fn).right)
+    for call in calls:
+        with pytest.raises(wf.WrongType, match="must be a callable, got float"):
+            call(3.0)
+        with pytest.raises(wf.DimensionMismatch, match="does not broadcast"):
+            call(lambda *axes: np.ones(3))
+        assert np.all(call(lambda *axes: 2.0) == 2.0)
+        sampled = call(lambda *axes: out)
+        assert not sampled.flags.writeable and not np.shares_memory(sampled, out)
+
+
 def test_initial_and_boundary_size_checks():
     with pytest.raises(wf.DimensionMismatch):
         wf.InitialData(np.zeros(5), np.zeros(4))

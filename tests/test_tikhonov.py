@@ -3,6 +3,7 @@ oracles, the shared factorization, SVD diagnostics."""
 
 import dataclasses
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,31 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
     a = bench(2, 160)
     wf.tikhonov_solve(dataclasses.replace(a.system), wf.RegConfig(order=2, lam=1e-3))
     assert inverses and max(inverses) <= tikhonov._INVERSE_BLOCK < a.system.A.shape[1]
+
+
+# Peak memory of sweep(system, 2) on a 1%-noise draw, in units of one
+# m x m array (8 m^2 bytes), m the columns of A: readings 4.26 at scenario
+# 2, M = 320 (m = 319), 4.25 at M = 640 and 3.65 at the dual scenario 5,
+# M = 160 (m = 318, factored as two halves). Each bound lies about half a
+# part-sized array above its reading (a part is m x m for a whole system,
+# m/2 x m/2 for a half), so an array that _eigenbasis keeps alive past its
+# use breaks it: without one of its first six `del`s the whole system
+# reads 5.00-5.26, and without `del Z` the halves read 3.90.
+@pytest.mark.parametrize("example, M, bound", [(2, 320, 4.75), (2, 640, 4.75), (5, 160, 3.8)])
+def test_build_memory_is_bounded(bench, example, M, bound):
+    a = bench(example, M)
+    series = (a.measured,) if a.measured_right is None else (a.measured, a.measured_right)
+    system = dataclasses.replace(a.system)  # a copy without factors
+    noisy = system.with_measurement(*series, noise=wf.NoiseSpec(0.01, 1))
+    tracemalloc.start()
+    try:
+        wf.sweep(noisy, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = system.A.shape[1]
+    print(f"scenario {example}, M = {M}: peak {peak / (8 * columns ** 2):.2f} m^2")
+    assert peak <= bound * 8 * columns ** 2
 
 
 def test_lower_inverse_matches_lu_inverse(bench):
