@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DegenerateCurve, InvalidDimension, SingularSystem
 from .inverse import InverseSystem
-from .model import _instance
-from .tikhonov import RegConfig, _factors
+from .model import _float_array, _instance
+from .tikhonov import RegConfig, _factors, _norm
 
 _COLLINEAR_TOL = 1e-12
 
@@ -50,10 +50,9 @@ class LCurvePoint:
 
 def _checked_grid(lambdas: Sequence[float]) -> np.ndarray:
     """`lambdas` as a float array if it is a valid sweep grid (see sweep), else InvalidDimension."""
-    try:
-        lams = np.asarray(lambdas, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidDimension("lambda grid must be a flat sequence of numbers") from None
+    lams = _float_array(lambdas)
+    if lams is None:
+        raise InvalidDimension("lambda grid must be a flat sequence of real numbers")
     if lams.ndim != 1 or lams.size == 0:
         raise InvalidDimension(f"lambda grid must be 1-dimensional and non-empty, got shape {lams.shape}")
     if np.any(~np.isfinite(lams)) or np.any(lams <= 0):
@@ -93,7 +92,7 @@ def sweep(sys: InverseSystem, order: int = 0,
         factors = _factors(sys, order)
     except SingularSystem:  # the factorization failed, so every weight does
         return []
-    return [LCurvePoint(lam, float(np.linalg.norm(sys.A @ f - sys.b)), factors.penalty_norm(f))
+    return [LCurvePoint(lam, _norm(sys.A @ f - sys.b), factors.penalty_norm(f))
             for lam, f in zip(lams, factors.solutions(sys.b, lams))
             if np.isfinite(f).all()]
 

@@ -12,6 +12,7 @@ read-only, so instances are safe to share.
 from __future__ import annotations
 
 import functools
+import inspect
 import numbers
 from dataclasses import dataclass
 
@@ -48,14 +49,23 @@ def _integer(value, name="value"):
     return int(value)
 
 
+def _float_array(a):
+    """`a` as a float array, or None unless it holds real numbers only;
+    complex input is refused, since the conversion would drop its
+    imaginary part."""
+    try:
+        return None if np.iscomplexobj(a) else np.asarray(a, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _checked_array(a, name, ndim=1):
     """`a` as an `ndim`-dimensional float array with finite entries: the
     intake rule for caller arrays. The result may share memory with `a`;
     _readonly gives a read-only copy, for a payload a type stores."""
-    try:
-        arr = np.asarray(a, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DimensionMismatch(f"{name} must be an array of numbers") from None
+    arr = _float_array(a)
+    if arr is None:
+        raise DimensionMismatch(f"{name} must be an array of real numbers")
     if arr.ndim != ndim:
         raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -88,12 +98,23 @@ def _checked_end(end):
 def _sampled(fn, axes, name):
     """`fn(*axes)` broadcast to the shape the `axes` span, as a view: the
     sampling rule for callable arguments. WrongType unless `fn` is
-    callable, DimensionMismatch when its output does not broadcast; the
-    type that stores the samples copies them."""
+    callable and its signature takes len(axes) positional arguments;
+    DimensionMismatch when its output does not broadcast. An error raised
+    inside `fn` is not translated. The type that stores the samples
+    copies them."""
     if not callable(fn):
         raise WrongType(f"{name} must be a callable, got {type(fn).__name__}")
     shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
-    values = fn(*axes)
+    try:
+        values = fn(*axes)
+    except TypeError:
+        try:  # arguments that do not bind fail the call before the body of fn runs
+            inspect.signature(fn).bind(*axes)
+        except TypeError:
+            raise WrongType(f"{name} must take {len(axes)} positional argument(s)") from None
+        except ValueError:  # no signature to check (a builtin such as max)
+            pass
+        raise  # raised inside fn
     try:
         return np.broadcast_to(values, shape)
     except ValueError:

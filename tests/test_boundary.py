@@ -37,11 +37,11 @@ def _catalogue(valid):
     """Malformed stand-ins for an array slot whose valid value is `valid`:
     a ragged list, 0-d and 3-d arrays, the valid array with one axis more
     and one less, the valid array with a NaN and with an inf, a bool
-    scalar and a string."""
+    scalar, a string and the valid array made complex."""
     a = np.asarray(valid, dtype=float)
     nan, inf = a.copy(), a.copy()
     nan.flat[0], inf.flat[-1] = np.nan, np.inf
-    return [RAGGED, np.array(1.0), np.ones((2, 2, 2)), a[None], a[0], nan, inf, True, "abc"]
+    return [RAGGED, np.array(1.0), np.ones((2, 2, 2)), a[None], a[0], nan, inf, True, "abc", a + 1j]
 
 
 #: malformed stand-ins for a scalar slot
@@ -129,17 +129,20 @@ OTHER_SLOTS = {
 BAD_CALLABLES = [None, "abc", 3.0, np.zeros(5),
                  lambda *a: np.ones(3), lambda *a: np.ones((2, 2, 2)), lambda *a: RAGGED]
 
-# slot -> (valid callable, call with the slot filled)
+#: a callable of the wrong arity for a slot sampled on one axis and on two
+WRONG_ARITY = {1: lambda x, t: 0.0, 2: lambda x: x}
+
+# slot -> (valid callable, call with the slot filled, number of axes sampled)
 CALLABLE_SLOTS = {
-    "sample_grid.fn": (lambda x, t: x * t, lambda v: wf.sample_grid(G, v)),
+    "sample_grid.fn": (lambda x, t: x * t, lambda v: wf.sample_grid(G, v), 2),
     "InitialData.from_callables.u0": (
-        np.zeros_like, lambda v: wf.InitialData.from_callables(G, v, np.zeros_like)),
+        np.zeros_like, lambda v: wf.InitialData.from_callables(G, v, np.zeros_like), 1),
     "InitialData.from_callables.v0": (
-        np.zeros_like, lambda v: wf.InitialData.from_callables(G, np.zeros_like, v)),
+        np.zeros_like, lambda v: wf.InitialData.from_callables(G, np.zeros_like, v), 1),
     "BoundaryData.from_callables.p0": (
-        np.zeros_like, lambda v: wf.BoundaryData.from_callables(G, v, np.zeros_like)),
+        np.zeros_like, lambda v: wf.BoundaryData.from_callables(G, v, np.zeros_like), 1),
     "BoundaryData.from_callables.pl": (
-        np.zeros_like, lambda v: wf.BoundaryData.from_callables(G, np.zeros_like, v)),
+        np.zeros_like, lambda v: wf.BoundaryData.from_callables(G, np.zeros_like, v), 1),
 }
 
 #: malformed stand-ins for an object slot, besides an object of the wrong type
@@ -199,8 +202,8 @@ def _cases():
         yield slot, valid, call, BAD_SCALARS
     for slot, (valid, call, bad) in OTHER_SLOTS.items():
         yield slot, valid, call, bad
-    for slot, (valid, call) in CALLABLE_SLOTS.items():
-        yield slot, valid, call, BAD_CALLABLES
+    for slot, (valid, call, axes) in CALLABLE_SLOTS.items():
+        yield slot, valid, call, BAD_CALLABLES + [WRONG_ARITY[axes]]
     for slot, (valid, call, other_type) in OBJECT_SLOTS.items():
         yield slot, valid, call, BAD_OBJECTS + [other_type]
 

@@ -57,17 +57,31 @@ def test_sample_grid_shapes_and_values():
 
 
 def test_callables_are_sampled_through_one_rule():
-    # every callable slot: WrongType for a non-callable, DimensionMismatch
-    # for output that does not broadcast, a constant broadcast to the axes,
-    # and the stored samples a read-only copy of what the callable returned
+    # every callable slot: WrongType for a non-callable and for a signature
+    # that cannot take the slot's axes, DimensionMismatch for output that
+    # does not broadcast, a constant broadcast to the axes, and the stored
+    # samples a read-only copy of what the callable returned; a TypeError
+    # raised inside the callable is its own, and a callable with no
+    # signature (a builtin) is called as it is
     g = wf.GridSpec(1.0, 1.0, 4, 4)
     out = np.arange(5.0)
-    calls = (lambda fn: wf.sample_grid(g, fn),
-             lambda fn: wf.InitialData.from_callables(g, fn, fn).velocity,
-             lambda fn: wf.BoundaryData.from_callables(g, fn, fn).right)
-    for call in calls:
+    calls = ((2, lambda fn: wf.sample_grid(g, fn)),
+             (1, lambda fn: wf.InitialData.from_callables(g, fn, fn).velocity),
+             (1, lambda fn: wf.BoundaryData.from_callables(g, fn, fn).right))
+    for axes, call in calls:
         with pytest.raises(wf.WrongType, match="must be a callable, got float"):
             call(3.0)
+        for wrong in (lambda: 0.0, lambda x, t, s: 0.0, (lambda x: x) if axes == 2 else (lambda x, t: x)):
+            with pytest.raises(wf.WrongType, match=f"must take {axes} positional argument"):
+                call(wrong)
+        with pytest.raises(TypeError, match="unsupported operand") as info:
+            call(lambda *axes: 1.0 + "a")
+        assert not isinstance(info.value, wf.WaveforceError)
+        with pytest.raises(TypeError, match="missing 1 required positional argument") as info:
+            call(lambda *axes: (lambda x, t: x)(axes[0]))  # a wrong call inside the body
+        assert not isinstance(info.value, wf.WaveforceError)
+        if axes == 1:
+            assert np.all(call(max) == 1.0)  # no signature: max(x) and max(t) are 1
         with pytest.raises(wf.DimensionMismatch, match="does not broadcast"):
             call(lambda *axes: np.ones(3))
         assert np.all(call(lambda *axes: 2.0) == 2.0)

@@ -257,6 +257,69 @@ def test_build_memory_is_bounded(bench, example, M, bound):
     assert peak <= bound * 8 * columns ** 2
 
 
+def padded_penalty_gradient(f, order, components):
+    """Slow predecessor of tikhonov._penalty_gradient: D_k^T D_k f block by
+    block, as np.diff of the np.pad-ded np.diff of f, with the sign (-1)^k."""
+    d = np.pad(np.diff(f.reshape(components, -1), n=order), ((0, 0), (order, order)))
+    return (-1) ** order * np.diff(d, n=order).reshape(-1)
+
+
+def loop_solutions(factors, b, lambdas):
+    """Slow predecessor of _Factors.solutions: 1 - g formed at every weight
+    and the gradient by padded_penalty_gradient, the same products in the
+    same order."""
+    A, X, g = factors.A, factors.X, factors.g
+    XtAtb = X.T @ (A.T @ b)
+    out = []
+    for lam in lambdas:
+        s = g + lam / factors.mu2 * (1.0 - g)
+        f = X @ (XtAtb / s)
+        r = A.T @ (b - A @ f) - lam * padded_penalty_gradient(f, factors.order, factors.components)
+        f += X @ ((X.T @ r) / s)
+        out.append(f)
+    return out
+
+
+def test_penalty_gradient_matches_its_predecessor():
+    # bit for bit, for one and two components at every order; each call
+    # follows one on another vector, so a result that kept anything of the
+    # call before it would differ
+    rng = np.random.default_rng(11)
+    for components in (1, 2):
+        for order in (0, 1, 2):
+            for m in (order + 1, 7, 159):
+                vectors = rng.normal(size=(3, components * m))
+                vectors[1, ::2] = 0.0
+                got = [tikhonov._penalty_gradient(f, order, components) for f in vectors]
+                for f, g in zip(vectors, got):
+                    assert np.array_equal(g, padded_penalty_gradient(f, order, components))
+                D = penalty(order, m, components)
+                assert np.max(np.abs(got[0] - D.T @ (D @ vectors[0]))) <= 1e-13
+
+
+def test_per_weight_path_matches_its_predecessor_bit_for_bit(bench):
+    # solutions and sweep points against loop_solutions and np.linalg.norm,
+    # with np.array_equal: scenarios 1-5 at M = 40, scenario 2 at M = 80
+    # and 320, scenarios 4 (the noise study's) and 5 at M = 160
+    lams = [1e-14, *wf.EXTENDED_LAMBDA_GRID]
+    cells = [(example, 40) for example in (1, 2, 3, 4, 5)] + [(2, 80), (2, 320), (4, 160), (5, 160)]
+    for example, m in cells:
+        a = bench(example, m)
+        series = (a.measured,) if a.measured_right is None else (a.measured, a.measured_right)
+        for noise in (None, wf.NoiseSpec(0.01, 1)):
+            s = a.system.with_measurement(*series, noise=noise)
+            for order in (0, 1, 2):
+                factors = tikhonov._factors(s, order)
+                want = loop_solutions(factors, s.b, lams)
+                got = factors.solutions(s.b, lams)
+                assert all(np.array_equal(f, w) for f, w in zip(got, want))
+                points = [(lam, float(np.linalg.norm(s.A @ f - s.b)),
+                           float(np.linalg.norm(np.diff(f.reshape(s.components, -1), n=order))))
+                          for lam, f in zip(lams, want) if np.isfinite(f).all()]
+                assert [(p.lam, p.residual_norm, p.solution_norm)
+                        for p in wf.sweep(s, order, lams)] == points
+
+
 def test_lower_inverse_matches_lu_inverse(bench):
     # _lower_inverse against np.linalg.inv, the LU inverse it replaced. On
     # scenario 4's factor (order 2) the largest gap reads 1.1e-15 of
