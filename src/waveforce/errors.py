@@ -39,7 +39,9 @@ class UnderdeterminedSystem(WaveforceError):
 
 
 class SingularSystem(WaveforceError):
-    """Solve found numerically dependent columns (lambda = 0 with a rank-deficient A)."""
+    """Solve found numerically dependent columns: a rank-deficient A at lambda = 0, a
+    stacked system [A; mu D_k] past the rank rule's condition limit at lambda > 0, or a
+    Cholesky factorization that failed."""
 
 
 class ZeroMatrix(WaveforceError):

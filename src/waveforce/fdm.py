@@ -23,6 +23,13 @@ import numpy as np
 from .errors import UnresolvedForce
 from .model import LEFT, FluxSeries, KnownForce, WaveField, WaveProblem, _checked_end, _instance
 
+#: 2*dx times the flux at an end, as weights of the end node and its two
+#: inward neighbours: the one-sided three-point stencil, exact on quadratics
+_FLUX_STENCIL = (3.0, -4.0, 1.0)
+#: weight of the force and the neighbour terms in the first marched row,
+#: from the ghost elimination of the velocity condition
+_FIRST_LEVEL = 0.5
+
 
 def solve_direct(problem: WaveProblem) -> WaveField:
     """March the explicit scheme over the full grid.
@@ -64,8 +71,8 @@ def solve_direct(problem: WaveProblem) -> WaveField:
     u[:, 0] = problem.boundary.left
     u[:, M] = problem.boundary.right
     # first marched row: velocity condition folded in, half-weight force
-    u[1, 1:M] = (0.5 * r2 * (u0[2:] + u0[:M - 1]) + (1.0 - r2) * u0[1:M]
-                 + dt * v0[1:M] + 0.5 * dt * dt * F[1:M, 0])
+    u[1, 1:M] = (_FIRST_LEVEL * r2 * (u0[2:] + u0[:M - 1]) + (1.0 - r2) * u0[1:M]
+                 + dt * v0[1:M] + _FIRST_LEVEL * dt * dt * F[1:M, 0])
     centre = 2.0 * (1.0 - r2)
     acc, term = np.empty(M - 1), np.empty(M - 1)
     for j in range(1, N):
@@ -80,11 +87,12 @@ def solve_direct(problem: WaveProblem) -> WaveField:
 
 
 def flux(field: WaveField, end: str) -> FluxSeries:
-    """Boundary flux series from a solved field via one-sided 3-point stencils.
+    """Boundary flux series from a solved field via the one-sided stencil
+    _FLUX_STENCIL.
 
-    The stencils are exact on quadratics. For the left end the series is
-    -du/dx(0, t_j); for the right end it is +du/dx(L, t_j); j runs 1..N
-    (the initial level is never reported).
+    For the left end the series is -du/dx(0, t_j); for the right end it is
+    +du/dx(L, t_j), which is the left end's stencil applied to the mirrored
+    string. j runs 1..N (the initial level is never reported).
 
     Parameters
     ----------
@@ -97,11 +105,6 @@ def flux(field: WaveField, end: str) -> FluxSeries:
     FluxSeries
     """
     _instance(field, (WaveField,), "field")
-    u = field.values
-    g = field.grid
-    two_dx = 2.0 * g.dx
-    if _checked_end(end) == LEFT:
-        vals = -(4.0 * u[1, 1:] - u[2, 1:] - 3.0 * u[0, 1:]) / two_dx
-    else:
-        vals = (3.0 * u[g.M, 1:] - 4.0 * u[g.M - 1, 1:] + u[g.M - 2, 1:]) / two_dx
-    return FluxSeries(end, vals)
+    u = field.values if _checked_end(end) == LEFT else field.values[::-1]
+    s0, s1, s2 = _FLUX_STENCIL
+    return FluxSeries(end, ((s1 * u[1, 1:] + s2 * u[2, 1:]) + s0 * u[0, 1:]) / (2.0 * field.grid.dx))

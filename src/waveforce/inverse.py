@@ -17,7 +17,7 @@ modulation that depends on time only gets its whole left block from one
 zero-data march driven by the stencil's weights times the modulation: the
 field at node k is column k. A modulation that varies in x is instead a
 causal convolution of each node's modulation with the left flux kernel
-(first time level at half weight, as in the first marched row); one
+(first time level weighted as the first marched row weights it); one
 impulse-driven march gives that kernel for every node at once. The march
 is mirror-symmetric bit for bit (its neighbor sum a + b is b + a), so the
 right end's blocks and kernel are the left ones with the columns
@@ -35,11 +35,12 @@ and the regularized solve splits the system into an even and an odd half
 
 Row convention: each row is stated in cleared-denominator stencil units,
 i.e. both the columns and b carry a factor 2*dx relative to raw flux units.
-In these units row j of the single-source system is literally the identity
-3u[0,j] - 4u[1,j] + u[2,j] = 2*dx*q(t_j) with unit coefficients, which is
-the form the eliminated global FDM system takes. Least-squares solutions
-and condition numbers are invariant to this uniform row scale; the
-Tikhonov lambda axis is stated in these units.
+In these units row j of the single-source system is literally fdm's flux
+stencil (fdm._FLUX_STENCIL) on the end node and its two inward neighbours
+at t_j, equal to 2*dx*q(t_j), which is the form the eliminated global FDM
+system takes. Least-squares solutions and condition numbers are invariant
+to this uniform row scale; the Tikhonov lambda axis is stated in these
+units.
 
 A dual measurement (both ends observed, two unknown profiles) stacks left
 flux rows then right flux rows, and first-component columns then
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, UnderdeterminedSystem, WaveforceError
-from .fdm import flux, solve_direct
+from .fdm import _FIRST_LEVEL, _FLUX_STENCIL, flux, solve_direct
 from .model import (
     LEFT,
     RIGHT,
@@ -97,6 +98,11 @@ class InverseSystem:
         _instance(self.source, (Source,), "source")
         _instance(self.noise, (NoiseSpec, type(None)), "noise")
         A, b = _readonly(self.A, "A", ndim=2), _readonly(self.b, "b")
+        k, g = self.components, self.grid
+        shape = (k * g.N, k * (g.M - 1))
+        if A.shape != shape:
+            raise DimensionMismatch(f"a {k}-component system on M={g.M}, N={g.N} takes A "
+                                    f"of shape {shape}, got {A.shape}")
         if A.shape[0] != b.size:
             raise DimensionMismatch(f"A is {A.shape} but b has {b.size} entries")
         background = tuple(_checked_measurement(self.background, self.components, self.grid.N))
@@ -192,7 +198,7 @@ def _assemble(problem, measured, noise):
         if kernel is None:
             kernel = _flux_kernel(g)
         hw = hw.copy()
-        hw[0] *= 0.5  # the first marched row takes the level-0 force at half weight
+        hw[0] *= _FIRST_LEVEL  # as the first marched row weights the level-0 force
         for blk, G in zip(blocks, (kernel, kernel[:, ::-1])):
             for s in range(g.N):
                 blk[s:] += hw[s] * G[:g.N - s]
@@ -207,12 +213,12 @@ def _left_block(grid, series):
     N x (M-1) array whose entry [n, k-1] is the 2*dx-scaled left flux at
     t_{n+1} of a zero-data march forced by the unit profile e_k times the
     modulation. By reciprocity it is the field at node k and level n+1 of
-    one zero-data march forced by the left flux stencil's weights (-4 at
-    node 1, 1 at node 2) times the modulation; the scheme's half-weight
-    first level halves the level-0 force as the unit-profile march does.
+    one zero-data march forced by the left flux stencil's inward weights
+    (fdm._FLUX_STENCIL at nodes 1 and 2) times the modulation; the scheme's
+    first level weights the level-0 force as the unit-profile march does.
     """
     w = np.zeros(grid.M + 1)
-    w[1], w[2] = -4.0, 1.0
+    w[1:3] = _FLUX_STENCIL[1:]
     problem = WaveProblem(grid, InitialData.zero(grid), BoundaryData.zero(grid),
                           KnownForce(np.outer(w, series)))
     return solve_direct(problem).values[1:grid.M, 1:].T
@@ -223,11 +229,11 @@ def _flux_kernel(grid):
 
     G[n, k-1] is the 2*dx-scaled left flux at t_{n+1} of a zero-data march
     whose only input is a unit force at node k entering level t_1 at full
-    weight: the left block of an impulse modulation of height 2 at t_0,
-    which the half-weight first level turns into 1.
+    weight: the left block of an impulse modulation of height
+    1 / fdm._FIRST_LEVEL at t_0, which the first level's weight turns into 1.
     """
     impulse = np.zeros(grid.N + 1)
-    impulse[0] = 2.0
+    impulse[0] = 1.0 / _FIRST_LEVEL
     return np.ascontiguousarray(_left_block(grid, impulse))
 
 

@@ -104,6 +104,9 @@ OTHER_SLOTS = {
     "ForceVector.components (count)": (2, lambda v: wf.ForceVector(np.zeros(4), v), [3, 0, -1]),
     "WaveProblem.with_force (count)": (
         (np.zeros(3),), lambda v: P1.with_force(*v), [(), (np.zeros(3),) * 2]),
+    "InverseSystem.A (shape)": (
+        SYSTEM.A, lambda v: wf.InverseSystem(v, np.ones(len(v)), G, BG, P1.source),
+        [np.ones((5, 3)), np.ones((4, 2)), np.ones((8, 6))]),
     "InverseSystem.background (count)": (
         BG, lambda v: wf.InverseSystem(SYSTEM.A, SYSTEM.b, G, v, P1.source), [(), BG * 2, BG[0]]),
     "assemble_single (count)": (P1, lambda v: wf.assemble_single(v, np.zeros(4)), [P2]),

@@ -415,8 +415,13 @@ def test_artifacts_match_oracle(tmp_path):
 
 
 if __name__ == "__main__":
-    # Regenerate the oracle: PYTHONPATH=src python tests/test_cli.py
+    # Regenerate the oracle, naming the artifacts whose digest moved:
+    # PYTHONPATH=src python tests/test_cli.py
     import tempfile
 
+    old = json.loads(ORACLE_FILE.read_text()) if ORACLE_FILE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        ORACLE_FILE.write_text(json.dumps(oracle_digests(tmp), indent=1, sort_keys=True) + "\n")
+        new = oracle_digests(tmp)
+    moved = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    print("\n".join(f"changed: {name}" for name in moved) or "no artifact changed")
+    ORACLE_FILE.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")

@@ -134,6 +134,19 @@ def test_flux_of_constant_field_is_zero():
     assert not np.any(wf.flux(field, wf.RIGHT).values)
 
 
+def test_mirror_symmetry_bit_for_bit():
+    # the string reversed along x, with the ends swapped: the march gives the
+    # reversed field, and the right flux is the left stencil on the mirror
+    rng = np.random.default_rng(7)
+    for M, N in ((2, 3), (9, 12), (16, 9), (31, 31)):
+        prob, u0, v0, left, right, F = random_problem(rng, M, N)
+        mirror = wf.WaveProblem(prob.grid, wf.InitialData(u0[::-1], v0[::-1]),
+                                wf.BoundaryData(right, left), wf.KnownForce(F[::-1]))
+        field, image = wf.solve_direct(prob), wf.solve_direct(mirror)
+        assert np.array_equal(image.values, field.values[::-1])
+        assert np.array_equal(wf.flux(field, wf.RIGHT).values, wf.flux(image, wf.LEFT).values)
+
+
 def test_flux_series_layout_and_end_check():
     g = wf.GridSpec(1.0, 1.0, 4, 7)
     field = wf.WaveField(g, np.zeros((5, 8)))

@@ -12,7 +12,8 @@ def fabricated_system(A, b):
     """Wrap a raw matrix into an InverseSystem for solver-level tests."""
     A = np.asarray(A, dtype=float)
     n, m = A.shape
-    grid = wf.GridSpec(1.0, 1.0, m + 1, max(n, m + 1))
+    # N = n rows; a wave speed of half the bound keeps r = 1/2
+    grid = wf.GridSpec(1.0, 1.0, m + 1, n, 0.5 * n / (m + 1))
     bg = wf.FluxSeries(wf.LEFT, np.zeros(grid.N))
     src = wf.Source((np.ones((grid.M + 1, grid.N + 1)),))
     return wf.InverseSystem(A, b, grid, (bg,), src)
