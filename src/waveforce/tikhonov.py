@@ -43,20 +43,25 @@ one step of iterative refinement on the true normal equations,
 The residual is formed in the data space first: b - A f0 is small where
 the data fit, so its rounding is too, and the step then brings the
 solution to within 7.8e-13 of stacked least squares on the test grid up
-to M = 160 (5.6e-11 at lambda = 1e-14). A weight costs five m-vector
-products (X times (X^T A^T b) / s, A f0, A^T (b - A f0), X^T r, and X
-times (X^T r) / s) plus O(m) elementwise work: 1 - g is formed once per
-list, and D_k^T D_k f0 differences f0, writes that into a zero-bordered
-array and differences it again, with no np.pad (10-17 us at m = 159,
-order 2, against 43-68 us through np.pad: minima of 7 x 200 calls on
-2 vCPUs with numpy 2.4). A new measurement costs one product A^T b and
-one X^T A^T b. The weights of a list are solved one at a time with the
-same operations as a single weight, so a sweep's solution and a fresh
-solve at that weight (the corner's, say) are equal bit for bit, and no
-solution is kept.
-tikhonov_solve asks the object for one weight, lcurve.sweep for its
-whole grid; penalty_norm gives ||D_k f||, summed as np.linalg.norm sums
-it (_norm).
+to M = 160 (5.6e-11 at lambda = 1e-14). A refined weight (solve) costs
+five m-vector products (X times (X^T A^T b) / s, A f0, A^T (b - A f0),
+X^T r, and X times (X^T r) / s) plus O(m) elementwise work: D_k^T D_k f0
+differences f0, writes that into a zero-bordered array and differences
+it again, with no np.pad (10-17 us at m = 159, order 2, against 43-68 us
+through np.pad: minima of 7 x 200 calls on 2 vCPUs with numpy 2.4).
+A weight of the L-curve (filter_solutions) stops at f0: the curve's
+norms ||A f0 - b|| and ||D_k f0|| cost lcurve.sweep one more product,
+A f0, and no refinement, so two products a weight. They stay within
+1.2e-7 of the refined solution's norms on the grids up to M = 160 (2.4e-6
+at M = 320 and 3.2e-5 at M = 640, scenarios 4 and 5 at order 2), and the
+corner's weight was the refined sweep's in every draw checked, so only
+the picked weight is refined, by tikhonov_solve. The O(m) closed forms
+of both norms in g and X^T A^T b were measured and rejected: the
+residual's cancels against ||b||^2 (4.2e-4 relative on noise-free data,
+scenario 3, M = 80, order 1), and the penalty's loses the terms where g
+is near 1 (4.8e-2, scenario 4, M = 160, order 2). A new measurement costs
+one product A^T b and one X^T A^T b, and no solution is kept.
+penalty_norm gives ||D_k f||, summed as np.linalg.norm sums it (_norm).
 
 Mirror split. The solve runs on a list of parts, each a parity with an
 orthonormal basis V of the profiles (_fold_rule): 0 is the whole system
@@ -85,8 +90,8 @@ split system not the worse half's own condition number, which can be
 smaller). Scenarios 1-5 up to M = N = 320 sit at 1.1e4 or below
 (scenario 4, order 2, M = 320).
 
-Memory: a system keeps X (one m x m array, 0.8 MB at m = 319) and g for
-each penalty order it solved, and copies made by
+Memory: a system keeps X (one m x m array, 0.8 MB at m = 319), g and
+1 - g for each penalty order it solved, and copies made by
 InverseSystem.with_measurement share them, so cycling the orders on one
 A builds each order once. The build frees each temporary as soon as it
 is spent: at the eigh, the largest step, the arrays alive besides A are
@@ -281,8 +286,7 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
         if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0]:
             raise SingularSystem("system is numerically rank-deficient at lambda = 0")
         return ForceVector(sol, sys.components)
-    f, = _factors(sys, cfg.order).solutions(sys.b, [cfg.lam])
-    return ForceVector(f, sys.components)
+    return ForceVector(_factors(sys, cfg.order).solve(sys.b, cfg.lam), sys.components)
 
 
 def _factors(sys: InverseSystem, order: int) -> _Factors:
@@ -339,10 +343,10 @@ def _check_rank(Ls, Linvs):
 
 class _Factors:
     """The eigenbasis of the regularized solve of one (A, order): X, in
-    full coordinates with the parts' columns side by side, and g (see the
-    module docstring). On construction, InvalidDimension when D_k has no
-    row on the profiles (_checked_nodes), before any product, and
-    SingularSystem when [A; mu D_k] fails the rank rule."""
+    full coordinates with the parts' columns side by side, g and 1 - g
+    (see the module docstring). On construction, InvalidDimension when
+    D_k has no row on the profiles (_checked_nodes), before any product,
+    and SingularSystem when [A; mu D_k] fails the rank rule."""
 
     def __init__(self, A, order, components):
         m = A.shape[1] // components
@@ -368,22 +372,27 @@ class _Factors:
                  for parity, Ab in zip(self.parities, folded)]
         g, Xt = (np.concatenate(a) for a in zip(*bases))
         self.mu2, self.g, self.X = mu2, np.clip(g, 0.0, 1.0), Xt.T
+        self.h = 1.0 - self.g  # the diagonal of mu^2 X^T D_k^T D_k X
 
-    def solutions(self, b, lambdas):
-        """The solution of each weight lambda > 0 in turn: the diagonal
-        filter, then one refinement step on the normal equations."""
-        A, X, g = self.A, self.X, self.g
-        Atb = A.T @ b
-        XtAtb = X.T @ Atb
-        h = 1.0 - g  # the diagonal of mu^2 X^T D_k^T D_k X
-        out = []
+    def filter_solutions(self, b, lambdas):
+        """The filter solution f0 = X ((X^T A^T b) / s) of each weight
+        lambda > 0 in turn, with no refinement: the L-curve's points."""
+        XtAtb = self.X.T @ (self.A.T @ b)
         for lam in lambdas:
-            s = g + lam / self.mu2 * h
-            f = X @ (XtAtb / s)
-            r = A.T @ (b - A @ f) - lam * _penalty_gradient(f, self.order, self.components)
-            f += X @ ((X.T @ r) / s)
-            out.append(f)
-        return out
+            yield self.X @ (XtAtb / self._filter(lam))
+
+    def solve(self, b, lam):
+        """The solution of one weight lambda > 0: the filter solution, then
+        one refinement step on the normal equations."""
+        A, X = self.A, self.X
+        f, = self.filter_solutions(b, [lam])
+        r = A.T @ (b - A @ f) - lam * _penalty_gradient(f, self.order, self.components)
+        f += X @ ((X.T @ r) / self._filter(lam))
+        return f
+
+    def _filter(self, lam):
+        """The filter's diagonal s = g + (lambda / mu^2) (1 - g)."""
+        return self.g + lam / self.mu2 * self.h
 
     def penalty_norm(self, f):
         """||D_k f||, block by block over the components."""

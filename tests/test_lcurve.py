@@ -163,43 +163,64 @@ def test_sweep_skips_failing_weights():
 
 
 def per_weight_sweep(sys, order, lambdas=None):
-    """Slow predecessor of sweep: one public tikhonov_solve per weight, on
-    a copy without factors. Returns the points and the solution of each
-    point."""
-    sys = dataclasses.replace(sys)
+    """Slow, refined predecessor of sweep: one public tikhonov_solve per
+    weight, its norms taken by refined_points. Returns the points and the
+    solution of each point."""
+    from test_tikhonov import refined_points
     if lambdas is None:
         lambdas = wf.DEFAULT_LAMBDA_GRID if order == 0 else wf.EXTENDED_LAMBDA_GRID
-    points, solutions = [], []
+    lams, solutions = [], []
     for lam in lambdas:
         try:
             f = wf.tikhonov_solve(sys, wf.RegConfig(order=order, lam=float(lam)))
         except wf.WaveforceError:
             continue
-        res = float(np.linalg.norm(sys.A @ f.values - sys.b))
-        sol = float(np.linalg.norm(np.diff(f.values.reshape(f.components, -1), n=order)))
-        points.append(wf.LCurvePoint(float(lam), res, sol))
+        lams.append(lam)
         solutions.append(f.values)
-    return points, solutions
+    return refined_points(sys, order, lams, solutions), solutions
 
 
-def _draws(a):
+def _draws(a, noises=(None, wf.NoiseSpec(0.01, 1))):
     series = (a.measured,) if a.measured_right is None else (a.measured, a.measured_right)
-    return [a.system.with_measurement(*series, noise=noise)
-            for noise in (None, wf.NoiseSpec(0.01, 1))]
+    return [a.system.with_measurement(*series, noise=noise) for noise in noises]
 
 
 @pytest.mark.parametrize("example", [1, 2, 3, 4, 5])
 def test_sweep_matches_per_weight_solves_bit_for_bit(bench, example):
+    from test_tikhonov import SWEEP_NORM_TOL, norm_gap
     for s in _draws(bench(example, 40)):
         for order in (0, 1, 2):
-            want, solutions = per_weight_sweep(s, order)
+            # the oracle on a copy without factors: its own build
+            want, solutions = per_weight_sweep(dataclasses.replace(s), order)
             got = wf.sweep(s, order)
-            assert got == want
+            assert norm_gap(got, want) <= SWEEP_NORM_TOL
             # a solve on the swept system's factors is the per-weight solve
             # on a fresh copy, bit for bit, at every weight: the corner's too
             for p, f in zip(got, solutions):
                 cfg = wf.RegConfig(order=order, lam=p.lam)
                 assert np.array_equal(wf.tikhonov_solve(s, cfg).values, f)
+
+
+def test_sweep_keeps_the_refined_corner(bench):
+    # the corner of the filter norms is the corner of the refined ones on
+    # 30 noise draws each of scenario 4 (the noise study's) at M = 160,
+    # orders 0-2, scenario 2 at M = 320 and scenario 5 at M = 160, order 2;
+    # and on the noise-free draws of scenarios 1-5 at M = 80, where the
+    # residual is smallest, the norms stay within SWEEP_NORM_TOL
+    from test_tikhonov import SWEEP_NORM_TOL, norm_gap
+    noises = [wf.NoiseSpec(0.01, seed) for seed in range(1, 31)]
+    cells = [(4, 160, order) for order in (0, 1, 2)] + [(2, 320, 2), (5, 160, 2)]
+    for example, m, order in cells:
+        for s in _draws(bench(example, m), noises):
+            points = wf.sweep(s, order)
+            assert wf.corner(points).lam == wf.corner(per_weight_sweep(s, order)[0]).lam
+    worst = 0.0
+    for example in (1, 2, 3, 4, 5):
+        s, = _draws(bench(example, 80), [None])
+        for order in (0, 1, 2):
+            worst = max(worst, norm_gap(wf.sweep(s, order), per_weight_sweep(s, order)[0]))
+    print(f"noise-free sweep norms vs refined at M = 80: {worst:.2e}")
+    assert worst <= SWEEP_NORM_TOL
 
 
 def test_split_sweep_matches_stacked_lstsq(bench):
