@@ -22,6 +22,7 @@ not read fails like a malformed value unless it keeps its default:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -207,6 +208,7 @@ class _Stages:
         self._last = now
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waveforce",

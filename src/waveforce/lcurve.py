@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateCurve, InvalidDimension, SingularSystem
 from .inverse import InverseSystem
 from .model import _float_array, _instance
-from .tikhonov import RegConfig, _factors, _norm
+from .tikhonov import RegConfig, _differences, _factors
 
 _COLLINEAR_TOL = 1e-12
 
@@ -70,7 +70,9 @@ def sweep(sys: InverseSystem, order: int = 0,
     filter solution on the system's eigenbasis, within 1.2e-7 of the
     refined solution's norms up to M = N = 160 (see the tikhonov module
     docstring); the refined solve runs only at the weight that
-    tikhonov_solve is asked for, such as the corner's.
+    tikhonov_solve is asked for, such as the corner's. The weights are
+    solved together: two matrix products a sweep, one for all the filter
+    solutions and one for all their residuals, not two per weight.
 
     Parameters
     ----------
@@ -85,22 +87,34 @@ def sweep(sys: InverseSystem, order: int = 0,
     Returns
     -------
     list of LCurvePoint
-        One entry per lambda whose solution is finite; when the system
-        fails the rank rule of the regularized solve, every weight is
-        skipped.
+        One entry per lambda whose solution is finite, with no
+        floating-point warning for a weight that is skipped or whose norms
+        overflow; when the system fails the rank rule of the regularized
+        solve, every weight is skipped.
     """
     _instance(sys, (InverseSystem,), "system")
     order = RegConfig(order=order).order
     if lambdas is None:
         lambdas = DEFAULT_LAMBDA_GRID if order == 0 else EXTENDED_LAMBDA_GRID
-    lams = _checked_grid(lambdas).tolist()
+    lams = _checked_grid(lambdas)
     try:
         factors = _factors(sys, order)
     except SingularSystem:  # the factorization failed, so every weight does
         return []
-    return [LCurvePoint(lam, _norm(sys.A @ f - sys.b), factors.penalty_norm(f))
-            for lam, f in zip(lams, factors.filter_solutions(sys.b, lams))
-            if np.isfinite(f).all()]
+    # a weight whose filter divides by zero is skipped, and one whose norms
+    # overflow keeps them infinite, which corner ignores
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        F = factors.filter_solutions(sys.b, lams)
+        finite = np.isfinite(F).all(axis=1).tolist()
+        residuals = _row_norms(F @ sys.A.T - sys.b)
+        penalties = _row_norms(_differences(F, order, sys.components))
+    return [LCurvePoint(lam, r, d)
+            for lam, r, d, keep in zip(lams.tolist(), residuals, penalties, finite) if keep]
+
+
+def _row_norms(X: np.ndarray) -> list[float]:
+    """The Euclidean norm of each row of a 2-D array."""
+    return np.sqrt((X * X).sum(axis=1)).tolist()
 
 
 def _menger(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -49,9 +49,18 @@ X^T r, and X times (X^T r) / s) plus O(m) elementwise work: D_k^T D_k f0
 differences f0, writes that into a zero-bordered array and differences
 it again, with no np.pad (10-17 us at m = 159, order 2, against 43-68 us
 through np.pad: minima of 7 x 200 calls on 2 vCPUs with numpy 2.4).
-A weight of the L-curve (filter_solutions) stops at f0: the curve's
-norms ||A f0 - b|| and ||D_k f0|| cost lcurve.sweep one more product,
-A f0, and no refinement, so two products a weight. They stay within
+The L-curve's weights stop at f0 and are solved together
+(filter_solutions): with c = X^T A^T b, formed once per measurement, and
+the diagonals s of all w weights as the rows of one w x m array, each
+row as _filter gives it for its weight alone, the rows of (c / s) X^T are
+the w filter solutions, one m x m x w matrix product. lcurve.sweep takes
+every residual A f0 - b from one more product, n x m x w, and every
+D_k f0 by _differences on the rows: two matrix products a sweep plus
+O(wm) elementwise work, not two m-vector products and one Python
+iteration a weight. A matrix product sums in another order than a vector
+product, so the norms differ by rounding from those of one weight at a
+time (the tests' filter_loop_points): 3.2e-11 relative at most on the
+tested grids. They stay within
 1.2e-7 of the refined solution's norms on the grids up to M = 160 (2.4e-6
 at M = 320 and 3.2e-5 at M = 640, scenarios 4 and 5 at order 2), and the
 corner's weight was the refined sweep's in every draw checked, so only
@@ -61,7 +70,6 @@ residual's cancels against ||b||^2 (4.2e-4 relative on noise-free data,
 scenario 3, M = 80, order 1), and the penalty's loses the terms where g
 is near 1 (4.8e-2, scenario 4, M = 160, order 2). A new measurement costs
 one product A^T b and one X^T A^T b, and no solution is kept.
-penalty_norm gives ||D_k f||, summed as np.linalg.norm sums it (_norm).
 
 Mirror split. The solve runs on a list of parts, each a parity with an
 orthonormal basis V of the profiles (_fold_rule): 0 is the whole system
@@ -101,7 +109,6 @@ its Q, six m x m arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -375,28 +382,25 @@ class _Factors:
         self.h = 1.0 - self.g  # the diagonal of mu^2 X^T D_k^T D_k X
 
     def filter_solutions(self, b, lambdas):
-        """The filter solution f0 = X ((X^T A^T b) / s) of each weight
-        lambda > 0 in turn, with no refinement: the L-curve's points."""
+        """The filter solutions f0 = X ((X^T A^T b) / s) of the weights
+        lambda > 0 of a 1-D array, with no refinement: the L-curve's
+        points, one row per weight, from one product with X."""
         XtAtb = self.X.T @ (self.A.T @ b)
-        for lam in lambdas:
-            yield self.X @ (XtAtb / self._filter(lam))
+        return (XtAtb / self._filter(lambdas[:, None])) @ self.X.T
 
     def solve(self, b, lam):
         """The solution of one weight lambda > 0: the filter solution, then
         one refinement step on the normal equations."""
-        A, X = self.A, self.X
-        f, = self.filter_solutions(b, [lam])
+        A, X, s = self.A, self.X, self._filter(lam)
+        f = X @ ((X.T @ (A.T @ b)) / s)
         r = A.T @ (b - A @ f) - lam * _penalty_gradient(f, self.order, self.components)
-        f += X @ ((X.T @ r) / self._filter(lam))
+        f += X @ ((X.T @ r) / s)
         return f
 
     def _filter(self, lam):
-        """The filter's diagonal s = g + (lambda / mu^2) (1 - g)."""
+        """The filter's diagonal s = g + (lambda / mu^2) (1 - g), one row
+        per weight when lambda is a column of weights."""
         return self.g + lam / self.mu2 * self.h
-
-    def penalty_norm(self, f):
-        """||D_k f||, block by block over the components."""
-        return _norm(_differences(f, self.order, self.components))
 
 
 def _eigenbasis(Linv, Ab, order, components, mu2, m, parity):
@@ -476,12 +480,6 @@ def _penalty_gradient(f, order, components):
     padded = np.zeros((components, d.shape[1] + 2 * order))
     padded[:, order:order + d.shape[1]] = d
     return (-1) ** order * _differences(padded.reshape(-1), order, components)
-
-
-def _norm(v):
-    """||v|| of a contiguous 1-D float array: the sum np.linalg.norm takes,
-    bit for bit, without its Python overhead."""
-    return math.sqrt(v.dot(v))
 
 
 def _ratio(matrices):

@@ -414,6 +414,30 @@ def test_artifacts_match_oracle(tmp_path):
     assert oracle_digests(tmp_path) == expected
 
 
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    # one parser serves every main() of a process: its help texts are those
+    # of a freshly built parser, and an argv that argparse rejects leaves
+    # it fit for the next run, whose artifacts are the oracle's
+    def help_text(parse, argv):
+        with pytest.raises(SystemExit) as exit_:
+            parse(argv + ["--help"])
+        assert exit_.value.code == 0
+        return capsys.readouterr().out
+
+    assert cli._build_parser() is cli._build_parser()
+    for argv in [[]] + [[command] for command in cli._COMMANDS]:
+        assert help_text(main, argv) == help_text(cli._build_parser.__wrapped__().parse_args, argv)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["invert", "--no-such-flag", "1"])
+    assert exit_.value.code == 2
+    assert main(ORACLE_ARGV["invert"] + ["--out", "out/invert"]) == 0
+    expected = json.loads(ORACLE_FILE.read_text())
+    assert {f"invert/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "out" / "invert").iterdir()} == \
+           {name: digest for name, digest in expected.items() if name.startswith("invert/")}
+
+
 if __name__ == "__main__":
     # Regenerate the oracle, naming the artifacts whose digest moved:
     # PYTHONPATH=src python tests/test_cli.py

@@ -1,6 +1,7 @@
 """Weight sweep and corner selection."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,14 @@ def test_sweep_skips_failing_weights():
     s = fabricated_system(A, np.ones(5))
     assert len(wf.sweep(s, 0)) == wf.DEFAULT_LAMBDA_GRID.size
     assert wf.sweep(s, 2) == []
+    # a weight whose filter divides by zero (5e-324 / mu^2 is 0) is skipped,
+    # one whose norms overflow (1e-300) keeps them infinite, and neither
+    # raises a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = wf.sweep(s, 0, [5e-324, 1e-300, 1e-3])
+    assert [p.lam for p in points] == [1e-300, 1e-3]
+    assert np.isinf(points[0].residual_norm) and np.isfinite(points[1].residual_norm)
 
 
 def per_weight_sweep(sys, order, lambdas=None):
@@ -199,6 +208,24 @@ def test_sweep_matches_per_weight_solves_bit_for_bit(bench, example):
             for p, f in zip(got, solutions):
                 cfg = wf.RegConfig(order=order, lam=p.lam)
                 assert np.array_equal(wf.tikhonov_solve(s, cfg).values, f)
+
+
+def test_sweep_matches_the_filter_loop(bench):
+    # the sweep's products over the whole grid against the filter solved
+    # one weight at a time, on the extended grid, noise-free and 1% noise,
+    # orders 0-2: scenarios 1-5 at M = 40 and 80, scenario 4 at M = 160,
+    # scenario 2 at 320 and scenario 5 at 160 and 320
+    from test_tikhonov import BATCH_SWEEP_TOL, filter_loop_points, norm_gap
+    cells = [(example, m) for m in (40, 80) for example in (1, 2, 3, 4, 5)]
+    cells += [(4, 160), (2, 320), (5, 160), (5, 320)]
+    worst = 0.0
+    for example, m in cells:
+        for s in _draws(bench(example, m)):
+            for order in (0, 1, 2):
+                want = filter_loop_points(s, order, wf.EXTENDED_LAMBDA_GRID)
+                worst = max(worst, norm_gap(wf.sweep(s, order, wf.EXTENDED_LAMBDA_GRID), want))
+    print(f"sweep norms vs the filter loop: {worst:.2e}")
+    assert worst <= BATCH_SWEEP_TOL
 
 
 def test_sweep_keeps_the_refined_corner(bench):
