@@ -101,6 +101,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if not Path(args.out_dir).is_dir():
+        parser.error(f"--out-dir {args.out_dir} is no directory")
     sources, commits = {}, {}
     for spec in args.labels:
         label, _, src = spec.partition("=")

@@ -39,9 +39,8 @@ class UnderdeterminedSystem(WaveforceError):
 
 
 class SingularSystem(WaveforceError):
-    """Solve found numerically dependent columns: a rank-deficient A at lambda = 0, a
-    stacked system [A; mu D_k] past the rank rule's condition limit at lambda > 0, or a
-    Cholesky factorization that failed."""
+    """Solve found numerically dependent columns: a rank-deficient A at lambda = 0, or
+    at lambda > 0 an A W (W the null space of D_k) past the rank rule's condition limit."""
 
 
 class ZeroMatrix(WaveforceError):

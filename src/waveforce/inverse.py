@@ -90,7 +90,7 @@ class InverseSystem:
     background: tuple
     source: Source
     noise: NoiseSpec | None = None
-    # {order: tikhonov._Factors} of each penalty order solved (tikhonov._factors)
+    # {order: tikhonov._Factors (the standard form), or its failed rank rule's message}
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):

@@ -10,6 +10,7 @@ unit square and take the point of largest three-point Menger curvature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import DegenerateCurve, InvalidDimension, SingularSystem
 from .inverse import InverseSystem
 from .model import _float_array, _instance
-from .tikhonov import RegConfig, _differences, _factors
+from .tikhonov import RegConfig, _factors
 
 _COLLINEAR_TOL = 1e-12
 
@@ -28,7 +29,9 @@ def _grid(exp_lo: int, exp_hi: int) -> np.ndarray:
     for e in range(exp_lo, exp_hi + 1):
         out.append(1.0 * 10.0 ** e)
         out.append(5.0 * 10.0 ** e)
-    return np.array(out)
+    grid = np.array(out)
+    grid.setflags(write=False)  # sweep takes it unchecked
+    return grid
 
 
 #: 1 and 5 times powers of ten from 1e-9 up to 5e-2.
@@ -64,15 +67,12 @@ def _checked_grid(lambdas: Sequence[float]) -> np.ndarray:
 
 def sweep(sys: InverseSystem, order: int = 0,
           lambdas: Sequence[float] | None = None) -> list[LCurvePoint]:
-    """Trace the L-curve: both norms of each lambda's filter solution.
+    """Trace the L-curve: both norms of each lambda's regularized solution.
 
-    Each point's ||A f - b|| and ||D_k f|| are those of the unrefined
-    filter solution on the system's eigenbasis, within 1.2e-7 of the
-    refined solution's norms up to M = N = 160 (see the tikhonov module
-    docstring); the refined solve runs only at the weight that
-    tikhonov_solve is asked for, such as the corner's. The weights are
-    solved together: two matrix products a sweep, one for all the filter
-    solutions and one for all their residuals, not two per weight.
+    Each point's ||A f - b|| and ||D_k f|| are the closed forms of the
+    system's standard form (see the tikhonov module docstring): once the
+    measurement's coefficients are formed, a weight costs O(m) and no
+    solution is formed.
 
     Parameters
     ----------
@@ -87,44 +87,38 @@ def sweep(sys: InverseSystem, order: int = 0,
     Returns
     -------
     list of LCurvePoint
-        One entry per lambda whose solution is finite, with no
-        floating-point warning for a weight that is skipped or whose norms
-        overflow; when the system fails the rank rule of the regularized
+        One entry per lambda, with no floating-point warning for a weight
+        whose norms overflow (they are then infinite, which corner
+        ignores); when the system fails the rank rule of the regularized
         solve, every weight is skipped.
     """
     _instance(sys, (InverseSystem,), "system")
     order = RegConfig(order=order).order
     if lambdas is None:
-        lambdas = DEFAULT_LAMBDA_GRID if order == 0 else EXTENDED_LAMBDA_GRID
-    lams = _checked_grid(lambdas)
+        lams = DEFAULT_LAMBDA_GRID if order == 0 else EXTENDED_LAMBDA_GRID
+    else:
+        lams = _checked_grid(lambdas)
     try:
         factors = _factors(sys, order)
-    except SingularSystem:  # the factorization failed, so every weight does
+    except SingularSystem:  # the rank rule failed, so every weight does
         return []
-    # a weight whose filter divides by zero is skipped, and one whose norms
-    # overflow keeps them infinite, which corner ignores
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        F = factors.filter_solutions(sys.b, lams)
-        finite = np.isfinite(F).all(axis=1).tolist()
-        residuals = _row_norms(F @ sys.A.T - sys.b)
-        penalties = _row_norms(_differences(F, order, sys.components))
-    return [LCurvePoint(lam, r, d)
-            for lam, r, d, keep in zip(lams.tolist(), residuals, penalties, finite) if keep]
-
-
-def _row_norms(X: np.ndarray) -> list[float]:
-    """The Euclidean norm of each row of a 2-D array."""
-    return np.sqrt((X * X).sum(axis=1)).tolist()
+    # sigma beta / (sigma^2 + lambda) <= |beta| / (2 sqrt(lambda)), so a
+    # norm overflows only for lambda near the smallest doubles: it stays
+    # infinite
+    with np.errstate(over="ignore"):
+        residuals, penalties = factors.norms(sys.b, lams)
+    return list(map(LCurvePoint, lams.tolist(), residuals.tolist(), penalties.tolist()))
 
 
 def _menger(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Signed Menger curvature at each interior point of a polyline; NaN at
     the ends and where two of the three points coincide."""
     k = np.full(x.size, np.nan)
-    x1, x2, x3 = x[:-2], x[1:-1], x[2:]
-    y1, y2, y3 = y[:-2], y[1:-1], y[2:]
-    area2 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-    denom = np.hypot(x2 - x1, y2 - y1) * np.hypot(x3 - x2, y3 - y2) * np.hypot(x3 - x1, y3 - y1)
+    dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]  # the sides between neighbours
+    cx, cy = x[2:] - x[:-2], y[2:] - y[:-2]  # the chords across each interior point
+    side = np.hypot(dx, dy)
+    area2 = dx[:-1] * cy - dy[:-1] * cx
+    denom = side[:-1] * side[1:] * np.hypot(cx, cy)
     np.divide(2.0 * area2, denom, out=k[1:-1], where=denom > 0)
     return k
 
@@ -156,7 +150,7 @@ def corner(points: Sequence[LCurvePoint]) -> LCurvePoint:
     if not isinstance(points, (list, tuple)) or not all(isinstance(p, LCurvePoint) for p in points):
         raise DegenerateCurve("corner takes a list of LCurvePoint")
     usable = [p for p in points
-              if np.isfinite(p.residual_norm) and np.isfinite(p.solution_norm)
+              if math.isfinite(p.residual_norm) and math.isfinite(p.solution_norm)
               and p.residual_norm > 0 and p.solution_norm > 0]
     if len(usable) < 3:
         raise DegenerateCurve(f"corner needs at least 3 usable points, got {len(usable)}")

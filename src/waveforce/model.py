@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -36,6 +37,8 @@ COMPATIBILITY_TOL = 1e-12
 
 def _real(value, name="value"):
     """`value` as a float. Bools, text and arrays are rejected, never converted."""
+    if type(value) in (float, int):  # the common cases, without the abstract-class check
+        return float(value)
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise InvalidDimension(f"{name} must be a real number, got {value!r}")
     return float(value)
@@ -68,7 +71,7 @@ def _checked_array(a, name, ndim=1):
         raise DimensionMismatch(f"{name} must be an array of real numbers")
     if arr.ndim != ndim:
         raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise WaveforceError(f"{name} contains non-finite entries")
     return arr
 
@@ -152,7 +155,7 @@ class GridSpec:
     def __post_init__(self):
         for name in ("L", "T", "c"):
             v = _real(getattr(self, name), name)
-            if not np.isfinite(v) or v <= 0:
+            if not math.isfinite(v) or v <= 0:
                 raise InvalidDimension(f"{name} must be a positive real, got {getattr(self, name)}")
             object.__setattr__(self, name, v)
         m, n = _integer(self.M, "M"), _integer(self.N, "N")

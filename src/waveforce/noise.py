@@ -10,6 +10,7 @@ reproducibility contract: same series and spec, same output, always.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         p = _real(self.p, "noise fraction")
-        if not np.isfinite(p) or p < 0:
+        if not math.isfinite(p) or p < 0:
             raise WaveforceError(f"noise fraction must be >= 0, got {self.p}")
         seed = _integer(self.seed, "seed")
         if seed < 0:

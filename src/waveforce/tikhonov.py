@@ -8,107 +8,60 @@ SingularSystem when A is numerically rank-deficient (smallest singular
 value at or below RANK_TOL times the largest).
 
 lambda > 0 runs on one factor object (_Factors) per (A, order), built on
-first use and shared by every weight and every measurement on A: one
-generalized eigenbasis of the pencil (A^T A, K), K = A^T A + mu^2 D_k^T D_k
-with mu^2 = ||A||_F^2 / ||D_k||_F^2, in which every weight is a diagonal
-filter (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998).
+first use and shared by every weight and every measurement on A: the
+problem in standard form (Elden 1977; Hansen, Rank-Deficient and Discrete
+Ill-Posed Problems, 1998, sec. 2.3), in which every weight is a closed form.
 
-Build. The Cholesky factor L of K = L L^T whitens the system: with
-G = (L^-1 A^T)(L^-1 A^T)^T and H = mu^2 (L^-1 D_k^T)(L^-1 D_k^T)^T,
-G + H = L^-1 K L^-T is I, but in floating point only to about
-eps cond(K): 3.5e-5 and 5.5e-5 on the tilted ones(5, 3) of the tests
-(cond([A; mu D_2]) = 6.1e5, just under the rank rule's limit below)
-scaled by 1e-3 and 1e-5. A filter that took H = I - G would carry that
-error times t = lambda / mu^2, which reaches 7e8 on the default grids
-(scenario 4, order 2, M = 320) and 4e10 on that system. So the factors are re-whitened: with C the
-Cholesky factor of the computed G + H and R^-1 = L^-T C^-T,
-R^-T K R^-1 = C^-1 (G + H) C^-T is I to rounding (X^T K X - I reads
-3e-11 on the near-limit system, the rounding of X itself). Then
-g, Q = eigh(C^-1 G C^-T), with g clipped to [0, 1], and X = R^-1 Q give
+Build. W is an orthonormal basis of the null space of D_k, block by block
+over the components: the constant profile, and for k = 2 the linear one.
+D_k^+ = (I - W W^T) T is the pseudo-inverse of D_k, where T holds the first
+m - k columns of the inverse of D_k completed to a unit upper triangle:
+its entries are integers (running sums), so D_k^+ is exact up to one
+projection. With Q_T R_T = qr(A W) and the thin SVD U S V^T of
+Abar = (I - Q_T Q_T^T) A D_k^+, the factors keep U, S, D_k^+ V, Q_T and
+W R_T^-1. At order 0, W is empty and Abar = A.
 
-    X^T A^T A X = diag(g),    mu^2 X^T D_k^T D_k X = I - diag(g),
+Per weight. With bbar = b - Q_T Q_T^T b and beta = U^T bbar, formed once
+per measurement, and y = S beta / (S^2 + lambda),
 
-so that (A^T A + lambda D_k^T D_k)^-1 = X diag(1 / s) X^T with
-s = g + t (1 - g) >= min(1, t) > 0: no weight is singular.
-L^-1 and C^-1 are formed by halves (_lower_inverse): a third of the flops
-of an LU inverse, nearly all of them in matrix products, so that one
-inverse at m = 319 takes 1.5-2.4 ms against 5.4-7.0 ms for np.linalg.inv
-(medians of 40, 2 vCPUs, numpy 2.4 with OpenBLAS 0.3).
+    f = z + W R_T^-1 Q_T^T (b - A z),    z = D_k^+ V y,
+    ||D_k f|| = ||y||,
+    ||A f - b||^2 = ||lambda beta / (S^2 + lambda)||^2 + ||bbar - U beta||^2.
 
-Per weight. The filtered solution f0 = X ((X^T A^T b) / s) is followed by
-one step of iterative refinement on the true normal equations,
+Both norms are sums of squares, so nothing cancels, and a sweep's weights
+cost O(m) each once beta is formed. S^2 + lambda >= lambda > 0: no weight
+divides by zero.
 
-    r = A^T (b - A f0) - lambda D_k^T D_k f0,    f = f0 + X ((X^T r) / s).
+Mirror split. A dual system whose right rows equal its left rows with each
+component block's columns reversed (_has_mirror; met when both
+modulations equal their own mirror image) keeps that relation in Abar up
+to the sign (-1)^k, since D_k maps profiles of parity tau under node
+reversal to differences of parity (-1)^k tau. So Abar splits into two
+halves, each from its left rows alone: for the column parities tau = 1 and
+-1 (_fold_rule, on the m - k differences), sqrt 2 times the left rows'
+fold pairs with the data rows (bbar_left + sigma bbar_right) / sqrt 2,
+sigma = (-1)^k tau. The halves' two SVDs take about a quarter of the
+whole one's flops. Each part keeps its U on its folded rows and its
+D_k^+ V unfolded onto the whole profile. Any other system is the one part
+of parity 0.
 
-The residual is formed in the data space first: b - A f0 is small where
-the data fit, so its rounding is too, and the step then brings the
-solution to within 7.8e-13 of stacked least squares on the test grid up
-to M = 160 (5.6e-11 at lambda = 1e-14). A refined weight (solve) costs
-five m-vector products (X times (X^T A^T b) / s, A f0, A^T (b - A f0),
-X^T r, and X times (X^T r) / s) plus O(m) elementwise work: D_k^T D_k f0
-differences f0, writes that into a zero-bordered array and differences
-it again, with no np.pad (10-17 us at m = 159, order 2, against 43-68 us
-through np.pad: minima of 7 x 200 calls on 2 vCPUs with numpy 2.4).
-The L-curve's weights stop at f0 and are solved together
-(filter_solutions): with c = X^T A^T b, formed once per measurement, and
-the diagonals s of all w weights as the rows of one w x m array, each
-row as _filter gives it for its weight alone, the rows of (c / s) X^T are
-the w filter solutions, one m x m x w matrix product. lcurve.sweep takes
-every residual A f0 - b from one more product, n x m x w, and every
-D_k f0 by _differences on the rows: two matrix products a sweep plus
-O(wm) elementwise work, not two m-vector products and one Python
-iteration a weight. A matrix product sums in another order than a vector
-product, so the norms differ by rounding from those of one weight at a
-time (the tests' filter_loop_points): 3.2e-11 relative at most on the
-tested grids. They stay within
-1.2e-7 of the refined solution's norms on the grids up to M = 160 (2.4e-6
-at M = 320 and 3.2e-5 at M = 640, scenarios 4 and 5 at order 2), and the
-corner's weight was the refined sweep's in every draw checked, so only
-the picked weight is refined, by tikhonov_solve. The O(m) closed forms
-of both norms in g and X^T A^T b were measured and rejected: the
-residual's cancels against ||b||^2 (4.2e-4 relative on noise-free data,
-scenario 3, M = 80, order 1), and the penalty's loses the terms where g
-is near 1 (4.8e-2, scenario 4, M = 160, order 2). A new measurement costs
-one product A^T b and one X^T A^T b, and no solution is kept.
+Rank rule for lambda > 0, checked once per build: SingularSystem when
+cond(A W), from the singular values of R_T, is at or above
+COND_LIMIT = 1e6 (= 1 / sqrt(RANK_TOL)). The solution's part in the null
+space of D_k is R_T^-1 Q_T^T (b - A z), unregularized, so A W carries the
+whole problem's degeneracy: an A that (nearly) annihilates a profile the
+penalty does not see. At order 0 W is empty and the rule never fires.
 
-Mirror split. The solve runs on a list of parts, each a parity with an
-orthonormal basis V of the profiles (_fold_rule): 0 is the whole system
-(V = I), 1 and -1 the profiles even and odd under node reversal J. A dual
-system whose right rows equal its left rows with each component block's
-columns reversed (_has_mirror; met when both modulations equal their own
-mirror image) splits into those two halves: its normal equations commute
-with J, so A^T A, mu^2 D_k^T D_k (written on its band) and A^T b are
-folded onto each half, and no rows are rotated. Each part is factored as
-above with the whole system's mu^2, and its basis is unfolded once, at
-the build, to V R^-1 Q over the whole profile: X holds the parts'
-columns side by side, so a weight sees one m x m X and no fold. A half
-is about m/2 per component, so the two halves' factorizations and eighs
-take a quarter of the whole system's flops. The folds are orthogonal, so the
-parts' singular values together are A's (and the stacked parts' those of
-[A; mu D_k]). Any other system is the one part of parity 0.
-
-Rank rule for lambda > 0, checked once per factorization: SingularSystem
-when the Cholesky fails or when cond([A; mu D_k]) >= COND_LIMIT = 1e6
-(= 1 / sqrt(RANK_TOL)). The system solved has condition number up to
-cond([A; mu D_k])^2, so past that limit its error is no longer small
-against the stacked least-squares solution it replaces, which the tests
-keep as their oracle. The condition number is the largest singular value
-of the parts over the smallest, which is cond([A; mu D_k]) itself (for a
-split system not the worse half's own condition number, which can be
-smaller). Scenarios 1-5 up to M = N = 320 sit at 1.1e4 or below
-(scenario 4, order 2, M = 320).
-
-Memory: a system keeps X (one m x m array, 0.8 MB at m = 319), g and
-1 - g for each penalty order it solved, and copies made by
-InverseSystem.with_measurement share them, so cycling the orders on one
-A builds each order once. The build frees each temporary as soon as it
-is spent: at the eigh, the largest step, the arrays alive besides A are
-R^-1, C^-1 G C^-T, and eigh's copy of it, its workspace (two m x m) and
-its Q, six m x m arrays.
+Memory: a system keeps U and D_k^+ V (about two m x m arrays) for each
+penalty order it solved, and copies made by InverseSystem.with_measurement
+share them. The SVD, whose LAPACK workspace is the build's largest, runs
+with Abar alone alive besides A (D_k^+ is formed again after it), and the
+build frees Abar before it forms D_k^+ V.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,13 +78,9 @@ from .model import ForceVector, _checked_array, _instance, _integer, _real
 #: singular values below RANK_TOL * sv(1) count as zero in rank decisions
 RANK_TOL = 1e-12
 
-#: [A; mu D_k] at or above this condition number counts as rank-deficient
-#: for lambda > 0 (see the module docstring)
+#: A W (W the null space of D_k) at or above this condition number counts
+#: as rank-deficient for lambda > 0 (see the module docstring)
 COND_LIMIT = 1.0 / np.sqrt(RANK_TOL)
-
-#: _lower_inverse leaves triangles of at most this order to np.linalg.inv
-#: (orders 32 to 64 time alike)
-_INVERSE_BLOCK = 64
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -156,7 +105,7 @@ class RegConfig:
         if order not in (0, 1, 2):
             raise InvalidDimension(f"order must be 0, 1 or 2, got {self.order}")
         lam = _real(self.lam, "lambda")
-        if not np.isfinite(lam) or lam < 0:
+        if not math.isfinite(lam) or lam < 0:
             raise InvalidDimension(f"lambda must be >= 0, got {self.lam}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "lam", lam)
@@ -246,33 +195,12 @@ def _unfold(Y, parity, components, m):
     return X.reshape(Y.shape[:-1] + (-1,))
 
 
-def _add_penalty_gram(K, stencil, components, scale, m, parity):
-    """K += scale V^T D^T D V for the block penalty on profiles of m nodes,
-    in the folded coordinates of the parity (_fold_rule), written on its
-    band; returns K. Row r of D_k holds the stencil (a row of D_k) at nodes
-    r..r+k, and node a lands on one coordinate, index[a], with the weight
-    V[a, index[a]] (the odd part's middle node on none: weight 0)."""
-    wl, wh = _fold_rule(m, parity)
-    size = wl.size
-    index, weight = np.zeros(m, dtype=int), np.zeros(m)
-    for nodes, w in ((np.arange(size), wl), (m - 1 - np.arange(size), wh)):
-        on = w != 0
-        index[nodes[on]], weight[nodes[on]] = np.flatnonzero(on), w[on]
-    rows = np.arange(m - stencil.size + 1)
-    for c in range(components):
-        for i, si in enumerate(stencil):
-            for j, sj in enumerate(stencil):
-                np.add.at(K, (c * size + index[rows + i], c * size + index[rows + j]),
-                          scale * si * sj * weight[rows + i] * weight[rows + j])
-    return K
-
-
 def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
     """Unique minimizer of ||A f - b||^2 + lambda ||D_k f||^2.
 
     At lambda = 0 this is plain least squares on A f = b. For lambda > 0
-    it filters on the system's eigenbasis of order k, computing it on
-    first use, and refines once (see the module docstring).
+    it is the closed form of the weight on the system's standard form of
+    order k, built on first use (see the module docstring).
 
     Raises
     ------
@@ -281,8 +209,8 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
         D_k has no row.
     SingularSystem
         When lambda = 0 and A is numerically rank-deficient, or when
-        lambda > 0 and [A; mu D_k] fails the rank rule (possible only if
-        A and D_k nearly share a null vector).
+        lambda > 0 and A W fails the rank rule (possible only if A nearly
+        annihilates a null vector of D_k).
     WrongType
         When sys is no InverseSystem or cfg no RegConfig.
     """
@@ -333,153 +261,122 @@ def _parts(A, components):
     return (1, -1), _SQRT2 * A[:A.shape[0] // 2]
 
 
-def _check_rank(Ls, Linvs):
-    """The rank rule on the Cholesky factors L of the stacked [A; mu D_k],
-    one per part: SingularSystem when cond([A; mu D_k]) >= COND_LIMIT.
+def _null_basis(order, m):
+    """An orthonormal basis of the null space of D_k on m nodes, m x k: the
+    constant profile and, for k = 2, the linear one centred on the middle of
+    the profile (so orthogonal to the constant)."""
+    W = np.vander(np.arange(m) - (m - 1) / 2.0, order, increasing=True)
+    return W / np.sqrt((W * W).sum(axis=0))
 
-    ||L||_F ||L^-1||_F bounds the 2-norm condition number from above (over
-    several parts L is block-diagonal, so the norms add in squares), and
-    the singular values are needed only when the bound reaches the limit.
-    """
-    frobenius = [np.linalg.norm([np.linalg.norm(X) for X in Xs]) for Xs in (Ls, Linvs)]
-    if frobenius[0] * frobenius[1] >= COND_LIMIT:
-        cond = _ratio(Ls)
-        if cond >= COND_LIMIT:
-            raise SingularSystem(f"[A; mu D] has condition number {cond:.3g}, at or above {COND_LIMIT:g}")
+
+def _pseudo_inverse(W, order, m):
+    """D_k^+ on m nodes, m x (m - k), from the null basis W: (I - W W^T) T,
+    where T is the first m - k columns of the inverse of D_k completed to a
+    unit upper triangle (last row e_{m-1}, and for k = 2 the row before it
+    e_{m-2} - 2 e_{m-1}). That triangle is the k-th power of the first
+    differences' one, whose inverse sums each row with those below it, so
+    T is Toeplitz: T[i, j] = v[m - 1 + j - i], v the k-fold running sum of
+    e_{m-1}, integers that T takes as a view."""
+    v = np.zeros(2 * m - order - 1)
+    v[m - 1] = 1.0
+    for _ in range(order):
+        v = np.cumsum(v)
+    T = np.lib.stride_tricks.sliding_window_view(v, m - order)[::-1]
+    Dp = W @ (W.T @ T)
+    return np.subtract(T, Dp, out=Dp)
+
+
+def _block_product(X, B, components):
+    """X times the block-diagonal matrix of `components` copies of B: each
+    block of B.shape[0] entries along X's last axis times B."""
+    rows, cols = B.shape
+    out = np.empty(X.shape[:-1] + (components * cols,))
+    for c in range(components):
+        np.matmul(X[..., c * rows:(c + 1) * rows], B, out=out[..., c * cols:(c + 1) * cols])
+    return out
+
+
+def _check_rank(R):
+    """The rank rule on R_T of Q_T R_T = A W: SingularSystem when cond(A W)
+    >= COND_LIMIT, infinite when A W has fewer rows than columns. At order
+    0 W is empty, and so is R_T: no rule applies."""
+    if not R.size:
+        return
+    sv = np.linalg.svd(R, compute_uv=False)
+    smallest = sv[-1] if sv.size == R.shape[1] else 0.0
+    if sv[0] >= COND_LIMIT * smallest:
+        cond = sv[0] / smallest if smallest else np.inf
+        raise SingularSystem(f"A W (W the null space of D) has condition number {cond:.3g}, "
+                             f"at or above {COND_LIMIT:g}")
 
 
 class _Factors:
-    """The eigenbasis of the regularized solve of one (A, order): X, in
-    full coordinates with the parts' columns side by side, g and 1 - g
-    (see the module docstring). On construction, InvalidDimension when
-    D_k has no row on the profiles (_checked_nodes), before any product,
-    and SingularSystem when [A; mu D_k] fails the rank rule."""
+    """The standard form of the regularized solve of one (A, order) (see the
+    module docstring): Q_T, W R_T^-1 and, per part, (sigma, U^T, S,
+    (D_k^+ V)^T). On construction, InvalidDimension when D_k has no row on
+    the profiles (_checked_nodes), before any product, and SingularSystem
+    when A W fails the rank rule."""
 
     def __init__(self, A, order, components):
         m = A.shape[1] // components
         _checked_nodes(order, m)
-        self.A, self.order, self.components = A, order, components
-        self.parities, rows = _parts(A, components)
-        stencil = difference_operator(order, order + 1)[0]
-        penalty_rows = A.shape[1] - components * order
-        mu2 = np.vdot(A, A) / (penalty_rows * np.dot(stencil, stencil))  # ||A||_F^2 / ||D||_F^2
-        folded = [_fold(rows, parity, components) for parity in self.parities]  # A V
-        grams = [_add_penalty_gram(Ab.T @ Ab, stencil, components, mu2, m, parity)
-                 for parity, Ab in zip(self.parities, folded)]
-        try:
-            Ls = [np.linalg.cholesky(K) for K in grams]  # K = L L^T
-        except np.linalg.LinAlgError:
-            raise SingularSystem("A and the penalty share a null vector") from None
-        del grams
-        Linvs = [_lower_inverse(L) for L in Ls]
-        _check_rank(Ls, Linvs)
-        del Ls
-        # popped: _eigenbasis holds the only reference to its part's L^-1
-        bases = [_eigenbasis(Linvs.pop(0), Ab, order, components, mu2, m, parity)
-                 for parity, Ab in zip(self.parities, folded)]
-        g, Xt = (np.concatenate(a) for a in zip(*bases))
-        self.mu2, self.g, self.X = mu2, np.clip(g, 0.0, 1.0), Xt.T
-        self.h = 1.0 - self.g  # the diagonal of mu^2 X^T D_k^T D_k X
+        self.A = A
+        self._last = None, None  # (b, its _coefficients)
+        self.parities = (1, -1) if _has_mirror(A, components) else (0,)
+        W = _null_basis(order, m)
+        self.Q, R = np.linalg.qr(_block_product(A, W, components))  # Q_T R_T = A W
+        _check_rank(R)
+        self.WRinv = _block_product(np.linalg.inv(R).T, W.T, components).T
+        Dp = _pseudo_inverse(W, order, m)
+        top = A.shape[0] // len(self.parities)  # a split system's left rows
+        Abar = _block_product(A[:top], Dp, components)
+        Abar -= self.Q[:top] @ _block_product(self.Q.T @ A, Dp, components)
+        del Dp  # formed again below (0.2 ms at m = 319), to keep it out of the SVD's peak
+        svds = [np.linalg.svd(_SQRT2 * _fold(Abar, parity, components) if parity else Abar,
+                              full_matrices=False) for parity in self.parities]
+        del Abar
+        Dp = _pseudo_inverse(W, order, m)
+        self.parts = []
+        for parity, (U, s, Vt) in zip(self.parities, svds):
+            Vt = _unfold(Vt, parity, components, m - order)
+            self.parts.append(((-1) ** order * parity, U.T, s, _block_product(Vt, Dp.T, components)))
 
-    def filter_solutions(self, b, lambdas):
-        """The filter solutions f0 = X ((X^T A^T b) / s) of the weights
-        lambda > 0 of a 1-D array, with no refinement: the L-curve's
-        points, one row per weight, from one product with X."""
-        XtAtb = self.X.T @ (self.A.T @ b)
-        return (XtAtb / self._filter(lambdas[:, None])) @ self.X.T
+    def _coefficients(self, b):
+        """(data, beta) of each part: bbar = b - Q_T Q_T^T b folded onto the
+        part's rows, and beta = U^T bbar. Those of the last b are kept, so
+        that a sweep and the solve at its corner, both on one system's
+        read-only b, form them once."""
+        last, coefficients = self._last
+        if b is last:
+            return coefficients
+        bbar = b - self.Q @ (self.Q.T @ b)
+        h = bbar.size // 2
+        data = [(bbar[:h] + sigma * bbar[h:]) / _SQRT2 if sigma else bbar
+                for sigma, _, _, _ in self.parts]
+        coefficients = data, [Ut @ x for (_, Ut, _, _), x in zip(self.parts, data)]
+        self._last = b, coefficients
+        return coefficients
 
     def solve(self, b, lam):
-        """The solution of one weight lambda > 0: the filter solution, then
-        one refinement step on the normal equations."""
-        A, X, s = self.A, self.X, self._filter(lam)
-        f = X @ ((X.T @ (A.T @ b)) / s)
-        r = A.T @ (b - A @ f) - lam * _penalty_gradient(f, self.order, self.components)
-        f += X @ ((X.T @ r) / s)
-        return f
+        """The solution of one weight lambda > 0."""
+        _, betas = self._coefficients(b)
+        z = sum((s * beta / (s * s + lam)) @ DVt for (_, _, s, DVt), beta in zip(self.parts, betas))
+        return z + self.WRinv @ (self.Q.T @ (b - self.A @ z))
 
-    def _filter(self, lam):
-        """The filter's diagonal s = g + (lambda / mu^2) (1 - g), one row
-        per weight when lambda is a column of weights."""
-        return self.g + lam / self.mu2 * self.h
-
-
-def _eigenbasis(Linv, Ab, order, components, mu2, m, parity):
-    """(g, X^T) of one part, from its L^-1 and folded rows A V: the
-    eigenvalues g and the rows of X^T = (V R^-1 Q)^T over the whole profile,
-    where R^-1 = L^-T C^-T re-whitens with the Cholesky factor C of
-    G + H = L^-1 K L^-T and g, Q = eigh(C^-1 G C^-T).
-
-    The caller passes the only reference to L^-1, so that it is freed
-    before the eigh, which then sees R^-1 and its own input alive.
-    """
-    # Far from the diagonal L^-1 can decay below the smallest normal double:
-    # an LU inverse left 876 subnormal entries at scenario 4, order 2,
-    # M = 320 and 15,008 at M = 640. _lower_inverse leaves none there, but
-    # another BLAS may round differently. As zeros those entries change no
-    # sum at working precision; as subnormals they slow each product
-    # several-fold.
-    Linv[np.abs(Linv) < np.finfo(float).tiny] = 0.0
-    Z = Linv @ Ab.T  # (A V L^-T)^T
-    G = Z @ Z.T
-    del Z
-    Y = _differences(_unfold(Linv, parity, components, m), order, components)  # (D V L^-T)^T up to sign
-    S = Y @ Y.T
-    del Y
-    S *= mu2
-    S += G  # G + H
-    C = np.linalg.cholesky(S)
-    del S
-    Cinv = _lower_inverse(C)
-    del C
-    Rinv = Linv.T @ Cinv.T
-    del Linv
-    T = Cinv @ G
-    np.matmul(T, Cinv.T, out=G)  # C^-1 G C^-T
-    del T, Cinv
-    g, Q = np.linalg.eigh(G)
-    del G
-    W = Rinv @ Q
-    del Rinv, Q
-    return g, _unfold(W.T, parity, components, m)
+    def norms(self, b, lambdas):
+        """(||A f - b||, ||D_k f||) of the solution f of each weight lambda > 0
+        of a 1-D array, as two arrays, in closed form."""
+        data, betas = self._coefficients(b)
+        rest = sum(_squares(x - beta @ Ut) for (_, Ut, _, _), x, beta in zip(self.parts, data, betas))
+        s, beta = np.concatenate([part[2] for part in self.parts]), np.concatenate(betas)
+        lams = lambdas[:, None]
+        d = s * s + lams
+        return np.sqrt(_squares(lams * beta / d) + rest), np.sqrt(_squares(s * beta / d))
 
 
-def _lower_inverse(L):
-    """L^-1 of a nonsingular lower-triangular L, by halves (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 14):
-
-        [[L11, 0], [L21, L22]]^-1 = [[X11, 0], [-X22 L21 X11, X22]],
-
-    each half inverted the same way down to triangles of at most
-    _INVERSE_BLOCK rows, which np.linalg.inv inverts. That is about
-    2 m^3 / 3 flops, nearly all in matrix products, where an LU inverse of
-    L (getrf and getri) takes about 2 m^3, much of it in matrix-vector
-    steps. The halves are written into one array, and its entries above
-    the diagonal are exact zeros.
-    """
-    X = np.zeros_like(L)
-
-    def fill(L, X):
-        if L.shape[0] <= _INVERSE_BLOCK:
-            X[...] = np.tril(np.linalg.inv(L))  # the LU leaves rounding above the diagonal
-            return
-        h = L.shape[0] // 2
-        fill(L[:h, :h], X[:h, :h])
-        fill(L[h:, h:], X[h:, h:])
-        np.matmul(X[h:, h:], L[h:, :h] @ X[:h, :h], out=X[h:, :h])
-        X[h:, :h] *= -1.0
-
-    fill(L, X)
-    return X
-
-
-def _penalty_gradient(f, order, components):
-    """D_k^T D_k f, block by block over the components: _differences is D_k
-    up to the sign (-1)^k, and its adjoint is the difference of the
-    zero-padded differences with that sign again."""
-    d = _differences(f, order, components).reshape(components, -1)
-    padded = np.zeros((components, d.shape[1] + 2 * order))
-    padded[:, order:order + d.shape[1]] = d
-    return (-1) ** order * _differences(padded.reshape(-1), order, components)
+def _squares(X):
+    """The sum of squares along X's last axis."""
+    return (X * X).sum(axis=-1)
 
 
 def _ratio(matrices):

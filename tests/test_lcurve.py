@@ -157,24 +157,40 @@ def test_sweep_skips_failing_weights():
     # but the second-difference penalty shares the null vector (-1, 0, 1)
     # with it, so no weight helps and every sweep entry is skipped
     from test_inverse import fabricated_system
+    from test_tikhonov import ORACLE_GRID_TOL, stacked_lstsq
     A = np.ones((5, 3))
     s = fabricated_system(A, np.ones(5))
     assert len(wf.sweep(s, 0)) == wf.DEFAULT_LAMBDA_GRID.size
     assert wf.sweep(s, 2) == []
-    # a weight whose filter divides by zero (5e-324 / mu^2 is 0) is skipped,
-    # one whose norms overflow (1e-300) keeps them infinite, and neither
-    # raises a warning
+    # no positive weight divides by zero: the smallest doubles keep finite
+    # norms and raise no floating-point warning. On this A their solutions
+    # are rounding (its two zero singular values compute as about 1e-16,
+    # far above sqrt(lambda)); on a full-rank A they are the least-squares
+    # solution, as stacked_lstsq gives it
+    tiny = [5e-324, 1e-300, 1e-3]
+    full = fabricated_system(np.vander(np.arange(1.0, 6.0), 3), np.arange(5.0) ** 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        points = wf.sweep(s, 0, [5e-324, 1e-300, 1e-3])
-    assert [p.lam for p in points] == [1e-300, 1e-3]
-    assert np.isinf(points[0].residual_norm) and np.isfinite(points[1].residual_norm)
+        points = wf.sweep(s, 0, tiny)
+        assert [p.lam for p in points] == tiny
+        assert np.all(np.isfinite([(p.residual_norm, p.solution_norm) for p in points]))
+        for p in wf.sweep(full, 0, tiny):
+            f = wf.tikhonov_solve(full, wf.RegConfig(order=0, lam=p.lam)).values
+            want = stacked_lstsq(full.A, full.b, 0, p.lam)
+            assert np.max(np.abs(f - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
+            assert abs(p.solution_norm - np.linalg.norm(want)) <= 1e-12 * np.linalg.norm(want)
+        # a penalty norm whose squares overflow is infinite, and only it:
+        # sigma = 1e-160 and lambda = 1e-320 give sigma / (sigma^2 + lambda)
+        # = 5e159, while the residual's lambda / (sigma^2 + lambda) is 1/2
+        small = fabricated_system(1e-160 * np.eye(3), np.ones(3))
+        point, = wf.sweep(small, 0, [1e-320])
+        assert np.isinf(point.solution_norm) and point.residual_norm == pytest.approx(np.sqrt(0.75))
 
 
 def per_weight_sweep(sys, order, lambdas=None):
-    """Slow, refined predecessor of sweep: one public tikhonov_solve per
-    weight, its norms taken by refined_points. Returns the points and the
-    solution of each point."""
+    """Slow predecessor of sweep: one public tikhonov_solve per weight, its
+    norms taken from the solution by refined_points. Returns the points and
+    the solution of each point."""
     from test_tikhonov import refined_points
     if lambdas is None:
         lambdas = wf.DEFAULT_LAMBDA_GRID if order == 0 else wf.EXTENDED_LAMBDA_GRID
@@ -210,37 +226,23 @@ def test_sweep_matches_per_weight_solves_bit_for_bit(bench, example):
                 assert np.array_equal(wf.tikhonov_solve(s, cfg).values, f)
 
 
-def test_sweep_matches_the_filter_loop(bench):
-    # the sweep's products over the whole grid against the filter solved
-    # one weight at a time, on the extended grid, noise-free and 1% noise,
-    # orders 0-2: scenarios 1-5 at M = 40 and 80, scenario 4 at M = 160,
-    # scenario 2 at 320 and scenario 5 at 160 and 320
-    from test_tikhonov import BATCH_SWEEP_TOL, filter_loop_points, norm_gap
-    cells = [(example, m) for m in (40, 80) for example in (1, 2, 3, 4, 5)]
-    cells += [(4, 160), (2, 320), (5, 160), (5, 320)]
-    worst = 0.0
-    for example, m in cells:
-        for s in _draws(bench(example, m)):
-            for order in (0, 1, 2):
-                want = filter_loop_points(s, order, wf.EXTENDED_LAMBDA_GRID)
-                worst = max(worst, norm_gap(wf.sweep(s, order, wf.EXTENDED_LAMBDA_GRID), want))
-    print(f"sweep norms vs the filter loop: {worst:.2e}")
-    assert worst <= BATCH_SWEEP_TOL
-
-
 def test_sweep_keeps_the_refined_corner(bench):
-    # the corner of the filter norms is the corner of the refined ones on
-    # 30 noise draws each of scenario 4 (the noise study's) at M = 160,
-    # orders 0-2, scenario 2 at M = 320 and scenario 5 at M = 160, order 2;
-    # and on the noise-free draws of scenarios 1-5 at M = 80, where the
-    # residual is smallest, the norms stay within SWEEP_NORM_TOL
-    from test_tikhonov import SWEEP_NORM_TOL, norm_gap
+    # the corner of the closed-form norms is the corner of the refined
+    # oracle's (refined_sweep) on 30 noise draws each of scenario 4 (the
+    # noise study's) at M = 160, orders 0-2, scenario 2 at M = 320 and
+    # scenario 5 at M = 160, order 2; and on the noise-free draws of
+    # scenarios 1-5 at M = 80, where the residual is smallest, the norms
+    # stay within SWEEP_NORM_TOL of the public solve's own
+    from test_tikhonov import SWEEP_NORM_TOL, norm_gap, refined_eigenbasis, refined_sweep
     noises = [wf.NoiseSpec(0.01, seed) for seed in range(1, 31)]
     cells = [(4, 160, order) for order in (0, 1, 2)] + [(2, 320, 2), (5, 160, 2)]
     for example, m, order in cells:
-        for s in _draws(bench(example, m), noises):
+        draws = _draws(bench(example, m), noises)
+        solve = refined_eigenbasis(draws[0].A, order, draws[0].components)
+        for s in draws:
             points = wf.sweep(s, order)
-            assert wf.corner(points).lam == wf.corner(per_weight_sweep(s, order)[0]).lam
+            oracle = refined_sweep(s, order, [p.lam for p in points], solve)
+            assert wf.corner(points).lam == wf.corner(oracle).lam
     worst = 0.0
     for example in (1, 2, 3, 4, 5):
         s, = _draws(bench(example, 80), [None])

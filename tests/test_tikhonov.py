@@ -20,33 +20,24 @@ from waveforce import tikhonov
 # (scenario 4, order 0, M = 40, noise-free), where the normal equations'
 # squared conditioning shows.
 # The tolerances leave a factor of about 2.5-4 to that route; the
-# eigenbasis route reads 7.8e-13 and 5.6e-11 on the same cells up to
-# M = 160 (test_factored_solve_matches_stacked_lstsq prints its figures).
+# standard form reads 3.0e-12 and 3.7e-10 on the same cells up to M = 160
+# (test_factored_solve_matches_stacked_lstsq prints its figures).
 ORACLE_GRID_TOL = 1e-9
 ORACLE_TINY_LAMBDA_TOL = 1e-6
 
-# Largest relative gap of a sweep's norms, taken from the unrefined filter
-# solution, to the refined solution's norms (refined_points) on the
-# extended grid, over scenarios 1-5 with noise-free and 1%-noise data,
-# orders 0-2: 5.7e-9 at M = N = 40 and 80, 1.2e-7 at M = 160 (scenario 4,
-# order 2, penalty norm), 4.7e-8 at scenario 2, M = 320. The gap grows
-# with the system: 2.4e-6 at M = 320 (scenario 5, order 2, noise-free
-# residual) and 3.2e-5 at M = 640 (scenario 4, order 2, penalty), where
-# the tests do not reach. Far below the grid the noise-free residual
-# itself is rounding (1.1e-3 relative at lambda = 1e-14), so the gap is
-# checked on the grids. The O(m) closed forms of the norms miss by 4.2e-4
-# (residual) and 4.8e-2 (penalty) on the tested cells.
-SWEEP_NORM_TOL = 5e-7
-
-# Largest relative gap of either norm between sweep, which forms every
-# weight's filter solution, residual and penalty in matrix products over
-# the whole grid, and filter_loop_points, one weight at a time by m-vector
-# products: 3.2e-11 over the cells of test_sweep_matches_the_filter_loop
-# (scenario 3, M = N = 40, a noise-free residual), 6.1e-11 at scenario 5,
-# M = 640, where the tests do not reach. The two differ only in the
-# summation order of the products, so the gap is rounding, largest where
-# the residual is small against b.
-BATCH_SWEEP_TOL = 1e-10
+# Largest relative gap of a sweep's closed-form norms to the norms of the
+# refined oracle's solutions (refined_sweep) on the extended grid, over
+# scenarios 1-5 with noise-free and 1%-noise data, orders 0-2: 1.7e-11 at
+# M = N = 40, 6.6e-12 at 80, 8.2e-12 at 160, 2.4e-10 at 320 (scenario 5,
+# order 2, the noise-free residual at lambda = 1e-9) and 2.2e-10 at 640,
+# where the tests do not reach. Against the norms of the public solve's own
+# solutions (test_lcurve's per_weight_sweep) it reads 5.9e-10 at M = 40
+# (scenario 2, order 0, the noise-free residual at lambda = 1e-9). Both
+# are the rounding of a residual A f - b formed from a solution, largest
+# where the residual is small against b. The unrefined eigenbasis filter
+# that preceded the closed forms read 1.2e-7 at M = 160, 2.4e-6 at 320 and
+# 3.2e-5 at 640.
+SWEEP_NORM_TOL = 2e-9
 
 
 def penalty(order, m, components=1):
@@ -73,7 +64,7 @@ def stacked_lstsq(A, b, order, lam, components=1):
 
 
 def lu_route(A, b, order, lambdas, components=1):
-    """Oracle: the factored solve the eigenbasis replaced. The Cholesky
+    """Oracle: the factored solve before the eigenbasis. The Cholesky
     factor L of K = A^T A + mu^2 D^T D whitens the system; each weight then
     takes one LU solve of (G + (lambda / mu^2) H) y = L^-1 A^T b, with
     G = (L^-1 A^T)(L^-1 A^T)^T, H = mu^2 (L^-1 D^T)(L^-1 D^T)^T and
@@ -85,6 +76,32 @@ def lu_route(A, b, order, lambdas, components=1):
     G, H = Z @ Z.T, mu2 * (Y @ Y.T)
     rhs = Linv @ (A.T @ b)
     return [Linv.T @ np.linalg.solve(G + lam / mu2 * H, rhs) for lam in lambdas]
+
+
+def refined_eigenbasis(A, order, components=1):
+    """Oracle: the solve the standard form replaced, on the whole system;
+    returns solve(b, lambda). The Cholesky factors L of K = A^T A + mu^2 D^T D
+    and C of the whitened L^-1 K L^-T as computed, and eigh of the
+    re-whitened gram, give X with X^T A^T A X = diag(g) and
+    mu^2 X^T D^T D X = I - diag(g); each weight is the diagonal filter
+    s = g + (lambda / mu^2)(1 - g) plus one step of iterative refinement on
+    the normal equations."""
+    D = penalty(order, A.shape[1] // components, components)
+    mu2 = np.vdot(A, A) / np.vdot(D, D)
+    Linv = np.linalg.inv(np.linalg.cholesky(A.T @ A + mu2 * (D.T @ D)))
+    Z, Y = Linv @ A.T, Linv @ D.T
+    G = Z @ Z.T
+    Cinv = np.linalg.inv(np.linalg.cholesky(G + mu2 * (Y @ Y.T)))
+    g, Q = np.linalg.eigh(Cinv @ G @ Cinv.T)
+    X, g = Linv.T @ Cinv.T @ Q, np.clip(g, 0.0, 1.0)
+
+    def solve(b, lam):
+        s = g + lam / mu2 * (1.0 - g)
+        f = X @ ((X.T @ (A.T @ b)) / s)
+        r = A.T @ (b - A @ f) - lam * (D.T @ (D @ f))
+        return f + X @ ((X.T @ r) / s)
+
+    return solve
 
 
 def unsplit(system, order, monkeypatch):
@@ -164,7 +181,7 @@ def test_matches_normal_equations_randomized():
 
 
 def test_factored_solve_matches_stacked_lstsq(bench):
-    # the eigenbasis route against stacked_lstsq and against the LU route,
+    # the standard form against stacked_lstsq and against the LU route,
     # within the oracle tolerances at M = 40 and 80; at M = 160, where the
     # LU route itself exceeds ORACLE_GRID_TOL (1.2e-8 at scenario 4, order
     # 2, lambda = 0.5), no worse than it
@@ -181,7 +198,7 @@ def test_factored_solve_matches_stacked_lstsq(bench):
                         got = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
                         want = stacked_lstsq(s.A, s.b, order, lam, s.components)
                         tol = ORACLE_TINY_LAMBDA_TOL if lam == 1e-14 else ORACLE_GRID_TOL
-                        for route, f in (("eigenbasis", got), ("lu", lu)):
+                        for route, f in (("standard form", got), ("lu", lu)):
                             rel = np.max(np.abs(f - want)) / np.max(np.abs(want))
                             worst[m, route, tol] = max(worst.get((m, route, tol), 0.0), rel)
                         if m < 160:
@@ -192,31 +209,30 @@ def test_factored_solve_matches_stacked_lstsq(bench):
         print(f"vs stacked lstsq, M = {key[0]}, {key[1]} route, tolerance {key[2]:g}: "
               f"{worst[key]:.2e}")
     for (m, route, tol), w in worst.items():
-        if route == "eigenbasis":
+        if route == "standard form":
             assert w <= tol and w <= worst[m, "lu", tol]
 
 
 def test_one_factorization_per_system_and_order(bench, monkeypatch):
-    # per part, one Cholesky of K, one of the re-whitened G + H and one eigh;
-    # np.linalg.inv sees only the triangular blocks of _lower_inverse
-    calls, inverses = [], []
-    for name in ("cholesky", "eigh"):
+    # per (system, order), one QR of A W, the singular values of its R_T
+    # and R_T's inverse (k x k per component), and one thin SVD per part
+    calls = []
+    for name in ("qr", "svd", "inv"):
         routine = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda K, routine=routine, name=name:
-                            calls.append((name, K.shape)) or routine(K))
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda X: inverses.append(X.shape[0]) or inv(X))
+        monkeypatch.setattr(np.linalg, name, lambda X, *args, routine=routine, name=name, **kw:
+                            calls.append((name, X.shape)) or routine(X, *args, **kw))
     a = bench(2, 40)
     system = dataclasses.replace(a.system)  # a copy without factors
     noisy = system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 1))
     lam = wf.corner(wf.sweep(noisy, 2)).lam
     f = wf.tikhonov_solve(noisy, wf.RegConfig(order=2, lam=lam))
-    assert calls == [("cholesky", (39, 39))] * 2 + [("eigh", (39, 39))]
+    # m = 39 nodes, 37 second differences
+    assert calls == [("qr", (40, 2)), ("svd", (2, 2)), ("inv", (2, 2)), ("svd", (40, 37))]
     # a new draw shares A, so it shares the factors
     draw = system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 2))
     g = wf.tikhonov_solve(draw, wf.RegConfig(order=2, lam=lam))
     wf.sweep(draw, 2)
-    assert len(calls) == 3
+    assert len(calls) == 4
     for s, sol in ((noisy, f), (draw, g)):
         want = stacked_lstsq(s.A, s.b, 2, lam)
         assert np.max(np.abs(sol.values - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
@@ -224,45 +240,40 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
     wf.sweep(draw, 1)
     wf.tikhonov_solve(noisy, wf.RegConfig(order=1, lam=1e-4))
     wf.tikhonov_solve(noisy, wf.RegConfig())
-    assert len(calls) == 6
+    assert calls[4:] == [("qr", (40, 1)), ("svd", (1, 1)), ("inv", (1, 1)), ("svd", (40, 38))]
     # each order keeps its factors: going back to order 2 factors nothing
     wf.sweep(draw, 2)
     wf.tikhonov_solve(noisy, wf.RegConfig(order=1, lam=1e-3))
-    assert len(calls) == 6
+    assert len(calls) == 8
     assert sorted(noisy._factors) == [1, 2]
     # a mirrored dual system factors its even and odd halves once per
-    # order, each about half the size of the whole, and its draws share them
+    # order, each from its left rows and about half the differences, and
+    # its draws share them
     calls.clear()
     d = bench(5, 40)
     dual = dataclasses.replace(d.system)
     noisy = dual.with_measurement(d.measured, d.measured_right, noise=wf.NoiseSpec(0.01, 1))
     lam = wf.corner(wf.sweep(noisy, 2)).lam
     wf.tikhonov_solve(noisy, wf.RegConfig(order=2, lam=lam))
-    # m = 39: 20 even and 19 odd per profile
-    assert sorted(calls) == sorted([("cholesky", (40, 40))] * 2 + [("eigh", (40, 40))]
-                                   + [("cholesky", (38, 38))] * 2 + [("eigh", (38, 38))])
+    # 37 second differences per profile: 19 even and 18 odd
+    assert calls == [("qr", (80, 4)), ("svd", (4, 4)), ("inv", (4, 4)),
+                     ("svd", (40, 38)), ("svd", (40, 36))]
     draw = dual.with_measurement(d.measured, d.measured_right, noise=wf.NoiseSpec(0.01, 2))
     wf.tikhonov_solve(draw, wf.RegConfig(order=2, lam=lam))
     wf.sweep(draw, 2)
-    assert len(calls) == 6
+    assert len(calls) == 5
     wf.sweep(draw, 1)
-    assert len(calls) == 12
-    # above the block size (m = 159) the factors reach np.linalg.inv only
-    # as blocks of at most _INVERSE_BLOCK rows
-    inverses.clear()
-    a = bench(2, 160)
-    wf.tikhonov_solve(dataclasses.replace(a.system), wf.RegConfig(order=2, lam=1e-3))
-    assert inverses and max(inverses) <= tikhonov._INVERSE_BLOCK < a.system.A.shape[1]
+    assert len(calls) == 10
 
 
 # Peak memory of sweep(system, 2) on a 1%-noise draw, in units of one
-# m x m array (8 m^2 bytes), m the columns of A: readings 4.26 at scenario
-# 2, M = 320 (m = 319), 4.25 at M = 640 and 3.65 at the dual scenario 5,
-# M = 160 (m = 318, factored as two halves). Each bound lies about half a
-# part-sized array above its reading (a part is m x m for a whole system,
-# m/2 x m/2 for a half), so an array that _eigenbasis keeps alive past its
-# use breaks it: without one of its first six `del`s the whole system
-# reads 5.00-5.26, and without `del Z` the halves read 3.90.
+# m x m array (8 m^2 bytes), m the columns of A: readings 4.00 at scenario
+# 2, M = 320 (m = 319), 4.00 at M = 640 and 2.74 at the dual scenario 5,
+# M = 160 (m = 318, its SVD taken as two halves): U, V^T, D_k^+ and
+# D_k^+ V alive together. Without the build's `del Abar` before it forms
+# D_k^+ V the whole system reads 5.00 and breaks its bound (the halves read
+# 3.24). The SVD's own workspace is LAPACK's, which tracemalloc does not
+# see.
 @pytest.mark.parametrize("example, M, bound", [(2, 320, 4.75), (2, 640, 4.75), (5, 160, 3.8)])
 def test_build_memory_is_bounded(bench, example, M, bound):
     a = bench(example, M)
@@ -278,47 +289,6 @@ def test_build_memory_is_bounded(bench, example, M, bound):
     columns = system.A.shape[1]
     print(f"scenario {example}, M = {M}: peak {peak / (8 * columns ** 2):.2f} m^2")
     assert peak <= bound * 8 * columns ** 2
-
-
-def padded_penalty_gradient(f, order, components):
-    """Slow predecessor of tikhonov._penalty_gradient: D_k^T D_k f block by
-    block, as np.diff of the np.pad-ded np.diff of f, with the sign (-1)^k."""
-    d = np.pad(np.diff(f.reshape(components, -1), n=order), ((0, 0), (order, order)))
-    return (-1) ** order * np.diff(d, n=order).reshape(-1)
-
-
-def loop_solutions(factors, b, lambdas):
-    """Slow predecessor of _Factors.solve, over a list of weights: 1 - g
-    formed at every weight and the gradient by padded_penalty_gradient,
-    the same products in the same order."""
-    A, X, g = factors.A, factors.X, factors.g
-    XtAtb = X.T @ (A.T @ b)
-    out = []
-    for lam in lambdas:
-        s = g + lam / factors.mu2 * (1.0 - g)
-        f = X @ (XtAtb / s)
-        r = A.T @ (b - A @ f) - lam * padded_penalty_gradient(f, factors.order, factors.components)
-        f += X @ ((X.T @ r) / s)
-        out.append(f)
-    return out
-
-
-def filter_loop_points(sys, order, lambdas):
-    """Slow predecessor of sweep's pass over the grid: the filter solution
-    f0 = X ((X^T A^T b) / s) of one weight at a time by m-vector products,
-    its norms by np.linalg.norm, and the weights whose f0 is not finite
-    skipped."""
-    factors = tikhonov._factors(sys, order)
-    A, X = factors.A, factors.X
-    XtAtb = X.T @ (A.T @ sys.b)
-    points = []
-    for lam in lambdas:
-        f = X @ (XtAtb / factors._filter(lam))
-        if np.isfinite(f).all():
-            d = tikhonov._differences(f, order, sys.components)
-            points.append(wf.LCurvePoint(float(lam), float(np.linalg.norm(A @ f - sys.b)),
-                                         float(np.linalg.norm(d))))
-    return points
 
 
 def refined_points(sys, order, lambdas, solutions):
@@ -338,73 +308,34 @@ def norm_gap(points, oracle):
                for p, q in zip(points, oracle))
 
 
-def test_penalty_gradient_matches_its_predecessor():
-    # bit for bit, for one and two components at every order; each call
-    # follows one on another vector, so a result that kept anything of the
-    # call before it would differ
-    rng = np.random.default_rng(11)
-    for components in (1, 2):
-        for order in (0, 1, 2):
-            for m in (order + 1, 7, 159):
-                vectors = rng.normal(size=(3, components * m))
-                vectors[1, ::2] = 0.0
-                got = [tikhonov._penalty_gradient(f, order, components) for f in vectors]
-                for f, g in zip(vectors, got):
-                    assert np.array_equal(g, padded_penalty_gradient(f, order, components))
-                D = penalty(order, m, components)
-                assert np.max(np.abs(got[0] - D.T @ (D @ vectors[0]))) <= 1e-13
+def refined_sweep(sys, order, lambdas, solve=None):
+    """The oracle of sweep: the points of refined_eigenbasis's solutions,
+    by solve, a refined_eigenbasis of the system's A, built here when not
+    given."""
+    solve = solve or refined_eigenbasis(sys.A, order, sys.components)
+    return refined_points(sys, order, lambdas, [solve(sys.b, lam) for lam in lambdas])
 
 
-def test_per_weight_path_matches_its_predecessor_bit_for_bit(bench):
-    # the refined solve against loop_solutions, with np.array_equal, and
-    # the sweep's filter norms against the refined ones within
-    # SWEEP_NORM_TOL on the extended grid: scenarios 1-5 at M = 40,
-    # scenario 2 at M = 80 and 320, scenarios 4 (the noise study's) and 5
-    # at M = 160
-    lams = [1e-14, *wf.EXTENDED_LAMBDA_GRID]
-    cells = [(example, 40) for example in (1, 2, 3, 4, 5)] + [(2, 80), (2, 320), (4, 160), (5, 160)]
-    worst = 0.0
+def test_sweep_norms_match_the_refined_oracle(bench):
+    # the sweep's closed-form norms against the refined oracle's within
+    # SWEEP_NORM_TOL on the extended grid, noise-free and 1% noise, orders
+    # 0-2: scenarios 1-5 at M = 40, scenario 2 at M = 80, scenarios 4 (the
+    # noise study's) and 5 at M = 160, and scenarios 2, 4 and 5 at M = 320
+    cells = [(example, 40) for example in (1, 2, 3, 4, 5)] + [(2, 80), (4, 160), (5, 160)]
+    cells += [(2, 320), (4, 320), (5, 320)]
+    worst = {}
     for example, m in cells:
         a = bench(example, m)
         series = (a.measured,) if a.measured_right is None else (a.measured, a.measured_right)
         for noise in (None, wf.NoiseSpec(0.01, 1)):
             s = a.system.with_measurement(*series, noise=noise)
             for order in (0, 1, 2):
-                factors = tikhonov._factors(s, order)
-                want = loop_solutions(factors, s.b, lams)
-                assert all(np.array_equal(factors.solve(s.b, lam), w) for lam, w in zip(lams, want))
-                oracle = refined_points(s, order, lams[1:], want[1:])
-                worst = max(worst, norm_gap(wf.sweep(s, order, lams[1:]), oracle))
-    print(f"sweep norms vs refined: {worst:.2e}")
-    assert worst <= SWEEP_NORM_TOL
-
-
-def test_lower_inverse_matches_lu_inverse(bench):
-    # _lower_inverse against np.linalg.inv, the LU inverse it replaced. On
-    # scenario 4's factor (order 2) the largest gap reads 1.1e-15 of
-    # max|L^-1| and ||L X - I||_F 1.6e-13 at M = 320 (the LU inverse's
-    # 4.0e-14), and 1.8e-15 and 7.7e-13 at M = 640 (1.1e-13); the
-    # tolerances hold both sizes
-    from waveforce.tikhonov import _INVERSE_BLOCK, _lower_inverse
-    rng = np.random.default_rng(5)
-    factors = []
-    for m in (1, 2, _INVERSE_BLOCK - 1, _INVERSE_BLOCK, _INVERSE_BLOCK + 1, 159, 319):
-        L = np.tril(rng.normal(size=(m, m))) / np.sqrt(m)
-        np.fill_diagonal(L, 1.0 + rng.random(m))  # well conditioned
-        factors.append(L)
-    # scenario 4's factor at M = 320: its LU inverse decays below the
-    # smallest normal double far from the diagonal
-    A = bench(4, 320).system.A
-    D = penalty(2, A.shape[1])
-    L = np.linalg.cholesky(A.T @ A + np.vdot(A, A) / np.vdot(D, D) * (D.T @ D))
-    lu = np.abs(np.linalg.inv(L))
-    assert np.any((lu > 0) & (lu < np.finfo(float).tiny))
-    factors.append(L)
-    for L in factors:
-        X, want = _lower_inverse(L), np.linalg.inv(L)
-        assert X.shape == L.shape and not np.any(np.triu(X, 1))
-        assert np.max(np.abs(X - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.linalg.norm(L @ X - np.eye(L.shape[0])) <= 1e-12
+                oracle = refined_sweep(s, order, wf.EXTENDED_LAMBDA_GRID)
+                gap = norm_gap(wf.sweep(s, order, wf.EXTENDED_LAMBDA_GRID), oracle)
+                worst[m] = max(worst.get(m, 0.0), gap)
+    print("sweep norms vs the refined oracle: "
+          + ", ".join(f"M = {m} {w:.2e}" for m, w in sorted(worst.items())))
+    assert max(worst.values()) <= SWEEP_NORM_TOL
 
 
 def test_fold_is_orthonormal():
@@ -427,27 +358,28 @@ def test_fold_is_orthonormal():
         assert not np.any(_fold(even, -1, 2))
 
 
-def test_folded_penalty_band():
-    # the penalty written on its band in folded coordinates is V^T D^T D V,
-    # V the basis _fold gives of the identity; parity 0 writes D^T D itself
-    from waveforce.tikhonov import _add_penalty_gram, _fold
-    for m in (6, 7):
-        for order in (0, 1, 2):
-            D = wf.difference_operator(order, m)
-            stencil = D[0, :order + 1]
-            for parity in (0, 1, -1):
-                V = _fold(np.eye(m), parity, 1)
-                want = V.T @ D.T @ D @ V
-                for components in (1, 2):
-                    K = np.zeros((components * V.shape[1],) * 2)
-                    _add_penalty_gram(K, stencil, components, 1.0, m, parity)
-                    for c in range(components):
-                        block = slice(c * V.shape[1], (c + 1) * V.shape[1])
-                        assert np.max(np.abs(K[block, block] - want)) <= 1e-15
-                    if components == 2:
-                        assert not np.any(K[:V.shape[1], V.shape[1]:])
-                if not parity:
-                    assert np.array_equal(K[:m, :m], D.T @ D)
+def test_null_basis_and_pseudo_inverse():
+    # W is an orthonormal basis of D_k's null space and D_k^+ D_k's
+    # pseudo-inverse, block by block: D W = 0, W^T W = I and D D^+ = I to
+    # rounding, and D^+ within 5e-12 of max|pinv(D)| of np.linalg.pinv. At
+    # m = 319, order 2, two components the readings are 1.4e-17, 3.6e-15,
+    # 1.1e-13 and 1.2e-12, where pinv(D) itself misses D pinv(D) = I by
+    # 2.6e-13: the gap is pinv's rounding (cond(D_2) is 1.8e4)
+    from waveforce.tikhonov import _block_product, _null_basis, _pseudo_inverse
+    for order in (1, 2):
+        for m in (order + 1, 7, 319):
+            for components in (1, 2):
+                D = penalty(order, m, components)
+                W = _null_basis(order, m)
+                Dp = _block_product(np.eye(components * m), _pseudo_inverse(W, order, m), components)
+                W = _block_product(np.eye(components * m), W, components)
+                assert W.shape == (components * m, components * order)
+                assert Dp.shape == (components * m, components * (m - order))
+                assert np.max(np.abs(D @ W)) <= 1e-14
+                assert np.max(np.abs(W.T @ W - np.eye(W.shape[1]))) <= 1e-14
+                assert np.max(np.abs(D @ Dp - np.eye(D.shape[0]))) <= 1e-12
+                pinv = np.linalg.pinv(D)
+                assert np.max(np.abs(Dp - pinv)) <= 5e-12 * np.max(np.abs(pinv))
 
 
 def mirrored(n, m, odd_scale):
@@ -481,14 +413,22 @@ def test_mirror_split_condition_number(bench):
     assert not tikhonov._has_mirror(s.A, 2) and wf.condition_number(s.A) == svd_ratio(s.A)
 
 
+def null_space_cond(A, order, components=1):
+    """Oracle of the rank rule: cond(A W), W an orthonormal basis of the
+    null space of the block penalty D_k from one SVD of D_k."""
+    D = penalty(order, A.shape[1] // components, components)
+    return svd_ratio(A @ np.linalg.svd(D)[2][D.shape[0]:].T)
+
+
 def test_rank_rule_counts_both_halves():
     # an odd half that order 2 leaves nearly singular (D_2 has an odd null
-    # vector) and a well-conditioned even half: the rule reads cond([A; mu D])
-    # over both, so the split system fails it where the even half would pass
+    # vector, the linear profile) and a well-conditioned even half: the
+    # rule reads cond(A W) over the null vectors of both parities (1.99e4
+    # and 1.99e7 here), so the split system fails it where the even half
+    # would pass
     for odd_scale, fails in ((1e-4, False), (1e-7, True)):
         A = mirrored(12, 5, odd_scale)
-        D = np.kron(np.eye(2), wf.difference_operator(2, 5))
-        cond = svd_ratio(np.vstack([A, np.sqrt(np.vdot(A, A) / np.vdot(D, D)) * D]))
+        cond = null_space_cond(A, 2, 2)
         assert tikhonov._has_mirror(A, 2) and (cond >= tikhonov.COND_LIMIT) == fails
         system = wf.InverseSystem(A, np.ones(24), wf.GridSpec(1.0, 1.0, 6, 12), (np.zeros(12),) * 2,
                                   wf.Source((np.ones((7, 13)),) * 2))
@@ -536,12 +476,13 @@ def test_other_A_never_reuses_factors(bench):
 
 
 def test_near_degenerate_stack_raises():
-    # A = ones(5, 3) and D_2 share the null vector (-1, 0, 1); tilting one
-    # entry by eps leaves cond([A; mu D_2]) about 6.1 / eps
+    # A = ones(5, 3) annihilates the null vector (-1, 0, 1) of D_2; tilting
+    # one entry by eps leaves cond(A W) about 6.1 / eps
     cfg = wf.RegConfig(order=2, lam=1e-3)
     for eps, cond_limit_hit in ((1e-5, False), (3e-6, True), (1e-7, True)):
         A = np.ones((5, 3))
         A[0, 2] += eps
+        assert (null_space_cond(A, 2) >= tikhonov.COND_LIMIT) == cond_limit_hit
         s = fabricated_system(A, np.ones(5))
         if cond_limit_hit:
             with pytest.raises(wf.SingularSystem, match="condition number"):
@@ -549,19 +490,20 @@ def test_near_degenerate_stack_raises():
             assert wf.sweep(s, 2) == []
         else:
             assert np.all(np.isfinite(wf.tikhonov_solve(s, cfg).values))
-    # exactly shared null vector: the Cholesky fails, or succeeds on
-    # rounding and leaves cond near 1e8
-    with pytest.raises(wf.SingularSystem):
-        wf.tikhonov_solve(fabricated_system(np.ones((5, 3)), np.ones(5)), cfg)
+    # an exactly annihilated null vector: A W has a zero column; and one
+    # row, so that A W (1 x 2) has fewer rows than columns
+    for A in (np.ones((5, 3)), np.arange(1.0, 6.0)[None, :]):
+        with pytest.raises(wf.SingularSystem, match="condition number inf"):
+            wf.tikhonov_solve(fabricated_system(A, np.ones(A.shape[0])), cfg)
 
 
-def test_rewhitening_near_the_rank_limit():
+def test_standard_form_near_the_rank_limit():
     # The tilted ones(5, 3) of test_near_degenerate_stack_raises at eps =
-    # 1e-5 sits just under COND_LIMIT (cond([A; mu D_2]) about 6.1e5, so
-    # cond(K) about 3.7e11), scaled so that lambda / mu^2 reaches 4e6 and
-    # 4e10 on these weights. After L alone, X^T K X - I reads 3.5e-5 and
-    # 5.5e-5 here; the re-whitened basis reads 2.4e-11 and 3.0e-11, the
-    # rounding of X itself (about eps cond([A; mu D_2]) = 1.4e-10).
+    # 1e-5 sits just under COND_LIMIT (cond(A W) about 6.1e5), scaled by
+    # 1e-3 and 1e-5. A has rank 2 there, so A W spans its range and Abar is
+    # rounding. The factors stay orthonormal to rounding (U^T U - I,
+    # Q_T^T Q_T - I and V^T V - I, with V = D_k (D_k^+ V), read at most
+    # 6.7e-16), and Abar V = U S holds to 6.4e-18 of ||A||.
     lams = 10.0 ** np.arange(-9, 2)
     D = wf.difference_operator(2, 3)
     for scale in (1e-3, 1e-5):
@@ -570,28 +512,30 @@ def test_rewhitening_near_the_rank_limit():
         A *= scale
         s = fabricated_system(A, np.arange(1.0, 6.0))
         factors = tikhonov._factors(s, 2)
-        AX, DX = A @ factors.X, D @ factors.X
-        whitened = AX.T @ AX + factors.mu2 * (DX.T @ DX)
-        assert np.max(np.abs(whitened - np.eye(3))) <= 1e-9
-        assert np.max(np.abs(AX.T @ AX - np.diag(factors.g))) <= 1e-9
+        (_, Ut, sv, DVt), = factors.parts
+        Q, V = factors.Q, D @ DVt.T
+        for X in (Ut.T, Q, V):
+            assert np.max(np.abs(X.T @ X - np.eye(X.shape[1]))) <= 1e-14
+        AV = A @ DVt.T
+        assert np.max(np.abs(AV - Q @ (Q.T @ AV) - Ut.T * sv)) <= 1e-15 * np.linalg.norm(A, 2)
         # the solutions stay as close to stacked_lstsq as the LU route's
         # (4.7e-8 and 4.0e-6 for both: the oracle's own error at this
         # conditioning)
-        gaps = {"eigenbasis": 0.0, "lu": 0.0}
+        gaps = {"standard form": 0.0, "lu": 0.0}
         for lam, lu in zip(lams, lu_route(A, s.b, 2, lams)):
             want = stacked_lstsq(A, s.b, 2, lam)
             got = wf.tikhonov_solve(s, wf.RegConfig(order=2, lam=lam)).values
-            for route, f in (("eigenbasis", got), ("lu", lu)):
+            for route, f in (("standard form", got), ("lu", lu)):
                 gaps[route] = max(gaps[route], np.max(np.abs(f - want)) / np.max(np.abs(want)))
-        assert gaps["eigenbasis"] <= 2.0 * gaps["lu"]
+        assert gaps["standard form"] <= 2.0 * gaps["lu"]
 
 
 def test_failed_factorization_raises_a_fresh_error(monkeypatch):
     # one attempt per (system, order); each later solve raises a new error
     # from the kept message, so the traceback does not grow call by call
     calls = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda K: calls.append(K.shape) or cholesky(K))
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda X: calls.append(X.shape) or qr(X))
     s = fabricated_system(np.ones((5, 3)), np.ones(5))
     cfg = wf.RegConfig(order=2, lam=1e-3)
     errors = []
