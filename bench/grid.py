@@ -13,12 +13,17 @@ conditioned, as in the noise study) and 5 (two) at M = N in
     python -m waveforce invert --example E --M M --noise-pct 1 --reg-order 2
         --lambda lcurve --seed 1 --timings FILE
 
-in a fresh process `--repeats` times per cell. Repeats are the outer loop
+in a fresh process `--repeats` times per cell. One more cell runs
+
+    python -m waveforce tables --timings FILE
+
+whose stages are data, assembly (both summed over the tables' 16
+systems), cond, flux_tables, solves and output. Repeats are the outer loop
 and the labels the inner one, so two checkouts given together alternate
 run by run and share the host's drift. It writes BENCH_<LABEL>.json into
 `--out-dir`: for every cell, the median and minimum of each stage of the
-`--timings` file (data, assembly, sweep, corner, solve, cond, output), of
-their sum (`stages`) and of the process wall time from start to exit
+`--timings` file (for invert: data, assembly, sweep, corner, solve, cond,
+output), of their sum (`stages`) and of the process wall time from start to exit
 (`process`, which adds interpreter start-up and imports), all in
 seconds; plus nproc, the Python and numpy versions, the platform, the
 git commit of SRC's checkout with whether its tree differs from that
@@ -73,11 +78,19 @@ def source_digest(src):
     return h.hexdigest()
 
 
-def run_once(src, example, M, tmp):
+def cells():
+    """(cell record, CLI arguments) of every cell: the invert grid, then tables."""
+    grid = [({"example": ex, "M": M, "N": M},
+             ["invert", "--example", str(ex), "--M", str(M), *FLAGS])
+            for ex in EXAMPLES for M in SIZES]
+    return grid + [({"command": "tables"}, ["tables"])]
+
+
+def run_once(src, argv, tmp):
     """Stage seconds of one CLI run, plus its process wall time."""
     timings = Path(tmp) / "timings.json"
-    cmd = [sys.executable, "-m", "waveforce", "invert", "--example", str(example),
-           "--M", str(M), *FLAGS, "--out", str(Path(tmp) / "out"), "--timings", str(timings)]
+    cmd = [sys.executable, "-m", "waveforce", *argv, "--out", str(Path(tmp) / "out"),
+           "--timings", str(timings)]
     env = dict(os.environ, PYTHONPATH=str(src))
     t0 = time.perf_counter()
     subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
@@ -115,20 +128,21 @@ def main(argv=None):
                          "be recorded; check the commit out with `git worktree add <dir> "
                          "<commit>` and pass <dir>/src")
 
-    cells = [(ex, M) for ex in EXAMPLES for M in SIZES]
-    runs = {(label, cell): [] for label in sources for cell in cells}
+    grid = cells()
+    runs = {(label, i): [] for label in sources for i in range(len(grid))}
     with tempfile.TemporaryDirectory() as tmp:
         for rep in range(args.repeats):
-            for cell in cells:
+            for i, (_, argv) in enumerate(grid):
                 for label, src in sources.items():
-                    runs[label, cell].append(run_once(src, *cell, tmp))
+                    runs[label, i].append(run_once(src, argv, tmp))
             print(f"repeat {rep + 1}/{args.repeats} done", file=sys.stderr)
 
     for label, src in sources.items():
         commit, dirty = commits[label]
         doc = {
             "label": label,
-            "command": "waveforce invert --example E --M M " + " ".join(FLAGS),
+            "command": "waveforce invert --example E --M M " + " ".join(FLAGS)
+                       + "; waveforce tables",
             "unit": "s",
             "repeats": args.repeats,
             "nproc": os.cpu_count(),
@@ -138,8 +152,7 @@ def main(argv=None):
             "commit": commit,
             "dirty": dirty,
             "source": source_digest(src),
-            "cells": [{"example": ex, "M": M, "N": M, **summary(runs[label, (ex, M)])}
-                      for ex, M in cells],
+            "cells": [{**cell, **summary(runs[label, i])} for i, (cell, _) in enumerate(grid)],
         }
         path = Path(args.out_dir) / f"BENCH_{label}.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")

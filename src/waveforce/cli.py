@@ -144,7 +144,8 @@ class RunConfig:
     config: str | None = _setting(None, "JSON file with defaults; flags override it", _ALL,
                                   flag_only=True)
     timings: str | None = _setting(None, "write per-stage wall times (JSON) to this file; "
-                                   "not an artifact", _IDENTIFY, flag_only=True)
+                                   "not an artifact", ("invert", "lcurve", "tables"),
+                                   flag_only=True)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.L, self.T, self.M, self.N, self.c)
@@ -277,8 +278,7 @@ def _write_manifest(outdir: Path, cfg: RunConfig, artifacts: list) -> None:
         "artifacts": sorted(artifacts),
     }
     with open(outdir / "manifest.json", "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _external_problem(cfg: RunConfig, grid: GridSpec) -> WaveProblem:
@@ -315,8 +315,8 @@ def _assemble(cfg: RunConfig, stages: _Stages):
 
     One measured series per observed end: the left end, and the right end
     too when the source has two modulations. Returns (system, exact
-    ForceVector or None, the noise-free measured series); the stages
-    "data" and "assembly" are booked.
+    ForceVector or None, the noise-free measured series, the problem);
+    the stages "data" and "assembly" are booked.
     """
     grid = cfg.grid()
     if cfg.example is not None:
@@ -339,7 +339,7 @@ def _assemble(cfg: RunConfig, stages: _Stages):
     assemble = assemble_single if len(measured) == 1 else assemble_dual
     system = assemble(problem, *measured, cfg.noise())
     stages.lap("assembly")
-    return system, exact, measured
+    return system, exact, measured, problem
 
 
 def _write_lcurve(outdir: Path, points) -> str:
@@ -349,7 +349,7 @@ def _write_lcurve(outdir: Path, points) -> str:
 
 
 def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    system, exact, _ = _assemble(cfg, stages)
+    system, exact, _, _ = _assemble(cfg, stages)
     points = None
     if cfg.lam == "lcurve":
         points = sweep(system, cfg.reg_order, cfg.lambda_grid)
@@ -365,7 +365,7 @@ def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     artifacts = [] if points is None else [_write_lcurve(outdir, points)]
     k = system.components
     write_rows(outdir / "force.csv", ["x", "f", "g"][:1 + k],
-               zip(system.grid.interior_x, *solution.values.reshape(k, -1)))
+               zip(system.grid.interior_x.tolist(), *solution.values.reshape(k, -1).tolist()))
     artifacts.append("force.csv")
     metrics = [
         ("lambda", lam),
@@ -386,7 +386,7 @@ def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
 
 
 def _run_lcurve(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    system, _, _ = _assemble(cfg, stages)
+    system, _, _, _ = _assemble(cfg, stages)
     points = sweep(system, cfg.reg_order, cfg.lambda_grid)
     stages.lap("sweep")
     best = corner(points)
@@ -409,47 +409,53 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     for ex in wanted:
         if ex not in (1, 2, 3, 4):
             raise WaveforceError(f"tables cover scenarios 1..4, got {ex}")
-    artifacts = []
+    # table name -> (header, rows), written together at the end
+    tables = {}
 
-    # (scenario, M) -> (noise-free system, exact profile, measured series);
-    # tables 4-6 reuse the M = 80 systems and measurements of table1
+    # (scenario, M) -> (noise-free system, exact profile, measured series,
+    # problem): every table reads these builds
     assembled = {(ex, m): _assemble(RunConfig(cfg.command, example=ex, M=m, N=m), stages)
                  for ex in wanted for m in _TABLE_SIZES}
-    rows = [(str(ex), str(m), condition_number(system.A))
-            for (ex, m), (system, _, _) in assembled.items()]
-    write_rows(outdir / "table1.csv", ["example", "M", "cond"], rows)
-    artifacts.append("table1.csv")
+    tables["table1.csv"] = (["example", "M", "cond"],
+                            [(str(ex), str(m), condition_number(system.A))
+                             for (ex, m), (system, _, _, _) in assembled.items()])
+    stages.lap("cond")
 
     for ex, name in ((1, "table2.csv"), (2, "table3.csv")):
         if ex not in wanted:
             continue
         rows = []
         for m in _TABLE_SIZES:
-            grid = GridSpec(1.0, 1.0, m, m, 1.0)
-            q = flux(solve_direct(direct_problem(ex, grid)), LEFT)
+            _, exact, measured, problem = assembled[(ex, m)]
+            # a scenario without an analytic flux was measured by a march of
+            # its exact force on this mesh; the other one marches it here
+            q = measured[0] if example_spec(ex).flux_left is None \
+                else flux(solve_direct(problem.with_force(exact.values)), LEFT)
             for t in REFERENCE_FLUX_TIMES:
-                j = round(t * grid.N)
-                rows.append((str(m), t, q.values[j - 1]))
-        write_rows(outdir / name, ["M", "t", "flux"], rows)
-        artifacts.append(name)
+                rows.append((str(m), t, q.values[round(t * m) - 1]))
+        tables[name] = (["M", "t", "flux"], rows)
+    stages.lap("flux_tables")
 
     for ex, name in ((2, "table4.csv"), (3, "table5.csv"), (4, "table6.csv")):
         if ex not in wanted:
             continue
-        # popped, so each system's factors are freed once its table is written
-        system, exact, measured = assembled.pop((ex, 80))
+        # popped, so each system's factors are freed once its table is solved
+        system, exact, measured, _ = assembled.pop((ex, 80))
+        noisy = {pct: system.with_measurement(*measured, noise=NoiseSpec(pct / 100.0, cfg.seed))
+                 for pct in _TABLE_NOISE_PCT}
         rows = []
         for order in (0, 1, 2):
             for pct in _TABLE_NOISE_PCT:
                 lam, _ = REFERENCE_REGULARIZATION[(ex, order, pct)]
-                noisy = system.with_measurement(
-                    *measured, noise=NoiseSpec(pct / 100.0, cfg.seed))
-                solution = tikhonov_solve(noisy, RegConfig(order=order, lam=lam))
+                solution = tikhonov_solve(noisy[pct], RegConfig(order=order, lam=lam))
                 rows.append((str(ex), str(order), str(pct), lam,
                              accuracy_error(solution, exact)))
-        write_rows(outdir / name, ["example", "reg_order", "noise_pct", "lambda", "accuracy_error"], rows)
-        artifacts.append(name)
-    return artifacts
+        tables[name] = (["example", "reg_order", "noise_pct", "lambda", "accuracy_error"], rows)
+    stages.lap("solves")
+
+    for name, (header, rows) in tables.items():
+        write_rows(outdir / name, header, rows)
+    return list(tables)
 
 
 # command -> (runner, help)

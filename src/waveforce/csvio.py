@@ -23,12 +23,16 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
+def _write(path, text):
+    """Write a whole file in one call, LF line endings."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_series(path, values):
     """One value per line, order preserved, no header."""
-    values = _checked_array(values, "series")
-    with open(path, "w", newline="\n") as fh:
-        for v in values:
-            fh.write(fmt(v) + "\n")
+    # tolist() gives Python floats, whose repr is fmt's
+    _write(path, "".join(f"{v!r}\n" for v in _checked_array(values, "series").tolist()))
 
 
 def _rows(path, width=None):
@@ -57,10 +61,8 @@ def read_series(path) -> np.ndarray:
 
 def write_matrix(path, values):
     """Comma-separated rows, no header."""
-    values = _checked_array(values, "matrix", ndim=2)
-    with open(path, "w", newline="\n") as fh:
-        for row in values:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    _write(path, "".join(",".join(map(repr, row)) + "\n"
+                         for row in _checked_array(values, "matrix", ndim=2).tolist()))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -74,10 +76,9 @@ def write_rows(path, header, rows):
     Cells that are strings pass through verbatim; everything else is
     formatted as a float.
     """
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else fmt(c) for c in row) + "\n")
+    lines = [",".join(header)]
+    lines += [",".join([c if isinstance(c, str) else fmt(c) for c in row]) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def read_rows(path):

@@ -180,20 +180,28 @@ class GridSpec:
     def r(self):
         return self.c * self.dt / self.dx
 
-    @property
+    @functools.cached_property
     def x(self):
-        """Space nodes x_0..x_M."""
-        return np.linspace(0.0, self.L, self.M + 1)
+        """Space nodes x_0..x_M, read-only, formed on first access."""
+        return _linspace(self.L, self.M)
 
-    @property
+    @functools.cached_property
     def t(self):
-        """Time levels t_0..t_N."""
-        return np.linspace(0.0, self.T, self.N + 1)
+        """Time levels t_0..t_N, read-only, formed on first access."""
+        return _linspace(self.T, self.N)
 
     @property
     def interior_x(self):
         """Space nodes x_1..x_{M-1}, where unknown forces are sampled."""
         return self.x[1:-1]
+
+
+def _linspace(extent, intervals):
+    """The intervals + 1 nodes from 0 to extent, as a read-only array that
+    a GridSpec can hand to every caller."""
+    nodes = np.linspace(0.0, extent, intervals + 1)
+    nodes.setflags(write=False)
+    return nodes
 
 
 def sample_grid(grid, fn):

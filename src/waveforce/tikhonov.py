@@ -19,7 +19,11 @@ m - k columns of the inverse of D_k completed to a unit upper triangle:
 its entries are integers (running sums), so D_k^+ is exact up to one
 projection. With Q_T R_T = qr(A W) and the thin SVD U S V^T of
 Abar = (I - Q_T Q_T^T) A D_k^+, the factors keep U, S, D_k^+ V, Q_T and
-W R_T^-1. At order 0, W is empty and Abar = A.
+W R_T^-1. At order 0, W is empty and Abar = A. The modes whose singular
+value is at or below eps * max(rows, columns) * sigma_max of Abar (numpy
+lstsq's default cut, sigma_max over all parts) are rounding, and the
+factors drop them: the solve and the L-curve norms then describe the same
+solution, the minimum-norm one along those modes, at every weight.
 
 Per weight. With bbar = b - Q_T Q_T^T b and beta = U^T bbar, formed once
 per measurement, and y = S beta / (S^2 + lambda),
@@ -334,12 +338,16 @@ class _Factors:
         del Dp  # formed again below (0.2 ms at m = 319), to keep it out of the SVD's peak
         svds = [np.linalg.svd(_SQRT2 * _fold(Abar, parity, components) if parity else Abar,
                               full_matrices=False) for parity in self.parities]
+        # the rank cut of the module docstring
+        cut = np.finfo(float).eps * max(A.shape[0], Abar.shape[1]) * max(s[0] for _, s, _ in svds)
         del Abar
         Dp = _pseudo_inverse(W, order, m)
         self.parts = []
         for parity, (U, s, Vt) in zip(self.parities, svds):
-            Vt = _unfold(Vt, parity, components, m - order)
-            self.parts.append(((-1) ** order * parity, U.T, s, _block_product(Vt, Dp.T, components)))
+            rank = np.count_nonzero(s > cut)
+            Vt = _unfold(Vt[:rank], parity, components, m - order)
+            self.parts.append(((-1) ** order * parity, U.T[:rank], s[:rank],
+                               _block_product(Vt, Dp.T, components)))
 
     def _coefficients(self, b):
         """(data, beta) of each part: bbar = b - Q_T Q_T^T b folded onto the

@@ -150,13 +150,15 @@ def test_timings_file_is_not_an_artifact(tmp_path):
     plain, timed = tmp_path / "plain", tmp_path / "timed"
     argv = ("--example", 2, "--M", 20, "--noise-pct", 1, "--reg-order", 2)
     stages = {
-        "invert": ["data", "assembly", "sweep", "corner", "solve", "cond", "output"],
-        "lcurve": ["data", "assembly", "sweep", "corner", "output"],
+        "invert": (argv + ("--lambda", "lcurve"),
+                   ["data", "assembly", "sweep", "corner", "solve", "cond", "output"]),
+        "lcurve": (argv, ["data", "assembly", "sweep", "corner", "output"]),
+        "tables": (("--example", 3), ["data", "assembly", "cond", "flux_tables", "solves",
+                                      "output"]),
     }
-    for command, names in stages.items():
-        extra = ("--lambda", "lcurve") if command == "invert" else ()
-        assert run(command, *argv, *extra, "--out", plain / command) == 0
-        assert run(command, *argv, *extra, "--out", timed / command,
+    for command, (args, names) in stages.items():
+        assert run(command, *args, "--out", plain / command) == 0
+        assert run(command, *args, "--out", timed / command,
                    "--timings", tmp_path / f"{command}.json") == 0
         seconds = json.loads((tmp_path / f"{command}.json").read_text())
         assert list(seconds) == names
@@ -169,6 +171,24 @@ def test_timings_file_is_not_an_artifact(tmp_path):
                 assert (plain / command / name).read_bytes() == (timed / command / name).read_bytes()
         manifest = json.loads((timed / command / "manifest.json").read_text())
         assert manifest["artifacts"] == files and "timings" not in manifest["config"]
+
+
+def test_tables_build_each_object_once(tmp_path, monkeypatch):
+    # table1 marches twice per system (its driven or kernel march, and its
+    # background or simulated series: 32), table2 marches scenario 1's
+    # exact force at each size (4), and table3 reads scenario 2's simulated
+    # series; tables 4-6 draw each noise level once per scenario (9)
+    from waveforce import benchmarks, fdm, inverse, noise
+    calls = dict.fromkeys(["solve_direct", "add_noise"], 0)
+    for name, fn in (("solve_direct", fdm.solve_direct), ("add_noise", noise.add_noise)):
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        for user in (benchmarks, cli, fdm, inverse, noise):
+            if getattr(user, name, None) is fn:
+                monkeypatch.setattr(user, name, counted)
+    assert run("tables", "--out", tmp_path / "t") == 0
+    assert calls == {"solve_direct": 36, "add_noise": 9}
 
 
 def test_tables_condition_cell(tmp_path):

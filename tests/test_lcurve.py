@@ -163,17 +163,23 @@ def test_sweep_skips_failing_weights():
     assert len(wf.sweep(s, 0)) == wf.DEFAULT_LAMBDA_GRID.size
     assert wf.sweep(s, 2) == []
     # no positive weight divides by zero: the smallest doubles keep finite
-    # norms and raise no floating-point warning. On this A their solutions
-    # are rounding (its two zero singular values compute as about 1e-16,
-    # far above sqrt(lambda)); on a full-rank A they are the least-squares
-    # solution, as stacked_lstsq gives it
+    # norms and raise no floating-point warning. This A's two zero singular
+    # values compute as about 1e-16, far above sqrt(lambda); cut as rounding,
+    # they leave the minimum-norm least-squares solution, which the sweep's
+    # norms describe. On a full-rank A the solutions are the least-squares
+    # solution too; stacked_lstsq gives both
     tiny = [5e-324, 1e-300, 1e-3]
     full = fabricated_system(np.vander(np.arange(1.0, 6.0), 3), np.arange(5.0) ** 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         points = wf.sweep(s, 0, tiny)
         assert [p.lam for p in points] == tiny
-        assert np.all(np.isfinite([(p.residual_norm, p.solution_norm) for p in points]))
+        for p in points:
+            f = wf.tikhonov_solve(s, wf.RegConfig(order=0, lam=p.lam)).values
+            want = stacked_lstsq(s.A, s.b, 0, p.lam)
+            assert np.max(np.abs(f - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
+            assert abs(p.residual_norm - np.linalg.norm(s.A @ f - s.b)) <= 1e-12 * np.linalg.norm(s.b)
+            assert abs(p.solution_norm - np.linalg.norm(f)) <= 1e-12 * np.linalg.norm(f)
         for p in wf.sweep(full, 0, tiny):
             f = wf.tikhonov_solve(full, wf.RegConfig(order=0, lam=p.lam)).values
             want = stacked_lstsq(full.A, full.b, 0, p.lam)

@@ -14,6 +14,14 @@ def test_grid_properties():
     assert np.allclose(g.x, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert g.t.size == 9
     assert np.allclose(g.interior_x, [0.5, 1.0, 1.5])
+    # each axis is formed once, read-only, and equals np.linspace bit for bit
+    for axis, extent, intervals in (("x", 2.0, 4), ("t", 1.0, 8)):
+        nodes = getattr(g, axis)
+        assert getattr(g, axis) is nodes and not nodes.flags.writeable
+        assert np.array_equal(nodes, np.linspace(0.0, extent, intervals + 1))
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+    assert np.shares_memory(g.interior_x, g.x)
 
 
 def test_grid_cfl_boundary_inclusive():

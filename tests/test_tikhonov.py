@@ -2,8 +2,12 @@
 oracles, the shared factorization, SVD diagnostics."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import traceback
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +293,41 @@ def test_build_memory_is_bounded(bench, example, M, bound):
     columns = system.A.shape[1]
     print(f"scenario {example}, M = {M}: peak {peak / (8 * columns ** 2):.2f} m^2")
     assert peak <= bound * 8 * columns ** 2
+
+
+# Growth of the process's peak resident set over one `invert` run in a
+# fresh interpreter, past its reading after the import: what tracemalloc
+# misses, the LAPACK workspace of the SVDs and the BLAS buffers included.
+# The peak is VmHWM, that of the process's own memory map: ru_maxrss keeps
+# the forking process's peak across exec, so under a large test runner it
+# would not move. It read 11.9-12.1 MB (about 14.8 m x m arrays, m = 319)
+# with numpy 2.4 and OpenBLAS on x86-64 Linux.
+RSS_GROWTH_BOUND_MB = 14.0
+_RSS_PROBE = """
+import sys, tempfile
+import waveforce.cli
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kb()
+with tempfile.TemporaryDirectory() as out:
+    status = waveforce.cli.main(sys.argv[1:] + ["--out", out])
+print(status, peak_kb() - before)
+"""
+
+
+def test_run_memory_is_bounded():
+    argv = ["invert", "--example", "2", "--M", "320", "--reg-order", "2", "--lambda", "lcurve"]
+    src = str(Path(wf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = subprocess.run([sys.executable, "-c", _RSS_PROBE, *argv], env=env,
+                           capture_output=True, text=True, check=True)
+    status, growth_kb = map(int, probe.stdout.split())
+    print(f"peak resident set growth {growth_kb / 1024:.2f} MB")
+    assert status == 0
+    assert growth_kb / 1024 <= RSS_GROWTH_BOUND_MB
 
 
 def refined_points(sys, order, lambdas, solutions):
