@@ -5,9 +5,10 @@ Usage, from the root of a source checkout:
     python3 bench/loc.py [SRC]
 
 SRC defaults to this checkout's `src/waveforce`. The script prints two
-counts over SRC's `*.py` files: every line (the `wc -l` total), and the
-code lines, those that are neither blank, nor only a comment, nor part
-of a docstring (the string that opens a module, class or function body).
+counts for each of SRC's `*.py` files and then their totals: every line
+(the `wc -l` count), and the code lines, those that are neither blank,
+nor only a comment, nor part of a docstring (the string that opens a
+module, class or function body).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ def main(argv=None):
     total = code = 0
     for path in sorted(src.glob("*.py")):
         n, c = count(path)
+        print(f"{path.name:<16} {n:>5} lines {c:>5} code lines")
         total, code = total + n, code + c
     print(f"{total} lines (wc -l)")
     print(f"{code} code lines (not blank, comments or docstrings)")

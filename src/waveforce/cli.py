@@ -60,6 +60,7 @@ from .model import (
     Source,
     WaveProblem,
     _integer,
+    _real,
 )
 from .noise import NoiseSpec
 from .tikhonov import (
@@ -170,6 +171,11 @@ def _int(value) -> int:
     return _integer(int(value) if isinstance(value, str) else value)
 
 
+def _float(value) -> float:
+    # a flag arrives as text; a JSON number goes to _real as it is, a bool is refused
+    return _real(float(value) if isinstance(value, str) else value)
+
+
 def _text(value) -> str:
     # a JSON number is taken as its text ("lambda": 0); a list, object or bool is not
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
@@ -180,7 +186,7 @@ def _text(value) -> str:
 def _weights(value) -> list:
     if isinstance(value, str):
         value = [tok for tok in value.split(",") if tok.strip()]
-    return [float(v) for v in value]
+    return [_float(v) for v in value]
 
 
 def _boolean(value) -> bool:
@@ -192,7 +198,7 @@ def _boolean(value) -> bool:
 
 # RunConfig annotation (before any "| None") -> conversion of a flag or
 # config value
-_CONVERT = {"int": _int, "float": float, "str": _text, "bool": _boolean, "list": _weights}
+_CONVERT = {"int": _int, "float": _float, "str": _text, "bool": _boolean, "list": _weights}
 
 
 class _Stages:

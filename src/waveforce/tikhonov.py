@@ -42,12 +42,12 @@ modulations equal their own mirror image) keeps that relation in Abar up
 to the sign (-1)^k, since D_k maps profiles of parity tau under node
 reversal to differences of parity (-1)^k tau. So Abar splits into two
 halves, each from its left rows alone: for the column parities tau = 1 and
--1 (_fold_rule, on the m - k differences), sqrt 2 times the left rows'
-fold pairs with the data rows (bbar_left + sigma bbar_right) / sqrt 2,
+-1 (_fold's bases V_tau, on the m - k differences), sqrt 2 times the left
+rows' fold pairs with the data rows (bbar_left + sigma bbar_right) / sqrt 2,
 sigma = (-1)^k tau. The halves' two SVDs take about a quarter of the
 whole one's flops. Each part keeps its U on its folded rows and its
-D_k^+ V unfolded onto the whole profile. Any other system is the one part
-of parity 0.
+D_k^+ V as (D_k^+ V_tau) times its right singular vectors, D_k^+ folded
+once. Any other system is the one part of parity 0 (V_0 = I).
 
 Rank rule for lambda > 0, checked once per build: SingularSystem when
 cond(A W), from the singular values of R_T, is at or above
@@ -137,66 +137,33 @@ def difference_operator(order: int, m: int) -> np.ndarray:
         m <= order (no rows would remain).
     """
     order, m = _checked_nodes(order, m)
-    # row i of np.diff(I) is D_k e_i up to (-1)^k; + 0.0 turns -0.0 into 0.0
-    return (-1) ** order * _differences(np.eye(m), order, 1).T + 0.0
-
-
-def _differences(X: np.ndarray, order: int, components: int) -> np.ndarray:
-    """D_k applied to each row of X, block by block over the components,
-    up to the sign of odd orders (no quadratic form sees it).
-
-    Row r of X holds a vector of length components * m; each m-long block
-    is differenced on its own, with no difference across a block boundary.
-    """
-    blocks = X.reshape(X.shape[:-1] + (components, -1))
-    for _ in range(order):  # np.diff's subtractions, without its overhead
-        blocks = blocks[..., 1:] - blocks[..., :-1]
-    return blocks.reshape(X.shape[:-1] + (-1,))
-
-
-def _fold_rule(m, parity):
-    """The fold rule of a profile of m nodes: (wl, wh) such that column i
-    of the parity's orthonormal basis V is wl[i] e_i + wh[i] e_{m-1-i}.
-
-    Parity 0 is the whole profile, V = I (wl = 1, wh = 0). Parity 1 (-1)
-    is the part even (odd) under node reversal: column i < m // 2 pairs
-    node i with its mirror image (wl = 1 / sqrt 2, wh = parity / sqrt 2),
-    and an odd m adds the middle node, its own image, to the even part
-    alone (wl = 1, wh = 0): m - m // 2 even columns and m // 2 odd ones.
-    """
-    if not parity:
-        return np.ones(m), np.zeros(m)
-    h = m // 2
-    wl = np.full(m - h if parity > 0 else h, 1.0 / _SQRT2)
-    wh = parity * wl
-    if wl.size > h:
-        wl[h], wh[h] = 1.0, 0.0
-    return wl, wh
+    D = np.eye(m)
+    for _ in range(order):
+        D = D[:-1] - D[1:]
+    return D
 
 
 def _fold(X, parity, components):
     """X V along the last axis, block by block over the components, for the
-    basis V of the parity (_fold_rule); parity 0 returns X itself. No
-    basis is formed: each node is weighted with its mirror image."""
+    orthonormal basis V of the parity on m-long blocks; no basis is formed.
+
+    Parity 0 is the whole profile, V = I: X itself is returned. Parity 1
+    (-1) is the part even (odd) under node reversal: column i < m // 2 of
+    V pairs node i with its mirror image m - 1 - i, at weights 1 / sqrt 2
+    and parity / sqrt 2, and an odd m adds the middle node, its own image,
+    to the even part alone (weight 1): m - m // 2 even columns and m // 2
+    odd ones.
+    """
     if not parity:
         return X
     blocks = X.reshape(X.shape[:-1] + (components, -1))
-    wl, wh = _fold_rule(blocks.shape[-1], parity)
+    h = blocks.shape[-1] // 2
+    wl = np.full(blocks.shape[-1] - h if parity > 0 else h, 1.0 / _SQRT2)
+    wh = parity * wl
+    if wl.size > h:
+        wl[h], wh[h] = 1.0, 0.0
     Y = blocks[..., :wl.size] * wl + blocks[..., ::-1][..., :wl.size] * wh
     return Y.reshape(X.shape[:-1] + (-1,))
-
-
-def _unfold(Y, parity, components, m):
-    """Y V^T along the last axis: the m-vectors of the folded coordinates
-    Y, the inverse of _fold; parity 0 returns Y itself."""
-    if not parity:
-        return Y
-    blocks = Y.reshape(Y.shape[:-1] + (components, -1))
-    wl, wh = _fold_rule(m, parity)
-    X = np.zeros(blocks.shape[:-1] + (m,))
-    X[..., :wl.size] = blocks * wl
-    X[..., ::-1][..., :wl.size] += blocks * wh
-    return X.reshape(Y.shape[:-1] + (-1,))
 
 
 def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
@@ -338,16 +305,17 @@ class _Factors:
         del Dp  # formed again below (0.2 ms at m = 319), to keep it out of the SVD's peak
         svds = [np.linalg.svd(_SQRT2 * _fold(Abar, parity, components) if parity else Abar,
                               full_matrices=False) for parity in self.parities]
-        # the rank cut of the module docstring
-        cut = np.finfo(float).eps * max(A.shape[0], Abar.shape[1]) * max(s[0] for _, s, _ in svds)
+        # the rank cut of the module docstring; a half with no column has no s[0]
+        sigma_max = max(s.max(initial=0.0) for _, s, _ in svds)
+        cut = np.finfo(float).eps * max(A.shape[0], Abar.shape[1]) * sigma_max
         del Abar
         Dp = _pseudo_inverse(W, order, m)
         self.parts = []
         for parity, (U, s, Vt) in zip(self.parities, svds):
             rank = np.count_nonzero(s > cut)
-            Vt = _unfold(Vt[:rank], parity, components, m - order)
+            # (D_k^+ V_tau Vt^T)^T = Vt (D_k^+ V_tau)^T, V_tau the parity's basis
             self.parts.append(((-1) ** order * parity, U.T[:rank], s[:rank],
-                               _block_product(Vt, Dp.T, components)))
+                               _block_product(Vt[:rank], _fold(Dp, parity, 1).T, components)))
 
     def _coefficients(self, b):
         """(data, beta) of each part: bbar = b - Q_T Q_T^T b folded onto the

@@ -294,9 +294,10 @@ def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
 # is text, as flag text; a setting not listed takes a path, which any flag
 # text is, so only a JSON list is malformed
 MALFORMED = {
-    "example": ["9"], "M": ["1e2", 10.9, [1]], "N": ["x"], "L": ["x"], "T": ["x"], "c": ["x"],
-    "noise_pct": ["nan"], "seed": ["-1"], "reg_order": ["5"], "lambda": ["abc"],
-    "lambda_grid": ["1e-3,x", 5], "data_refine": ["0"], "dump_system": ["false"],
+    "example": ["9"], "M": ["1e2", 10.9, [1]], "N": ["x"], "L": ["x", True], "T": ["x", True],
+    "c": ["x", True], "noise_pct": ["nan", True], "seed": ["-1"], "reg_order": ["5"],
+    "lambda": ["abc"], "lambda_grid": ["1e-3,x", 5, [1e-3, True]], "data_refine": ["0"],
+    "dump_system": ["false"],
 }
 
 

@@ -378,23 +378,28 @@ def test_sweep_norms_match_the_refined_oracle(bench):
 
 
 def test_fold_is_orthonormal():
-    from waveforce.tikhonov import _fold, _unfold
+    from waveforce.tikhonov import _fold
     rng = np.random.default_rng(3)
     # the whole system's part is the identity: no copy, no arithmetic
     X = rng.normal(size=(3, 10))
-    assert _fold(X, 0, 2) is X and _unfold(X, 0, 2, 5) is X
+    assert _fold(X, 0, 2) is X
     for m in (4, 5):
+        # the parity bases, m - m // 2 even columns and m // 2 odd ones
+        even, odd = (_fold(np.eye(m), parity, 1) for parity in (1, -1))
+        assert even.shape == (m, m - m // 2) and odd.shape == (m, m // 2)
+        for V in (even, odd):
+            assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-15
+        # the halves are orthogonal and together span every profile
+        assert np.max(np.abs(even.T @ odd)) <= 1e-15
+        assert np.max(np.abs(even @ even.T + odd @ odd.T - np.eye(m))) <= 1e-15
+        # each m-long block folds on its own, by its parity's basis
         X = rng.normal(size=(3, 2 * m))
-        parts = [_fold(X, parity, 2) for parity in (1, -1)]
-        assert [p.shape for p in parts] == [(3, 2 * (m - m // 2)), (3, 2 * (m // 2))]
-        # V_+ V_+^T + V_- V_-^T = I, and V^T V = I on each half
-        back = sum(_unfold(p, parity, 2, m) for parity, p in zip((1, -1), parts))
-        assert np.max(np.abs(back - X)) <= 1e-14
-        for parity, p in zip((1, -1), parts):
-            assert np.max(np.abs(_fold(_unfold(p, parity, 2, m), parity, 2) - p)) <= 1e-14
-        # each m-long block folds on its own: an even block has no odd part
-        even = np.concatenate([np.arange(m) * (m - 1 - np.arange(m)), np.ones(m)])
-        assert not np.any(_fold(even, -1, 2))
+        for parity, V in ((1, even), (-1, odd)):
+            want = np.hstack([X[:, :m] @ V, X[:, m:] @ V])
+            assert np.max(np.abs(_fold(X, parity, 2) - want)) <= 1e-15
+        # an even block has no odd part
+        profile = np.concatenate([np.arange(m) * (m - 1 - np.arange(m)), np.ones(m)])
+        assert not np.any(_fold(profile, -1, 2))
 
 
 def test_null_basis_and_pseudo_inverse():
@@ -477,6 +482,37 @@ def test_rank_rule_counts_both_halves():
         else:
             wf.tikhonov_solve(system, wf.RegConfig(2, 1e-3))
             assert system._factors[2].parities == (1, -1)
+
+
+def test_split_with_one_difference_per_profile(bench, tmp_path):
+    # profiles of k + 1 nodes have one difference each, so the odd half has
+    # no column and no singular value; the split still solves and sweeps
+    from waveforce.cli import main
+    for M, order in ((3, 1), (4, 2)):
+        s = bench(5, M).system
+        for lam in (1e-8, 1e-3, 0.5):
+            got = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
+            want = stacked_lstsq(s.A, s.b, order, lam, 2)
+            assert np.max(np.abs(got - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
+        assert s._factors[order].parities == (1, -1)
+        points = wf.sweep(s, order)
+        assert len(points) == 18
+        assert np.all(np.isfinite([(p.residual_norm, p.solution_norm) for p in points]))
+        assert main(["invert", "--example", "5", "--M", str(M), "--reg-order", str(order),
+                     "--lambda", "1e-3", "--out", str(tmp_path / f"M{M}")]) == 0
+
+
+def test_folded_product_gives_orthonormal_singular_vectors(bench):
+    # D_k (D_k^+ V_tau Vt^T) = V_tau Vt^T: the rows of DVt D_k^T are each
+    # half's right singular vectors in difference coordinates, orthonormal
+    # within a half and orthogonal across the halves
+    s = bench(5, 40).system
+    for order in (1, 2):
+        D = penalty(order, s.A.shape[1] // 2, 2)
+        even, odd = (DVt @ D.T for _, _, _, DVt in tikhonov._factors(s, order).parts)
+        for V in (even, odd):
+            assert np.max(np.abs(V @ V.T - np.eye(V.shape[0]))) <= 1e-13
+        assert np.max(np.abs(even @ odd.T)) <= 1e-13
 
 
 def test_off_mirror_dual_falls_back_to_the_whole_system(bench):
