@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDimension, UnknownExample, WaveforceError
+from .errors import DimensionMismatch, InvalidDimension, UnknownExample, WaveforceError
 from .fdm import flux, solve_direct
 from .model import (
     LEFT,
@@ -174,9 +174,13 @@ def inverse_problem(example_id: int, grid: GridSpec) -> WaveProblem:
 
 def direct_problem(example_id: int, grid: GridSpec) -> WaveProblem:
     """Same scenario with the exact force bound: ready for a direct solve."""
-    spec = _scenario(example_id, grid)
-    return inverse_problem(example_id, grid).with_force(
-        *(_sampled(f, (grid.x,), "exact force") for f in spec.exact_forces))
+    return _bound(_scenario(example_id, grid), inverse_problem(example_id, grid))
+
+
+def _bound(spec, problem):
+    """The scenario's problem with its exact force(s) bound at the nodes of its grid."""
+    return problem.with_force(*(_sampled(f, (problem.grid.x,), "exact force")
+                                for f in spec.exact_forces))
 
 
 def exact_force(example_id: int, grid: GridSpec) -> ForceVector:
@@ -195,21 +199,34 @@ def exact_field(example_id: int, grid: GridSpec) -> WaveField | None:
 
 
 def measured_flux(example_id: int, grid: GridSpec, end: str = LEFT,
-                  data_refine: int = 1) -> FluxSeries:
+                  data_refine: int = 1, problem: WaveProblem | None = None) -> FluxSeries:
     """Noise-free measured flux series q(t_1..t_N) at one end.
 
     Scenarios 1 and 5 have analytic fluxes, returned exactly. The others
     are simulated by a direct solve with the exact force on the same mesh
     (data_refine = 1, the default) or on a mesh refined by that integer
     factor in both directions, keeping every data_refine-th time sample.
+    A caller that holds the scenario's inverse_problem on `grid` may pass
+    it as `problem`: a same-mesh simulation then marches it instead of
+    building it again.
+
+    Raises
+    ------
+    DimensionMismatch
+        When `problem` lies on another grid than `grid`.
     """
     end, r = _checked_end(end), _refinement(data_refine)
     spec = _scenario(example_id, grid)
+    if problem is not None:
+        _instance(problem, (WaveProblem,), "problem")
+        if problem.grid != grid:
+            raise DimensionMismatch("problem lies on another grid than the flux series")
     analytic = spec.flux_left if end == LEFT else spec.flux_right
     if analytic is not None:
         return FluxSeries(end, _sampled(analytic, (grid.t[1:],), f"{end} flux"))
-    fine = GridSpec(grid.L, grid.T, r * grid.M, r * grid.N, grid.c)
-    q = flux(solve_direct(direct_problem(example_id, fine)), end)
+    if problem is None or r > 1:
+        problem = inverse_problem(example_id, GridSpec(grid.L, grid.T, r * grid.M, r * grid.N, grid.c))
+    q = flux(solve_direct(_bound(spec, problem)), end)
     return FluxSeries(end, q.values[r - 1::r])
 
 

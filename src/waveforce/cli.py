@@ -49,7 +49,7 @@ from .csvio import read_matrix, read_series, write_matrix, write_rows, write_ser
 from .errors import WaveforceError
 from .fdm import flux, solve_direct
 from .inverse import _observed_ends, assemble_dual, assemble_single
-from .lcurve import _checked_grid, corner, sweep
+from .lcurve import _CORNER_POINTS, _checked_grid, corner, sweep
 from .model import (
     LEFT,
     RIGHT,
@@ -98,6 +98,13 @@ _NOISY = ("with --noise-pct above 0", lambda cfg: cfg.command == "tables" or cfg
 _SWEPT = ("with --lambda lcurve", lambda cfg: cfg.command == "lcurve" or cfg.lam == "lcurve")
 
 
+def _corner_grid(lambdas):
+    # every sweep of the command line ends in corner, which a shorter grid
+    # cannot feed: refused before any march
+    if _checked_grid(lambdas).size < _CORNER_POINTS:
+        raise ValueError(f"the corner needs at least {_CORNER_POINTS} weights, got {len(lambdas)}")
+
+
 def _data_file(help, commands):
     """An external data file: no default, read only without --example."""
     return _setting(None, help, commands, only=_EXTERNAL)
@@ -127,7 +134,7 @@ class RunConfig:
     lam: str = _setting("0", "regularization weight, or 'lcurve' to pick the corner", ("invert",),
                         name="lambda", check=lambda lam: lam == "lcurve" or RegConfig(lam=float(lam)))
     lambda_grid: list | None = _setting(None, "comma-separated ascending weights for the sweep",
-                                        _IDENTIFY, check=_checked_grid, only=_SWEPT)
+                                        _IDENTIFY, check=_corner_grid, only=_SWEPT)
     out: str = _setting("out", "output directory", _ALL)
     data_refine: int = _setting(1, "simulate measured data on a mesh this many times finer",
                                 _IDENTIFY, check=_refinement, only=_SIMULATED)
@@ -327,7 +334,7 @@ def _assemble(cfg: RunConfig, stages: _Stages):
     grid = cfg.grid()
     if cfg.example is not None:
         problem = inverse_problem(cfg.example, grid)
-        measured = [measured_flux(cfg.example, grid, end, cfg.data_refine)
+        measured = [measured_flux(cfg.example, grid, end, cfg.data_refine, problem)
                     for end in _observed_ends(problem.source.unknowns)]
         exact = exact_force(cfg.example, grid)
     else:

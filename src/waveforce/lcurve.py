@@ -23,6 +23,9 @@ from .tikhonov import RegConfig, _factors
 
 _COLLINEAR_TOL = 1e-12
 
+#: corner's fewest usable points: a curvature needs three
+_CORNER_POINTS = 3
+
 
 def _grid(exp_lo: int, exp_hi: int) -> np.ndarray:
     out = []
@@ -152,8 +155,9 @@ def corner(points: Sequence[LCurvePoint]) -> LCurvePoint:
     usable = [p for p in points
               if math.isfinite(p.residual_norm) and math.isfinite(p.solution_norm)
               and p.residual_norm > 0 and p.solution_norm > 0]
-    if len(usable) < 3:
-        raise DegenerateCurve(f"corner needs at least 3 usable points, got {len(usable)}")
+    if len(usable) < _CORNER_POINTS:
+        raise DegenerateCurve(f"corner needs at least {_CORNER_POINTS} usable points, "
+                              f"got {len(usable)}")
     res = np.array([p.residual_norm for p in usable])
     sol = np.array([p.solution_norm for p in usable])
 

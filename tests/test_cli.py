@@ -177,10 +177,12 @@ def test_tables_build_each_object_once(tmp_path, monkeypatch):
     # table1 marches twice per system (its driven or kernel march, and its
     # background or simulated series: 32), table2 marches scenario 1's
     # exact force at each size (4), and table3 reads scenario 2's simulated
-    # series; tables 4-6 draw each noise level once per scenario (9)
+    # series; tables 4-6 draw each noise level once per scenario (9); each
+    # of the 16 problems is built once, its simulated series marching it
     from waveforce import benchmarks, fdm, inverse, noise
-    calls = dict.fromkeys(["solve_direct", "add_noise"], 0)
-    for name, fn in (("solve_direct", fdm.solve_direct), ("add_noise", noise.add_noise)):
+    calls = dict.fromkeys(["solve_direct", "add_noise", "inverse_problem"], 0)
+    for name, fn in (("solve_direct", fdm.solve_direct), ("add_noise", noise.add_noise),
+                     ("inverse_problem", benchmarks.inverse_problem)):
         def counted(*args, _fn=fn, _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -188,7 +190,7 @@ def test_tables_build_each_object_once(tmp_path, monkeypatch):
             if getattr(user, name, None) is fn:
                 monkeypatch.setattr(user, name, counted)
     assert run("tables", "--out", tmp_path / "t") == 0
-    assert calls == {"solve_direct": 36, "add_noise": 9}
+    assert calls == {"solve_direct": 36, "add_noise": 9, "inverse_problem": 16}
 
 
 def test_tables_condition_cell(tmp_path):
@@ -269,6 +271,10 @@ def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
     cases += [("invert", "--example", 1, "--lambda-grid", "1e-3,1e-2"),
               ("invert", "--example", 1, "--lambda", "1e-3", "--lambda-grid", "1e-3,1e-2"),
               ("invert", "--measured-left", tmp_path / "q.csv", "--data-refine", 2)]
+    # a grid too short for the corner, which every sweep of the command line ends in
+    cases += [(command, "--example", 2, *lcurve, "--lambda-grid", grid)
+              for command, lcurve in (("invert", ("--lambda", "lcurve")), ("lcurve", ()))
+              for grid in ("1e-6", "1e-6,1e-4")]
     data_files = {"direct": ["u0", "v0", "bc_left", "bc_right", "modulation", "force"],
                   "invert": ["u0", "v0", "bc_left", "bc_right", "modulation", "modulation2",
                              "measured_left", "measured_right"]}

@@ -457,6 +457,104 @@ def test_mirror_split_condition_number(bench):
     assert not tikhonov._has_mirror(s.A, 2) and wf.condition_number(s.A) == svd_ratio(s.A)
 
 
+# Largest |cond - svd_ratio| / svd_ratio of the QR route, in units of
+# eps * cond, over scenarios 2-4 at M = N = 160 and 320: 0.021 (scenario 4,
+# M = 320, cond 3.3e9); 0.11 at M = 640. Both methods resolve the smallest
+# singular value only to about eps * cond, so that is the scale of the
+# tolerance.
+QR_ROUTE_TOL = 1.0
+
+
+def assert_qr_route(A):
+    """condition_number(A) came from the QR route, within QR_ROUTE_TOL eps
+    cond of the SVD's ratio."""
+    got, want = wf.condition_number(A), svd_ratio(A)
+    assert got == tikhonov._qr_ratio(A)
+    assert abs(got - want) <= QR_ROUTE_TOL * np.finfo(float).eps * want * want
+
+
+def test_qr_route_matches_the_svd(bench):
+    eps = np.finfo(float).eps
+    for example in (2, 3, 4):
+        # below the threshold the SVD answers, above it the route
+        A = bench(example, 160).system.A
+        assert A.shape[1] < tikhonov._QR_ROUTE_MIN and wf.condition_number(A) == svd_ratio(A)
+        assert abs(tikhonov._qr_ratio(A) - svd_ratio(A)) <= QR_ROUTE_TOL * eps * svd_ratio(A) ** 2
+        A = bench(example, 320).system.A
+        assert A.shape[1] >= tikhonov._QR_ROUTE_MIN and not tikhonov._has_mirror(A, 2)
+        assert_qr_route(A)
+
+
+def test_qr_route_is_deterministic(bench):
+    # the start block comes from a private generator of a fixed seed
+    A = bench(2, 320).system.A
+    before = np.random.get_state()
+    first, second = wf.condition_number(A), wf.condition_number(A)
+    after = np.random.get_state()
+    assert first == second
+    assert before[0] == after[0] and np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+
+
+def clustered(rows, singular_values, seed=0):
+    """A rows x len(singular_values) matrix of the given singular values,
+    with random orthonormal singular vectors."""
+    rng = np.random.default_rng(seed)
+    n = len(singular_values)
+    U = np.linalg.qr(rng.normal(size=(rows, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return (U * singular_values) @ V.T
+
+
+def test_qr_route_falls_back_on_a_clustered_sigma_min(bench):
+    # scenario 5's six smallest singular values lie within 0.12% of sigma_min
+    # at M = 160: the route would not converge on the whole system, so a
+    # mirrored dual keeps the split SVD
+    A = bench(5, 160).system.A
+    assert tikhonov._has_mirror(A, 2) and tikhonov._qr_ratio(A) is None
+    assert abs(wf.condition_number(A) - svd_ratio(A)) <= 1e-12 * svd_ratio(A)
+    # ten smallest singular values within 0.1% of each other in a whole
+    # system: the iteration on R^-1 cannot separate sigma_min within the
+    # cap, and the SVD answers
+    n = tikhonov._QR_ROUTE_MIN + 10
+    sv = np.geomspace(1.0, 1e-3, n)
+    sv[0] = 4.0  # sigma_max stands alone
+    sv[-10:] = 1e-3 * (1.0 + 1e-4 * np.arange(10))
+    A = clustered(n + 20, sv)
+    R = np.linalg.qr(A, mode="r")
+    start = np.random.default_rng(0).standard_normal((n, tikhonov._ITERATION_BLOCK))
+    assert tikhonov._largest_singular_value(R, start) is not None
+    assert tikhonov._largest_singular_value(tikhonov._upper_inverse(R), start) is None
+    assert tikhonov._qr_ratio(A) is None
+    assert wf.condition_number(A) == svd_ratio(A)
+    # spread out, the same smallest values are separated and the route answers
+    sv[-10:] = 1e-3 * 1.5 ** np.arange(10)
+    assert_qr_route(clustered(n + 20, np.sort(sv)[::-1]))
+
+
+def test_qr_route_keeps_the_svd_verdicts():
+    # above the threshold, an exactly singular matrix still reads inf, an
+    # all-zero one raises ZeroMatrix, and one with two equal columns (R's
+    # diagonal spans 1 / eps) reads the SVD's rounding-level ratio
+    n = tikhonov._QR_ROUTE_MIN
+    A = np.eye(n + 10)[:, :n]
+    A[:, 7] = 0.0
+    assert wf.condition_number(A) == np.inf
+    with pytest.raises(wf.ZeroMatrix):
+        wf.condition_number(np.zeros((n + 10, n)))
+    B = np.random.default_rng(1).normal(size=(n + 10, n))
+    B[:, 5] = B[:, 9]
+    assert tikhonov._qr_ratio(B) is None and wf.condition_number(B) == svd_ratio(B) > 1e15
+    # a wide matrix, whose R would not be square, takes the SVD
+    assert wf.condition_number(B.T) == svd_ratio(B.T)
+
+
+def test_the_upper_inverse_by_halves():
+    R = np.triu(np.random.default_rng(2).normal(size=(150, 150))) + 20.0 * np.eye(150)
+    X = tikhonov._upper_inverse(R)
+    assert not np.tril(X, -1).any()
+    assert np.max(np.abs(X @ R - np.eye(150))) <= 1e-13
+
+
 def null_space_cond(A, order, components=1):
     """Oracle of the rank rule: cond(A W), W an orthonormal basis of the
     null space of the block penalty D_k from one SVD of D_k."""
