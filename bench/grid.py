@@ -17,8 +17,8 @@ in a fresh process `--repeats` times per cell. One more cell runs
 
     python -m waveforce tables --timings FILE
 
-whose stages are data, assembly (both summed over the tables' 16
-systems), cond, flux_tables, solves and output. Repeats are the outer loop
+whose stages are data (the tables' 16 problems and 10 flux series),
+assembly (their 16 matrices), cond, flux_tables, solves and output. Repeats are the outer loop
 and the labels the inner one, so two checkouts given together alternate
 run by run and share the host's drift. It writes BENCH_<LABEL>.json into
 `--out-dir`: for every cell, the median and minimum of each stage of the

@@ -48,7 +48,7 @@ from .benchmarks import (
 from .csvio import read_matrix, read_series, write_matrix, write_rows, write_series
 from .errors import WaveforceError
 from .fdm import flux, solve_direct
-from .inverse import _observed_ends, assemble_dual, assemble_single
+from .inverse import _matrix, _observed_ends, assemble_dual, assemble_single
 from .lcurve import _CORNER_POINTS, _checked_grid, corner, sweep
 from .model import (
     LEFT,
@@ -328,8 +328,7 @@ def _assemble(cfg: RunConfig, stages: _Stages):
 
     One measured series per observed end: the left end, and the right end
     too when the source has two modulations. Returns (system, exact
-    ForceVector or None, the noise-free measured series, the problem);
-    the stages "data" and "assembly" are booked.
+    ForceVector or None); the stages "data" and "assembly" are booked.
     """
     grid = cfg.grid()
     if cfg.example is not None:
@@ -352,7 +351,7 @@ def _assemble(cfg: RunConfig, stages: _Stages):
     assemble = assemble_single if len(measured) == 1 else assemble_dual
     system = assemble(problem, *measured, cfg.noise())
     stages.lap("assembly")
-    return system, exact, measured, problem
+    return system, exact
 
 
 def _write_lcurve(outdir: Path, points) -> str:
@@ -362,7 +361,7 @@ def _write_lcurve(outdir: Path, points) -> str:
 
 
 def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    system, exact, _, _ = _assemble(cfg, stages)
+    system, exact = _assemble(cfg, stages)
     points = None
     if cfg.lam == "lcurve":
         points = sweep(system, cfg.reg_order, cfg.lambda_grid)
@@ -399,12 +398,11 @@ def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
 
 
 def _run_lcurve(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    system, _, _, _ = _assemble(cfg, stages)
+    system, _ = _assemble(cfg, stages)
     points = sweep(system, cfg.reg_order, cfg.lambda_grid)
     stages.lap("sweep")
     best = corner(points)
     stages.lap("corner")
-    artifacts = [_write_lcurve(outdir, points)]
     write_rows(outdir / "metrics.csv", ["metric", "value"], [
         ("lambda_corner", best.lam),
         ("residual_norm", best.residual_norm),
@@ -413,48 +411,46 @@ def _run_lcurve(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
         ("noise_pct", cfg.noise_pct),
         ("seed", str(cfg.seed)),
     ])
-    artifacts.append("metrics.csv")
-    return artifacts
+    return [_write_lcurve(outdir, points), "metrics.csv"]
 
 
 def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
+    if cfg.example not in (None, 1, 2, 3, 4):
+        raise WaveforceError(f"tables cover scenarios 1..4, got {cfg.example}")
     wanted = (cfg.example,) if cfg.example is not None else (1, 2, 3, 4)
-    for ex in wanted:
-        if ex not in (1, 2, 3, 4):
-            raise WaveforceError(f"tables cover scenarios 1..4, got {ex}")
+    problems = {(ex, m): inverse_problem(ex, GridSpec(1.0, 1.0, m, m))
+                for ex in wanted for m in _TABLE_SIZES}
+    # the exact profile, and the scheme's left flux of it, on each mesh a
+    # table reads them on: tables 2 and 3 tabulate the flux, and tables 4-6
+    # take it at M = 80 as their measured data
+    exact = {(ex, m): exact_force(ex, p.grid) for (ex, m), p in problems.items()
+             if ex in (1, 2) or m == 80}
+    series = {key: flux(solve_direct(problems[key].with_force(f.values)), LEFT)
+              for key, f in exact.items()}
+    stages.lap("data")
+    # the systems tables 4-6 solve, whose A table 1 reads; every other matrix alone
+    systems = {(ex, 80): assemble_single(problems[ex, 80], series[ex, 80])
+               for ex in (2, 3, 4) if ex in wanted}
+    matrices = {key: systems[key].A if key in systems else _matrix(problem)
+                for key, problem in problems.items()}
+    stages.lap("assembly")
     # table name -> (header, rows), written together at the end
-    tables = {}
-
-    # (scenario, M) -> (noise-free system, exact profile, measured series,
-    # problem): every table reads these builds
-    assembled = {(ex, m): _assemble(RunConfig(cfg.command, example=ex, M=m, N=m), stages)
-                 for ex in wanted for m in _TABLE_SIZES}
-    tables["table1.csv"] = (["example", "M", "cond"],
-                            [(str(ex), str(m), condition_number(system.A))
-                             for (ex, m), (system, _, _, _) in assembled.items()])
+    tables = {"table1.csv": (["example", "M", "cond"], [(str(ex), str(m), condition_number(A))
+                                                        for (ex, m), A in matrices.items()])}
     stages.lap("cond")
 
     for ex, name in ((1, "table2.csv"), (2, "table3.csv")):
-        if ex not in wanted:
-            continue
-        rows = []
-        for m in _TABLE_SIZES:
-            _, exact, measured, problem = assembled[(ex, m)]
-            # a scenario without an analytic flux was measured by a march of
-            # its exact force on this mesh; the other one marches it here
-            q = measured[0] if example_spec(ex).flux_left is None \
-                else flux(solve_direct(problem.with_force(exact.values)), LEFT)
-            for t in REFERENCE_FLUX_TIMES:
-                rows.append((str(m), t, q.values[round(t * m) - 1]))
-        tables[name] = (["M", "t", "flux"], rows)
+        if ex in wanted:
+            tables[name] = (["M", "t", "flux"], [(str(m), t, series[ex, m].values[round(t * m) - 1])
+                                                 for m in _TABLE_SIZES for t in REFERENCE_FLUX_TIMES])
     stages.lap("flux_tables")
 
     for ex, name in ((2, "table4.csv"), (3, "table5.csv"), (4, "table6.csv")):
         if ex not in wanted:
             continue
         # popped, so each system's factors are freed once its table is solved
-        system, exact, measured, _ = assembled.pop((ex, 80))
-        noisy = {pct: system.with_measurement(*measured, noise=NoiseSpec(pct / 100.0, cfg.seed))
+        system = systems.pop((ex, 80))
+        noisy = {pct: system.with_measurement(series[ex, 80], noise=NoiseSpec(pct / 100.0, cfg.seed))
                  for pct in _TABLE_NOISE_PCT}
         rows = []
         for order in (0, 1, 2):
@@ -462,7 +458,7 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
                 lam, _ = REFERENCE_REGULARIZATION[(ex, order, pct)]
                 solution = tikhonov_solve(noisy[pct], RegConfig(order=order, lam=lam))
                 rows.append((str(ex), str(order), str(pct), lam,
-                             accuracy_error(solution, exact)))
+                             accuracy_error(solution, exact[ex, 80])))
         tables[name] = (["example", "reg_order", "noise_pct", "lambda", "accuracy_error"], rows)
     stages.lap("solves")
 

@@ -156,15 +156,9 @@ def _checked_measurement(series, components, N):
 
 
 def _assemble(problem, measured, noise):
-    """Reciprocity assembly shared by the single and dual systems.
-
-    Column c*(M-1) + k holds the flux response, at every observed end, to
-    the unit profile e_k in source component c; row block r belongs to the
-    r-th observed end. A modulation that does not vary in x gets its left
-    block from one driven march; any other is convolved with the left flux
-    kernel. The right block is the mirror image (see the module
-    docstring). b comes from with_measurement.
-    """
+    """Reciprocity assembly shared by the single and dual systems: the
+    intake checks, the zero-force background flux at every observed end,
+    A from _matrix, and b from with_measurement."""
     _instance(problem, (WaveProblem,), "problem")
     components = len(measured)
     if problem.source.unknowns != components:
@@ -175,19 +169,33 @@ def _assemble(problem, measured, noise):
         raise UnderdeterminedSystem(f"N={g.N} observations cannot determine M-1={g.M - 1} unknowns")
     measured = _checked_measurement(measured, components, g.N)
 
-    m = g.M - 1
-    ends = _observed_ends(components)
     data = np.concatenate([problem.initial.displacement, problem.initial.velocity,
                            problem.boundary.left, problem.boundary.right])
     if np.any(data) or np.any(np.signbit(data)):
-        bg_field = solve_direct(problem.with_force(*[np.zeros(m)] * components))
+        bg_field = solve_direct(problem.with_force(*[np.zeros(g.M - 1)] * components))
     else:  # all data +0.0: the march would give +0.0 everywhere
         bg_field = WaveField(g, np.zeros((g.M + 1, g.N + 1)))
-    background = tuple(flux(bg_field, end) for end in ends)
-    A = np.zeros((len(ends) * g.N, components * m))
+    background = tuple(flux(bg_field, end) for end in _observed_ends(components))
+    return InverseSystem(_matrix(problem), np.zeros(components * g.N), g, background,
+                         problem.source).with_measurement(*measured, noise=noise)
+
+
+def _matrix(problem):
+    """A of the problem's system, from its grid and source alone.
+
+    Column c*(M-1) + k holds the flux response, at every observed end, to
+    the unit profile e_k in source component c; row block r belongs to the
+    r-th observed end. A modulation that does not vary in x gets its left
+    block from one driven march; any other is convolved with the left flux
+    kernel. The right block is the mirror image (see the module
+    docstring). The initial and boundary data are not read.
+    """
+    g, components = problem.grid, problem.source.unknowns
+    m = g.M - 1
+    A = np.zeros((components * g.N, components * m))
     kernel = None
     for c, h in enumerate(problem.source.modulations):
-        blocks = [A[r * g.N:(r + 1) * g.N, c * m:(c + 1) * m] for r in range(len(ends))]
+        blocks = [A[r * g.N:(r + 1) * g.N, c * m:(c + 1) * m] for r in range(components)]
         # force weights of the levels t_0..t_{N-1}, time-major
         hw = h[1:g.M, :g.N].T
         if np.all(hw == hw[:, :1]):
@@ -202,8 +210,7 @@ def _assemble(problem, measured, noise):
         for blk, G in zip(blocks, (kernel, kernel[:, ::-1])):
             for s in range(g.N):
                 blk[s:] += hw[s] * G[:g.N - s]
-    system = InverseSystem(A, np.zeros(A.shape[0]), g, background, problem.source)
-    return system.with_measurement(*measured, noise=noise)
+    return A
 
 
 def _left_block(grid, series):

@@ -3,9 +3,11 @@
 Sweeping lambda over a grid traces the curve (||A f - b||, ||D_k f||).
 Plotted on log axes it bends in an L shape: the corner separates the
 under-regularized branch (solution norm blowing up) from the
-over-regularized one (residual growing). The corner picker reproduces
-what a reader does with the plotted page: normalize both axes to the
-unit square and take the point of largest three-point Menger curvature.
+over-regularized one (residual growing). The corner picker does not
+work on those log axes: it min-max normalizes the raw norms to the unit
+square and takes the point of largest three-point Menger curvature there.
+The log axes serve only to refuse a curve that is collinear on them,
+which has no corner.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The regularized solution minimizes ||A f - b||^2 + lambda ||D_k f||^2 where
 D_0 = I, D_1 takes first differences, D_2 second differences.
 
 lambda = 0 is plain least squares, one lstsq call on A f = b; it raises
-SingularSystem when A is numerically rank-deficient (smallest singular
-value at or below RANK_TOL times the largest).
+SingularSystem when A is numerically rank-deficient (fewer rows than
+columns, or smallest singular value at or below RANK_TOL times the
+largest).
 
 lambda > 0 runs on one factor object (_Factors) per (A, order), built on
 first use and shared by every weight and every measurement on A: the
@@ -229,7 +230,9 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
     _instance(cfg, (RegConfig,), "regularization config")
     if cfg.lam == 0.0:
         sol, _, _, sv = np.linalg.lstsq(sys.A, sys.b, rcond=None)
-        if sv.size == 0 or sv[-1] <= RANK_TOL * sv[0]:
+        # lstsq returns min(rows, columns) singular values: fewer than the
+        # columns (a wide A) is rank-deficient, as in _check_rank
+        if sv.size < sys.A.shape[1] or sv[-1] <= RANK_TOL * sv[0]:
             raise SingularSystem("system is numerically rank-deficient at lambda = 0")
         return ForceVector(sol, sys.components)
     return ForceVector(_factors(sys, cfg.order).solve(sys.b, cfg.lam), sys.components)

@@ -174,15 +174,16 @@ def test_timings_file_is_not_an_artifact(tmp_path):
 
 
 def test_tables_build_each_object_once(tmp_path, monkeypatch):
-    # table1 marches twice per system (its driven or kernel march, and its
-    # background or simulated series: 32), table2 marches scenario 1's
-    # exact force at each size (4), and table3 reads scenario 2's simulated
-    # series; tables 4-6 draw each noise level once per scenario (9); each
-    # of the 16 problems is built once, its simulated series marching it
+    # each of the 16 problems is built once and its matrix formed once
+    # (16 driven or kernel marches); the left flux of the exact force is
+    # marched where a table reads it: scenarios 1 and 2 at every size for
+    # tables 2 and 3 (8), scenarios 3 and 4 at M = 80 for tables 5 and 6 (2);
+    # tables 4-6 draw each noise level once per scenario (9)
     from waveforce import benchmarks, fdm, inverse, noise
-    calls = dict.fromkeys(["solve_direct", "add_noise", "inverse_problem"], 0)
+    calls = dict.fromkeys(["solve_direct", "add_noise", "inverse_problem", "_matrix"], 0)
     for name, fn in (("solve_direct", fdm.solve_direct), ("add_noise", noise.add_noise),
-                     ("inverse_problem", benchmarks.inverse_problem)):
+                     ("inverse_problem", benchmarks.inverse_problem),
+                     ("_matrix", inverse._matrix)):
         def counted(*args, _fn=fn, _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -190,7 +191,7 @@ def test_tables_build_each_object_once(tmp_path, monkeypatch):
             if getattr(user, name, None) is fn:
                 monkeypatch.setattr(user, name, counted)
     assert run("tables", "--out", tmp_path / "t") == 0
-    assert calls == {"solve_direct": 36, "add_noise": 9, "inverse_problem": 16}
+    assert calls == {"solve_direct": 26, "add_noise": 9, "inverse_problem": 16, "_matrix": 16}
 
 
 def test_tables_condition_cell(tmp_path):

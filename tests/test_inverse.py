@@ -79,6 +79,14 @@ def test_rank_deficient_detected():
         wf.tikhonov_solve(fabricated_system(A, np.ones(5)), wf.RegConfig())
 
 
+def test_wide_system_is_singular_at_lambda_zero():
+    # lstsq returns min(rows, columns) singular values, so a system with
+    # fewer rows than columns has a null space its smallest one misses
+    A = np.random.default_rng(5).normal(size=(4, 7))
+    with pytest.raises(wf.SingularSystem):
+        wf.tikhonov_solve(fabricated_system(A, np.ones(4)), wf.RegConfig())
+
+
 def test_underdetermined_rejected():
     g = wf.GridSpec(1.0, 0.2, 10, 4)  # N=4 < M-1=9, r=0.5
     prob = wf.WaveProblem(g, wf.InitialData.zero(g), wf.BoundaryData.zero(g),
@@ -363,6 +371,26 @@ def test_right_rows_mirror_left_rows(case):
     assert mirrored == all(np.array_equal(h, h[::-1]) for h in interior)
     # (the perturbed entry sits on the middle node, its own mirror image)
     assert mirrored == (case != "stretched-dual")
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5, "stretched-dual"])
+def test_matrix_is_the_assembled_A(case, bench):
+    # _matrix reads the grid and the source alone: it equals the A of an
+    # assembly with nonzero data or measurement, and the matrix of the same
+    # source with zero data
+    if case == "stretched-dual":  # x-varying modulations, nonzero data
+        problem = _stretched_problem(dual=True)
+        noise = np.random.default_rng(3).normal(size=(2, problem.grid.N))
+        system = wf.assemble_dual(problem, *noise)
+    else:
+        system = bench(case, 20).system
+        problem = wf.inverse_problem(case, system.grid)
+    A = wf.inverse._matrix(problem)
+    assert np.array_equal(A, system.A)
+    g = problem.grid
+    quiet = dataclasses.replace(problem, initial=wf.InitialData.zero(g),
+                                boundary=wf.BoundaryData.zero(g))
+    assert np.array_equal(wf.inverse._matrix(quiet), A)
 
 
 def test_flux_affinity_at_M_640():
