@@ -47,8 +47,8 @@ from .benchmarks import (
 )
 from .csvio import read_matrix, read_series, write_matrix, write_rows, write_series
 from .errors import WaveforceError
-from .fdm import flux, solve_direct
-from .inverse import _matrix, _observed_ends, assemble_dual, assemble_single
+from .fdm import _left_fluxes, flux, solve_direct
+from .inverse import InverseSystem, _matrices, _observed_ends, assemble_dual, assemble_single
 from .lcurve import _CORNER_POINTS, _checked_grid, corner, sweep
 from .model import (
     LEFT,
@@ -420,19 +420,32 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     wanted = (cfg.example,) if cfg.example is not None else (1, 2, 3, 4)
     problems = {(ex, m): inverse_problem(ex, GridSpec(1.0, 1.0, m, m))
                 for ex in wanted for m in _TABLE_SIZES}
+
+    def by_grid(keys, build):
+        # build(keys of one grid) -> one result per key: one call, so one
+        # stacked march, per grid; the results keep the order of keys
+        done = {}
+        for m in _TABLE_SIZES:
+            if on_grid := [key for key in keys if key[1] == m]:
+                done.update(zip(on_grid, build(on_grid)))
+        return {key: done[key] for key in keys}
+
     # the exact profile, and the scheme's left flux of it, on each mesh a
     # table reads them on: tables 2 and 3 tabulate the flux, and tables 4-6
     # take it at M = 80 as their measured data
     exact = {(ex, m): exact_force(ex, p.grid) for (ex, m), p in problems.items()
              if ex in (1, 2) or m == 80}
-    series = {key: flux(solve_direct(problems[key].with_force(f.values)), LEFT)
-              for key, f in exact.items()}
+    series = by_grid(exact, lambda keys: _left_fluxes(
+        [problems[key].with_force(exact[key].values) for key in keys]))
     stages.lap("data")
-    # the systems tables 4-6 solve, whose A table 1 reads; every other matrix alone
-    systems = {(ex, 80): assemble_single(problems[ex, 80], series[ex, 80])
-               for ex in (2, 3, 4) if ex in wanted}
-    matrices = {key: systems[key].A if key in systems else _matrix(problem)
-                for key, problem in problems.items()}
+    # every matrix, and the systems tables 4-6 solve: scenarios 2-4 at M = 80
+    built = by_grid(problems, lambda keys: _matrices([problems[key] for key in keys]))
+    matrices = {key: A for key, (A, _) in built.items()}
+    systems = {}
+    for key in [(ex, 80) for ex in (2, 3, 4) if ex in wanted]:
+        (A, background), p = built[key], problems[key]
+        systems[key] = InverseSystem(A, np.zeros(p.grid.N), p.grid, background,
+                                     p.source).with_measurement(series[key])
     stages.lap("assembly")
     # table name -> (header, rows), written together at the end
     tables = {"table1.csv": (["example", "M", "cond"], [(str(ex), str(m), condition_number(A))

@@ -14,6 +14,14 @@ elimination, which halves the force and neighbor contributions:
 
 Boundary columns i = 0 and i = M carry the prescribed Dirichlet data at
 every level; row j = 0 carries the initial displacement.
+
+One kernel, _march, marches K problems on one grid at once. It holds them
+in a time-major (N+1, M+1, K) array: a level is one contiguous row of
+(M+1) x K values, the K problems (the stack's slots) innermost, so the
+interior nodes of every slot form one contiguous run and each level costs
+the same six ufunc calls whatever K is. Every slot gets the products of
+the formulas above in their order, so it is bit for bit the march of its
+problem alone; solve_direct is the case K = 1.
 """
 
 from __future__ import annotations
@@ -54,36 +62,59 @@ def solve_direct(problem: WaveProblem) -> WaveField:
     _instance(problem, (WaveProblem,), "problem")
     if not isinstance(problem.source, KnownForce):
         raise UnresolvedForce("direct solve needs a fully specified force; use with_force")
-    g = problem.grid
-    M, N = g.M, g.N
-    dt = g.dt
-    r2 = g.r ** 2
-    F = problem.source.values
-    u0 = problem.initial.displacement
-    v0 = problem.initial.velocity
+    u = _march(problem.grid, [(problem.initial, problem.boundary)], [problem.source.values])
+    return WaveField(problem.grid, u[:, :, 0].T)
 
-    # Time-major, so that each level is a contiguous row. Row j + 1 holds
-    # dt^2 F at level j until that level is marched onto it; the update
-    # runs in place, in the operation order of the formula above.
-    u = np.empty((N + 1, M + 1))
-    np.multiply(F.T[:-1], dt * dt, out=u[1:])
-    u[0] = u0
-    u[:, 0] = problem.boundary.left
-    u[:, M] = problem.boundary.right
-    # first marched row: velocity condition folded in, half-weight force
-    u[1, 1:M] = (_FIRST_LEVEL * r2 * (u0[2:] + u0[:M - 1]) + (1.0 - r2) * u0[1:M]
-                 + dt * v0[1:M] + _FIRST_LEVEL * dt * dt * F[1:M, 0])
+
+def _march(grid, data, forces):
+    """March K problems on `grid` as one stack (see the module docstring).
+
+    `data` holds the K slots' (InitialData, BoundaryData) pairs; `forces`
+    yields their K force arrays F, each (M+1, N+1), in slot order. Each F
+    is read only while its slot is set up, so a generator keeps one alive.
+    Returns u of shape (N+1, M+1, K): u[j, i, k] is slot k's displacement
+    at node i and level j.
+    """
+    M, N, K = grid.M, grid.N, len(data)
+    dt = grid.dt
+    r2 = grid.r ** 2
+    # Row j + 1 holds dt^2 F at level j until that level is marched onto
+    # it; the update runs in place, in the operation order of the formula.
+    u = np.empty((N + 1, M + 1, K))
+    for k, ((initial, boundary), F) in enumerate(zip(data, forces)):
+        u0, v0 = initial.displacement, initial.velocity
+        np.multiply(F.T[:-1], dt * dt, out=u[1:, :, k])
+        u[0, :, k] = u0
+        u[:, 0, k] = boundary.left
+        u[:, M, k] = boundary.right
+        # first marched row: velocity condition folded in, half-weight force
+        u[1, 1:M, k] = (_FIRST_LEVEL * r2 * (u0[2:] + u0[:M - 1]) + (1.0 - r2) * u0[1:M]
+                        + dt * v0[1:M] + _FIRST_LEVEL * dt * dt * F[1:M, 0])
+    # a level as one row of nodes times slots: node i of every slot is the
+    # run [i*K, (i+1)*K), so the interior nodes of all slots are [K, M*K);
+    # each level's views of its right and left neighbours and its interior
+    # are made once, outside the loop
+    rows = u.reshape(N + 1, (M + 1) * K)
+    lo, hi = K, M * K
+    right, left, inner = list(rows[:, lo + K:]), list(rows[:, :hi - K]), list(rows[:, lo:hi])
     centre = 2.0 * (1.0 - r2)
-    acc, term = np.empty(M - 1), np.empty(M - 1)
+    acc, term = np.empty(hi - lo), np.empty(hi - lo)
     for j in range(1, N):
-        np.add(u[j, 2:], u[j, :M - 1], out=acc)
+        np.add(right[j], left[j], out=acc)
         acc *= r2
-        np.multiply(u[j, 1:M], centre, out=term)
+        np.multiply(inner[j], centre, out=term)
         acc += term
-        acc -= u[j - 1, 1:M]
-        nxt = u[j + 1, 1:M]
-        np.add(acc, nxt, out=nxt)
-    return WaveField(g, u.T)
+        acc -= inner[j - 1]
+        np.add(acc, inner[j + 1], out=inner[j + 1])
+    return u
+
+
+def _left_fluxes(problems):
+    """flux(solve_direct(p), LEFT) of each of `problems`, which lie on one
+    grid and carry a KnownForce, from one stacked march."""
+    g = problems[0].grid
+    u = _march(g, [(p.initial, p.boundary) for p in problems], [p.source.values for p in problems])
+    return [_flux(u[:, :, k].T, LEFT, g.dx) for k in range(len(problems))]
 
 
 def flux(field: WaveField, end: str) -> FluxSeries:
@@ -105,6 +136,11 @@ def flux(field: WaveField, end: str) -> FluxSeries:
     FluxSeries
     """
     _instance(field, (WaveField,), "field")
-    u = field.values if _checked_end(end) == LEFT else field.values[::-1]
+    return _flux(field.values, _checked_end(end), field.grid.dx)
+
+
+def _flux(values, end, dx):
+    """The flux series at `end` of the (M+1, N+1) node array `values`."""
+    u = values if end == LEFT else values[::-1]
     s0, s1, s2 = _FLUX_STENCIL
-    return FluxSeries(end, ((s1 * u[1, 1:] + s2 * u[2, 1:]) + s0 * u[0, 1:]) / (2.0 * field.grid.dx))
+    return FluxSeries(end, ((s1 * u[1, 1:] + s2 * u[2, 1:]) + s0 * u[0, 1:]) / (2.0 * dx))

@@ -18,12 +18,15 @@ zero-data march driven by the stencil's weights times the modulation: the
 field at node k is column k. A modulation that varies in x is instead a
 causal convolution of each node's modulation with the left flux kernel
 (first time level weighted as the first marched row weights it); one
-impulse-driven march gives that kernel for every node at once. The march
-is mirror-symmetric bit for bit (its neighbor sum a + b is b + a), so the
-right end's blocks and kernel are the left ones with the columns
-reversed, and no march is made for the right end. This relies on the
-symmetric constant-coefficient interior operator; a space-dependent wave
-speed or other boundary conditions would break it.
+impulse-driven march gives that kernel for every node at once. These
+drives, and the zero-force background of every problem with nonzero
+data, are the slots of one stacked march (fdm._march), so the problems
+of one grid, a dual's two modulations and its background included, cost
+one time loop. The march is mirror-symmetric bit for bit (its neighbor
+sum a + b is b + a), so the right end's blocks and kernel are the left
+ones with the columns reversed, and no march is made for the right end.
+This relies on the symmetric constant-coefficient interior operator; a
+space-dependent wave speed or other boundary conditions would break it.
 
 Mirror relation. When, in addition, every modulation equals its own
 mirror image on the interior nodes (h(x_k, t) = h(x_{M-k}, t), as for
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, UnderdeterminedSystem, WaveforceError
-from .fdm import _FIRST_LEVEL, _FLUX_STENCIL, flux, solve_direct
+from .fdm import _FIRST_LEVEL, _FLUX_STENCIL, _flux, _march
 from .model import (
     LEFT,
     RIGHT,
@@ -61,9 +64,7 @@ from .model import (
     FluxSeries,
     GridSpec,
     InitialData,
-    KnownForce,
     Source,
-    WaveField,
     WaveProblem,
     _instance,
     _readonly,
@@ -157,8 +158,8 @@ def _checked_measurement(series, components, N):
 
 def _assemble(problem, measured, noise):
     """Reciprocity assembly shared by the single and dual systems: the
-    intake checks, the zero-force background flux at every observed end,
-    A from _matrix, and b from with_measurement."""
+    intake checks, A and the zero-force background at every observed end
+    from _matrices, and b from with_measurement."""
     _instance(problem, (WaveProblem,), "problem")
     components = len(measured)
     if problem.source.unknowns != components:
@@ -168,80 +169,89 @@ def _assemble(problem, measured, noise):
     if g.N < g.M - 1:
         raise UnderdeterminedSystem(f"N={g.N} observations cannot determine M-1={g.M - 1} unknowns")
     measured = _checked_measurement(measured, components, g.N)
-
-    data = np.concatenate([problem.initial.displacement, problem.initial.velocity,
-                           problem.boundary.left, problem.boundary.right])
-    if np.any(data) or np.any(np.signbit(data)):
-        bg_field = solve_direct(problem.with_force(*[np.zeros(g.M - 1)] * components))
-    else:  # all data +0.0: the march would give +0.0 everywhere
-        bg_field = WaveField(g, np.zeros((g.M + 1, g.N + 1)))
-    background = tuple(flux(bg_field, end) for end in _observed_ends(components))
-    return InverseSystem(_matrix(problem), np.zeros(components * g.N), g, background,
+    A, background = _matrices([problem])[0]
+    return InverseSystem(A, np.zeros(components * g.N), g, background,
                          problem.source).with_measurement(*measured, noise=noise)
 
 
-def _matrix(problem):
-    """A of the problem's system, from its grid and source alone.
+def _matrices(problems):
+    """A and the zero-force background flux of each of `problems`, which
+    lie on one grid, from one stacked march (fdm._march).
 
-    Column c*(M-1) + k holds the flux response, at every observed end, to
-    the unit profile e_k in source component c; row block r belongs to the
-    r-th observed end. A modulation that does not vary in x gets its left
-    block from one driven march; any other is convolved with the left flux
-    kernel. The right block is the mirror image (see the module
-    docstring). The initial and boundary data are not read.
+    Column c*(M-1) + k of A holds the flux response, at every observed end,
+    to the unit profile e_k in source component c; row block r belongs to
+    the r-th observed end. The march's slots are:
+    - one drive per modulation that does not vary in x: a zero-data march
+      forced by the left flux stencil's inward weights (fdm._FLUX_STENCIL
+      at nodes 1 and 2) times the modulation, whose field at node k and
+      level n+1 is entry [n, k-1] of the left block;
+    - one impulse, when a modulation varies in x: the drive of the
+      modulation 1 / fdm._FIRST_LEVEL at t_0 and 0 after it, whose field is
+      the left flux kernel G (a unit force at node k entering level t_1
+      at full weight), which such a modulation is convolved with;
+    - the zero-force background of each problem whose initial or boundary
+      data are not all +0.0 (any other background is +0.0).
+    The right blocks are the left ones mirrored (see the module
+    docstring). A reads the grid and the sources alone.
     """
-    g, components = problem.grid, problem.source.unknowns
-    m = g.M - 1
-    A = np.zeros((components * g.N, components * m))
+    g = problems[0].grid
+    N, m = g.N, g.M - 1
+    quiet = (InitialData.zero(g), BoundaryData.zero(g))
+    # slot k marches data[k] under inputs[k]: a time series that scales the
+    # stencil's drive, or the problem whose background it is
+    inputs, data, plans = [], [], []
+
+    def slot(source, pair=quiet):
+        inputs.append(source)
+        data.append(pair)
+        return len(inputs) - 1
+
+    for p in problems:
+        # driven: a modulation with one value across the interior nodes at
+        # each of the levels t_0..t_{N-1}, the ones whose force a march reads
+        drives = [slot(h[1]) if np.all(h[1:g.M, :N] == h[1, :N]) else None
+                  for h in p.source.modulations]
+        values = np.concatenate([p.initial.displacement, p.initial.velocity,
+                                 p.boundary.left, p.boundary.right])
+        at_rest = not (np.any(values) or np.any(np.signbit(values)))  # all +0.0
+        plans.append((drives, None if at_rest else slot(p, (p.initial, p.boundary))))
     kernel = None
-    for c, h in enumerate(problem.source.modulations):
-        blocks = [A[r * g.N:(r + 1) * g.N, c * m:(c + 1) * m] for r in range(components)]
-        # force weights of the levels t_0..t_{N-1}, time-major
-        hw = h[1:g.M, :g.N].T
-        if np.all(hw == hw[:, :1]):
-            left = _left_block(g, h[1])
-            for blk, image in zip(blocks, (left, left[:, ::-1])):
-                blk[:] = image
-            continue
-        if kernel is None:
-            kernel = _flux_kernel(g)
-        hw = hw.copy()
-        hw[0] *= _FIRST_LEVEL  # as the first marched row weights the level-0 force
-        for blk, G in zip(blocks, (kernel, kernel[:, ::-1])):
-            for s in range(g.N):
-                blk[s:] += hw[s] * G[:g.N - s]
-    return A
-
-
-def _left_block(grid, series):
-    """Left-end block of a modulation that depends on time only.
-
-    `series` holds the modulation at the N+1 time levels. Returns the
-    N x (M-1) array whose entry [n, k-1] is the 2*dx-scaled left flux at
-    t_{n+1} of a zero-data march forced by the unit profile e_k times the
-    modulation. By reciprocity it is the field at node k and level n+1 of
-    one zero-data march forced by the left flux stencil's inward weights
-    (fdm._FLUX_STENCIL at nodes 1 and 2) times the modulation; the scheme's
-    first level weights the level-0 force as the unit-profile march does.
-    """
-    w = np.zeros(grid.M + 1)
+    if any(None in drives for drives, _ in plans):
+        impulse = np.zeros(N + 1)
+        impulse[0] = 1.0 / _FIRST_LEVEL
+        kernel = slot(impulse)
+    w = np.zeros(g.M + 1)
     w[1:3] = _FLUX_STENCIL[1:]
-    problem = WaveProblem(grid, InitialData.zero(grid), BoundaryData.zero(grid),
-                          KnownForce(np.outer(w, series)))
-    return solve_direct(problem).values[1:grid.M, 1:].T
+    u = _march(g, data, (np.outer(w, x) if isinstance(x, np.ndarray)
+                         else x.with_force(*[np.zeros(m)] * x.source.unknowns).source.values
+                         for x in inputs))
+    if kernel is not None:
+        kernel = np.ascontiguousarray(u[1:, 1:g.M, kernel])
 
-
-def _flux_kernel(grid):
-    """Left flux kernel of every interior node at once, N x (M-1).
-
-    G[n, k-1] is the 2*dx-scaled left flux at t_{n+1} of a zero-data march
-    whose only input is a unit force at node k entering level t_1 at full
-    weight: the left block of an impulse modulation of height
-    1 / fdm._FIRST_LEVEL at t_0, which the first level's weight turns into 1.
-    """
-    impulse = np.zeros(grid.N + 1)
-    impulse[0] = 1.0 / _FIRST_LEVEL
-    return np.ascontiguousarray(_left_block(grid, impulse))
+    built = []
+    for p, (drives, bg) in zip(problems, plans):
+        components = p.source.unknowns
+        A = np.zeros((components * N, components * m))
+        for c, (h, d) in enumerate(zip(p.source.modulations, drives)):
+            blocks = [A[r * N:(r + 1) * N, c * m:(c + 1) * m] for r in range(components)]
+            if d is not None:
+                left = u[1:, 1:g.M, d]
+                for blk, image in zip(blocks, (left, left[:, ::-1])):
+                    blk[:] = image
+                continue
+            # force weights of the levels t_0..t_{N-1}, time-major, the
+            # level-0 one weighted as the first marched row weights it
+            hw = h[1:g.M, :N].T.copy()
+            hw[0] *= _FIRST_LEVEL
+            for blk, G in zip(blocks, (kernel, kernel[:, ::-1])):
+                for s in range(N):
+                    blk[s:] += hw[s] * G[:N - s]
+        # at rest, the background march would give +0.0 everywhere
+        background = tuple(FluxSeries(end, np.zeros(N)) if bg is None
+                           else _flux(u[:, :, bg].T, end, g.dx)
+                           for end in _observed_ends(components))
+        built.append((A, background))
+    return built
 
 
 def assemble_single(problem: WaveProblem, measured, noise: NoiseSpec | None = None) -> InverseSystem:

@@ -174,24 +174,32 @@ def test_timings_file_is_not_an_artifact(tmp_path):
 
 
 def test_tables_build_each_object_once(tmp_path, monkeypatch):
-    # each of the 16 problems is built once and its matrix formed once
-    # (16 driven or kernel marches); the left flux of the exact force is
-    # marched where a table reads it: scenarios 1 and 2 at every size for
-    # tables 2 and 3 (8), scenarios 3 and 4 at M = 80 for tables 5 and 6 (2);
-    # tables 4-6 draw each noise level once per scenario (9)
+    # each of the 16 problems is built once and its matrix formed once; the
+    # left flux of the exact force is marched where a table reads it:
+    # scenarios 1 and 2 at every size for tables 2 and 3 (8), scenarios 3
+    # and 4 at M = 80 for tables 5 and 6 (2); tables 4-6 draw each noise
+    # level once per scenario (9). Every march a grid needs runs in two
+    # time loops, one for its flux series and one for its 4 matrices, so a
+    # run makes 8 loops; their 30 slots are the 10 series and, per grid,
+    # 3 drives (scenarios 1, 2 and 4), scenario 3's impulse and scenario
+    # 1's background
     from waveforce import benchmarks, fdm, inverse, noise
-    calls = dict.fromkeys(["solve_direct", "add_noise", "inverse_problem", "_matrix"], 0)
-    for name, fn in (("solve_direct", fdm.solve_direct), ("add_noise", noise.add_noise),
+    calls = dict.fromkeys(["_march", "add_noise", "inverse_problem", "_matrices"], 0)
+    slots = []
+    for name, fn in (("_march", fdm._march), ("add_noise", noise.add_noise),
                      ("inverse_problem", benchmarks.inverse_problem),
-                     ("_matrix", inverse._matrix)):
+                     ("_matrices", inverse._matrices)):
         def counted(*args, _fn=fn, _name=name):
             calls[_name] += 1
+            if _name == "_march":
+                slots.append(len(args[1]))
             return _fn(*args)
         for user in (benchmarks, cli, fdm, inverse, noise):
             if getattr(user, name, None) is fn:
                 monkeypatch.setattr(user, name, counted)
     assert run("tables", "--out", tmp_path / "t") == 0
-    assert calls == {"solve_direct": 26, "add_noise": 9, "inverse_problem": 16, "_matrix": 16}
+    assert calls == {"_march": 8, "add_noise": 9, "inverse_problem": 16, "_matrices": 4}
+    assert sum(slots) == 30
 
 
 def test_tables_condition_cell(tmp_path):
@@ -257,11 +265,12 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
-    def no_march(problem):
+    def no_march(*args):
         raise AssertionError("marched before validating the settings")
 
-    for module in ("inverse", "benchmarks", "cli"):
-        monkeypatch.setattr(f"waveforce.{module}.solve_direct", no_march)
+    # every march, solve_direct's included, runs fdm._march
+    for module in ("fdm", "inverse"):
+        monkeypatch.setattr(f"waveforce.{module}._march", no_march)
     cases = [("lambda", lam) for lam in ("abc", "-1", "nan", "inf")]
     cases += [("reg_order", "5"), ("noise_pct", "nan"), ("seed", "-1"), ("data_refine", "0")]
     cases += [("lambda_grid", "1e-3,-1")]

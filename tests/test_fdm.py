@@ -173,3 +173,81 @@ def test_flux_convergence_to_reference_table():
         q = wf.flux(wf.solve_direct(wf.direct_problem(1, g)), wf.LEFT)
         end_vals.append(abs(q.values[-1] + np.pi))
     assert end_vals[0] > end_vals[1] > end_vals[2] > end_vals[3]
+
+
+def single_march(problem):
+    """The march before the stack, one problem in its own time loop: the
+    slow predecessor of fdm._march, kept as its oracle. Returns the
+    (M+1, N+1) node array."""
+    g = problem.grid
+    M, N = g.M, g.N
+    dt = g.dt
+    r2 = g.r ** 2
+    F = problem.source.values
+    u0 = problem.initial.displacement
+    v0 = problem.initial.velocity
+    u = np.empty((N + 1, M + 1))
+    np.multiply(F.T[:-1], dt * dt, out=u[1:])
+    u[0] = u0
+    u[:, 0] = problem.boundary.left
+    u[:, M] = problem.boundary.right
+    u[1, 1:M] = (0.5 * r2 * (u0[2:] + u0[:M - 1]) + (1.0 - r2) * u0[1:M]
+                 + dt * v0[1:M] + 0.5 * dt * dt * F[1:M, 0])
+    centre = 2.0 * (1.0 - r2)
+    acc, term = np.empty(M - 1), np.empty(M - 1)
+    for j in range(1, N):
+        np.add(u[j, 2:], u[j, :M - 1], out=acc)
+        acc *= r2
+        np.multiply(u[j, 1:M], centre, out=term)
+        acc += term
+        acc -= u[j - 1, 1:M]
+        nxt = u[j + 1, 1:M]
+        np.add(acc, nxt, out=nxt)
+    return u.T
+
+
+def bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def stack_problems(g, rng):
+    """Four problems on grid g, the kinds of slot the assembly stacks:
+    nonzero data with a random force; data of -0.0 with the zero-force
+    background of a modulation with negative values, whose force 0*h holds
+    -0.0; a zero-data drive (stencil weights times a series of both
+    signs); and zero data with a random sparse force."""
+    prob = random_problem(rng, g.M, g.N)[0]
+    data = wf.WaveProblem(g, prob.initial, prob.boundary, prob.source)
+    h = wf.sample_grid(g, lambda x, t: np.cos(4.0 * x) - t)
+    nz = np.full(g.M + 1, -0.0), np.full(g.N + 1, -0.0)
+    signed = wf.WaveProblem(g, wf.InitialData(nz[0], nz[0]), wf.BoundaryData(nz[1], nz[1]),
+                            wf.Source((h,))).with_force(np.zeros(g.M - 1))
+    w = np.zeros(g.M + 1)
+    w[1:3] = wf.fdm._FLUX_STENCIL[1:]
+    quiet = wf.InitialData.zero(g), wf.BoundaryData.zero(g)
+    drive = wf.WaveProblem(g, *quiet, wf.KnownForce(np.outer(w, np.sin(7.0 * g.t))))
+    sparse = rng.normal(size=(g.M + 1, g.N + 1)) * (rng.random((g.M + 1, g.N + 1)) < 0.1)
+    return [data, signed, drive, wf.WaveProblem(g, *quiet, wf.KnownForce(sparse))]
+
+
+@pytest.mark.parametrize("M, N", [(12, 12), (12, 24), (2, 2)])  # r = M / N: 1, 1/2, 1
+def test_stacked_march_matches_single_march_bit_for_bit(M, N):
+    g = wf.GridSpec(1.0, 1.0, M, N)
+    problems = stack_problems(g, np.random.default_rng(M + N))
+    want = [single_march(p) for p in problems]
+    # the case is meant: the background slot's oracle field holds -0.0
+    assert np.any((want[1] == 0) & np.signbit(want[1]))
+    for K in range(1, 5):
+        for first in range(4):
+            slots = [(first + i) % 4 for i in range(K)]
+            stack = [problems[s] for s in slots]
+            u = wf.fdm._march(g, [(p.initial, p.boundary) for p in stack],
+                              (p.source.values for p in stack))
+            assert u.shape == (N + 1, M + 1, K)
+            for k, s in enumerate(slots):
+                assert bitwise_equal(u[:, :, k].T, want[s]), (K, first, k)
+    # solve_direct is the stack of one; _left_fluxes stacks the flux series
+    for p, field in zip(problems, want):
+        assert bitwise_equal(wf.solve_direct(p).values, field)
+    for p, q in zip(problems, wf.fdm._left_fluxes(problems)):
+        assert bitwise_equal(q.values, wf.flux(wf.solve_direct(p), wf.LEFT).values)

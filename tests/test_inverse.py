@@ -214,10 +214,10 @@ def test_bad_measurement_rejected_before_any_march(bench, monkeypatch):
     single = wf.inverse_problem(2, a.grid)
     dual = wf.inverse_problem(5, d.grid)
 
-    def no_march(problem):
+    def no_march(*args):
         raise AssertionError("assembly marched before validating the measurement")
 
-    monkeypatch.setattr("waveforce.inverse.solve_direct", no_march)
+    monkeypatch.setattr("waveforce.inverse._march", no_march)
     short = np.zeros(a.grid.N - 1)
     right = wf.FluxSeries(wf.RIGHT, a.measured.values)
     for call in (lambda: wf.assemble_single(single, short),
@@ -283,6 +283,21 @@ def _external_time_only_problem(dual, perturbed=False):
     return _stretched_problem(dual, modulations=(h, theta)[:1 + dual])
 
 
+def _random_problem(dual, mirrored=False):
+    # modulations given as arbitrary (M+1) x (N+1) matrices, as external
+    # data may hold them; a mirrored one equals its mirror image on the
+    # interior nodes, bit for bit (h[k] + h[M-k] is h[M-k] + h[k]). Every
+    # modulation varies in x, so A is the kernel's convolution; it reads at
+    # most 2.6e-15 column-relative from the column oracle
+    g = _stretched_problem(dual).grid
+    rng = np.random.default_rng(29)
+    modulations = [rng.normal(size=(g.M + 1, g.N + 1)) for _ in range(1 + dual)]
+    if mirrored:
+        for h in modulations:
+            h[1:g.M] = h[1:g.M] + h[1:g.M][::-1]
+    return _stretched_problem(dual, modulations=tuple(modulations))
+
+
 _ORACLE_CASES = {
     **{f"scenario{ex}": (lambda ex=ex: wf.inverse_problem(ex, wf.GridSpec(1.0, 1.0, 40, 40)))
        for ex in (1, 2, 3, 4, 5)},
@@ -293,6 +308,9 @@ _ORACLE_CASES = {
     **{f"external-{kind}-{'dual' if dual else 'single'}":
        (lambda dual=dual, kind=kind: _external_time_only_problem(dual, kind == "perturbed"))
        for dual in (False, True) for kind in ("time-only", "perturbed")},
+    "random-single": lambda: _random_problem(dual=False),
+    "random-dual": lambda: _random_problem(dual=True),
+    "random-mirrored-dual": lambda: _random_problem(dual=True, mirrored=True),
 }
 
 # Largest column-relative difference measured over these cases is 1.4e-14
@@ -312,42 +330,59 @@ def test_reciprocity_assembly_matches_column_oracle(case):
     assert np.array_equal(A == 0, want == 0)  # causal zeros stay exact
 
 
-@pytest.mark.parametrize("example, marches", [(2, 1), (5, 3), (3, 1), ("stretched-dual", 2)])
-def test_assembly_march_count_independent_of_M(example, marches, monkeypatch):
-    # background (none for all-zero data, as in scenarios 2 and 3) plus one
-    # driven march per time-only modulation, or one kernel march shared by
-    # the x-dependent ones; never one per column
-    calls = []
+def capture_marches(monkeypatch):
+    """Patch the assembly's march; returns the list that collects, per
+    march, its grid and the force of each slot."""
+    marches = []
+    march = wf.inverse._march
 
-    def counting(problem):
-        calls.append(problem)
-        return wf.solve_direct(problem)
+    def capturing(grid, data, forces):
+        forces = list(forces)
+        marches.append((grid, forces))
+        return march(grid, data, forces)
 
-    monkeypatch.setattr("waveforce.inverse.solve_direct", counting)
+    monkeypatch.setattr("waveforce.inverse._march", capturing)
+    return marches
+
+
+@pytest.mark.parametrize("example, slots", [(2, 1), (5, 3), (3, 1), ("stretched-dual", 2)])
+def test_assembly_march_count_independent_of_M(example, slots, monkeypatch):
+    # one march per assembly, whatever M; its slots are the background
+    # (none for all-zero data, as in scenarios 2 and 3) plus one drive per
+    # time-only modulation, or one impulse shared by the x-dependent ones;
+    # never one per column
+    marches = capture_marches(monkeypatch)
     for m in (10, 40):
-        calls.clear()
+        marches.clear()
         if example == "stretched-dual":
             problem = _stretched_problem(dual=True, M=m)
         else:
             problem = wf.inverse_problem(example, wf.GridSpec(1.0, 1.0, m, m))
         _assemble_zero_data(problem)
-        assert len(calls) == marches
+        assert [len(forces) for _, forces in marches] == [slots]
+
+
+def impulse_force(grid):
+    """The force of the kernel's slot: the left flux stencil's inward
+    weights at t_0, at 1 / fdm._FIRST_LEVEL."""
+    F = np.zeros((grid.M + 1, grid.N + 1))
+    F[1:3, 0] = np.array(wf.fdm._FLUX_STENCIL[1:]) / wf.fdm._FIRST_LEVEL
+    return F
 
 
 @pytest.mark.parametrize("dual", [False, True])
 def test_only_x_dependent_modulations_use_the_kernel(dual, monkeypatch):
-    kernels = []
-    flux_kernel = wf.inverse._flux_kernel
+    marches = capture_marches(monkeypatch)
 
-    def counting(grid):
-        kernels.append(grid)
-        return flux_kernel(grid)
+    def impulses():
+        (grid, forces), = marches
+        marches.clear()
+        return sum(np.array_equal(F, impulse_force(grid)) for F in forces)
 
-    monkeypatch.setattr("waveforce.inverse._flux_kernel", counting)
     _assemble_zero_data(_external_time_only_problem(dual))
-    assert kernels == []
+    assert impulses() == 0
     _assemble_zero_data(_external_time_only_problem(dual, perturbed=True))
-    assert len(kernels) == 1
+    assert impulses() == 1
 
 
 @pytest.mark.parametrize("case", ["scenario5", "stretched-dual", "external-perturbed-dual"])
@@ -375,9 +410,9 @@ def test_right_rows_mirror_left_rows(case):
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, "stretched-dual"])
 def test_matrix_is_the_assembled_A(case, bench):
-    # _matrix reads the grid and the source alone: it equals the A of an
-    # assembly with nonzero data or measurement, and the matrix of the same
-    # source with zero data
+    # _matrices reads the grid and the source alone for A: it equals the A
+    # of an assembly with nonzero data or measurement, and the matrix of
+    # the same source with zero data
     if case == "stretched-dual":  # x-varying modulations, nonzero data
         problem = _stretched_problem(dual=True)
         noise = np.random.default_rng(3).normal(size=(2, problem.grid.N))
@@ -385,12 +420,50 @@ def test_matrix_is_the_assembled_A(case, bench):
     else:
         system = bench(case, 20).system
         problem = wf.inverse_problem(case, system.grid)
-    A = wf.inverse._matrix(problem)
+    (A, background), = wf.inverse._matrices([problem])
     assert np.array_equal(A, system.A)
+    assert all(np.array_equal(q.values, bg.values) for q, bg in zip(background, system.background))
     g = problem.grid
     quiet = dataclasses.replace(problem, initial=wf.InitialData.zero(g),
                                 boundary=wf.BoundaryData.zero(g))
-    assert np.array_equal(wf.inverse._matrix(quiet), A)
+    assert np.array_equal(wf.inverse._matrices([quiet])[0][0], A)
+
+
+def test_matrices_of_one_grid_share_one_march(monkeypatch):
+    # the problems of one grid as slots of one march: each A and background
+    # is, bit for bit, that of the problem alone
+    g = wf.GridSpec(1.0, 1.0, 20, 20)
+    problems = [wf.inverse_problem(ex, g) for ex in (1, 2, 3, 4, 5)]
+    alone = [wf.inverse._matrices([p])[0] for p in problems]
+    marches = capture_marches(monkeypatch)
+    together = wf.inverse._matrices(problems)
+    # drives: 1 + 1 + 1 + 2, one impulse (scenario 3), backgrounds: 1 and 5
+    assert [len(forces) for _, forces in marches] == [8]
+    for (A, background), (A1, background1) in zip(together, alone):
+        assert np.array_equal(A, A1) and np.array_equal(np.signbit(A), np.signbit(A1))
+        for q, q1 in zip(background, background1):
+            assert np.array_equal(q.values, q1.values)
+            assert np.array_equal(np.signbit(q.values), np.signbit(q1.values))
+
+
+def test_random_mirrored_dual_split_matches_stacked_lstsq():
+    # a dual whose arbitrary modulations are mirror-symmetric on the
+    # interior has the mirror relation, and its split solve agrees with the
+    # whole system's least squares (1.6e-13 at most; the unmirrored random
+    # dual, solved whole, reads 8.1e-14)
+    from test_tikhonov import ORACLE_GRID_TOL, stacked_lstsq
+    for mirrored in (True, False):
+        problem = _random_problem(dual=True, mirrored=mirrored)
+        x = problem.grid.interior_x
+        field = wf.solve_direct(problem.with_force(np.sin(x), 1.0 - x))
+        system = wf.assemble_dual(problem, wf.flux(field, wf.LEFT), wf.flux(field, wf.RIGHT))
+        assert wf.tikhonov._has_mirror(system.A, 2) == mirrored
+        for order in (0, 1, 2):
+            for lam in (1e-8, 1e-4, 1e-1):
+                got = wf.tikhonov_solve(system, wf.RegConfig(order=order, lam=lam)).values
+                want = stacked_lstsq(system.A, system.b, order, lam, 2)
+                assert np.max(np.abs(got - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
+            assert system._factors[order].parities == ((1, -1) if mirrored else (0,))
 
 
 def test_flux_affinity_at_M_640():
