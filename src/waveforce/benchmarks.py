@@ -32,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension, UnknownExample, WaveforceError
-from .fdm import flux, solve_direct
+from .errors import InvalidDimension, UnknownExample, WaveforceError
+from .fdm import _fluxes
 from .model import (
     LEFT,
     BoundaryData,
@@ -174,13 +174,9 @@ def inverse_problem(example_id: int, grid: GridSpec) -> WaveProblem:
 
 def direct_problem(example_id: int, grid: GridSpec) -> WaveProblem:
     """Same scenario with the exact force bound: ready for a direct solve."""
-    return _bound(_scenario(example_id, grid), inverse_problem(example_id, grid))
-
-
-def _bound(spec, problem):
-    """The scenario's problem with its exact force(s) bound at the nodes of its grid."""
-    return problem.with_force(*(_sampled(f, (problem.grid.x,), "exact force")
-                                for f in spec.exact_forces))
+    forces = _scenario(example_id, grid).exact_forces
+    return inverse_problem(example_id, grid).with_force(
+        *(_sampled(f, (grid.x,), "exact force") for f in forces))
 
 
 def exact_force(example_id: int, grid: GridSpec) -> ForceVector:
@@ -199,34 +195,30 @@ def exact_field(example_id: int, grid: GridSpec) -> WaveField | None:
 
 
 def measured_flux(example_id: int, grid: GridSpec, end: str = LEFT,
-                  data_refine: int = 1, problem: WaveProblem | None = None) -> FluxSeries:
+                  data_refine: int = 1) -> FluxSeries:
     """Noise-free measured flux series q(t_1..t_N) at one end.
 
     Scenarios 1 and 5 have analytic fluxes, returned exactly. The others
-    are simulated by a direct solve with the exact force on the same mesh
+    are simulated by a direct solve of direct_problem on the same mesh
     (data_refine = 1, the default) or on a mesh refined by that integer
     factor in both directions, keeping every data_refine-th time sample.
-    A caller that holds the scenario's inverse_problem on `grid` may pass
-    it as `problem`: a same-mesh simulation then marches it instead of
-    building it again.
 
     Raises
     ------
-    DimensionMismatch
-        When `problem` lies on another grid than `grid`.
+    InvalidDimension
+        When data_refine is not a positive integer, or is above 1 at an
+        end whose flux is analytic, which no simulation refines.
     """
     end, r = _checked_end(end), _refinement(data_refine)
     spec = _scenario(example_id, grid)
-    if problem is not None:
-        _instance(problem, (WaveProblem,), "problem")
-        if problem.grid != grid:
-            raise DimensionMismatch("problem lies on another grid than the flux series")
     analytic = spec.flux_left if end == LEFT else spec.flux_right
     if analytic is not None:
+        if r > 1:
+            raise InvalidDimension(f"scenario {spec.id}'s {end} flux is analytic, so data_refine "
+                                   f"must be 1, got {r}")
         return FluxSeries(end, _sampled(analytic, (grid.t[1:],), f"{end} flux"))
-    if problem is None or r > 1:
-        problem = inverse_problem(example_id, GridSpec(grid.L, grid.T, r * grid.M, r * grid.N, grid.c))
-    q = flux(solve_direct(_bound(spec, problem)), end)
+    fine = GridSpec(grid.L, grid.T, r * grid.M, r * grid.N, grid.c)
+    q, = _fluxes([direct_problem(example_id, fine)], end)
     return FluxSeries(end, q.values[r - 1::r])
 
 

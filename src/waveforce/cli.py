@@ -16,7 +16,9 @@ single "ErrorClass: message" line on stderr; a flag the command does not
 take is an argparse usage error (status 2). A setting the run's mode does
 not read fails like a malformed value unless it keeps its default:
 --lambda-grid without --lambda lcurve, --data-refine without --example,
---seed without noise, and the external data files with --example.
+--seed without noise, and the external data files with --example. A
+--data-refine above 1 for a scenario whose flux is analytic (1 and 5) is
+refused by measured_flux, which holds that scenario rule.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .benchmarks import (
 )
 from .csvio import read_matrix, read_series, write_matrix, write_rows, write_series
 from .errors import WaveforceError
-from .fdm import _left_fluxes, flux, solve_direct
-from .inverse import InverseSystem, _matrices, _observed_ends, assemble_dual, assemble_single
+from .fdm import _fluxes, flux, solve_direct
+from .inverse import _observed_ends, _systems, assemble_dual, assemble_single
 from .lcurve import _CORNER_POINTS, _checked_grid, corner, sweep
 from .model import (
     LEFT,
@@ -333,7 +335,7 @@ def _assemble(cfg: RunConfig, stages: _Stages):
     grid = cfg.grid()
     if cfg.example is not None:
         problem = inverse_problem(cfg.example, grid)
-        measured = [measured_flux(cfg.example, grid, end, cfg.data_refine, problem)
+        measured = [measured_flux(cfg.example, grid, end, cfg.data_refine)
                     for end in _observed_ends(problem.source.unknowns)]
         exact = exact_force(cfg.example, grid)
     else:
@@ -435,21 +437,16 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     # take it at M = 80 as their measured data
     exact = {(ex, m): exact_force(ex, p.grid) for (ex, m), p in problems.items()
              if ex in (1, 2) or m == 80}
-    series = by_grid(exact, lambda keys: _left_fluxes(
-        [problems[key].with_force(exact[key].values) for key in keys]))
+    series = by_grid(exact, lambda keys: _fluxes(
+        [problems[key].with_force(exact[key].values) for key in keys], LEFT))
     stages.lap("data")
-    # every matrix, and the systems tables 4-6 solve: scenarios 2-4 at M = 80
-    built = by_grid(problems, lambda keys: _matrices([problems[key] for key in keys]))
-    matrices = {key: A for key, (A, _) in built.items()}
-    systems = {}
-    for key in [(ex, 80) for ex in (2, 3, 4) if ex in wanted]:
-        (A, background), p = built[key], problems[key]
-        systems[key] = InverseSystem(A, np.zeros(p.grid.N), p.grid, background,
-                                     p.source).with_measurement(series[key])
+    # every problem's zero-data system: table 1 reads its A, and tables 4-6
+    # draw their noisy measurements from those of scenarios 2-4 at M = 80
+    systems = by_grid(problems, lambda keys: _systems([problems[key] for key in keys]))
     stages.lap("assembly")
     # table name -> (header, rows), written together at the end
-    tables = {"table1.csv": (["example", "M", "cond"], [(str(ex), str(m), condition_number(A))
-                                                        for (ex, m), A in matrices.items()])}
+    tables = {"table1.csv": (["example", "M", "cond"], [(str(ex), str(m), condition_number(s.A))
+                                                        for (ex, m), s in systems.items()])}
     stages.lap("cond")
 
     for ex, name in ((1, "table2.csv"), (2, "table3.csv")):

@@ -21,7 +21,9 @@ in a time-major (N+1, M+1, K) array: a level is one contiguous row of
 interior nodes of every slot form one contiguous run and each level costs
 the same six ufunc calls whatever K is. Every slot gets the products of
 the formulas above in their order, so it is bit for bit the march of its
-problem alone; solve_direct is the case K = 1.
+problem alone; solve_direct is the case K = 1. _fluxes reads one end's
+flux series of every slot straight off the stack, building no WaveField:
+it serves the simulated measurement and the flux tables.
 """
 
 from __future__ import annotations
@@ -109,12 +111,13 @@ def _march(grid, data, forces):
     return u
 
 
-def _left_fluxes(problems):
-    """flux(solve_direct(p), LEFT) of each of `problems`, which lie on one
-    grid and carry a KnownForce, from one stacked march."""
+def _fluxes(problems, end):
+    """flux(solve_direct(p), end) of each of `problems`, which lie on one
+    grid and carry a KnownForce, from one stacked march and with no
+    WaveField built."""
     g = problems[0].grid
     u = _march(g, [(p.initial, p.boundary) for p in problems], [p.source.values for p in problems])
-    return [_flux(u[:, :, k].T, LEFT, g.dx) for k in range(len(problems))]
+    return [_flux(u[:, :, k].T, end, g.dx) for k in range(len(problems))]
 
 
 def flux(field: WaveField, end: str) -> FluxSeries:

@@ -22,11 +22,14 @@ impulse-driven march gives that kernel for every node at once. These
 drives, and the zero-force background of every problem with nonzero
 data, are the slots of one stacked march (fdm._march), so the problems
 of one grid, a dual's two modulations and its background included, cost
-one time loop. The march is mirror-symmetric bit for bit (its neighbor
-sum a + b is b + a), so the right end's blocks and kernel are the left
-ones with the columns reversed, and no march is made for the right end.
-This relies on the symmetric constant-coefficient interior operator; a
-space-dependent wave speed or other boundary conditions would break it.
+one time loop. _systems returns each such problem's system with zero
+data (b = 0); an assembly is that system with b rebuilt from the
+measurement by with_measurement. The march is mirror-symmetric bit for
+bit (its neighbor sum a + b is b + a), so the right end's blocks and
+kernel are the left ones with the columns reversed, and no march is made
+for the right end. This relies on the symmetric constant-coefficient
+interior operator; a space-dependent wave speed or other boundary
+conditions would break it.
 
 Mirror relation. When, in addition, every modulation equals its own
 mirror image on the interior nodes (h(x_k, t) = h(x_{M-k}, t), as for
@@ -158,8 +161,8 @@ def _checked_measurement(series, components, N):
 
 def _assemble(problem, measured, noise):
     """Reciprocity assembly shared by the single and dual systems: the
-    intake checks, A and the zero-force background at every observed end
-    from _matrices, and b from with_measurement."""
+    intake checks, then the problem's zero-data system from _systems with
+    b rebuilt by with_measurement."""
     _instance(problem, (WaveProblem,), "problem")
     components = len(measured)
     if problem.source.unknowns != components:
@@ -169,14 +172,14 @@ def _assemble(problem, measured, noise):
     if g.N < g.M - 1:
         raise UnderdeterminedSystem(f"N={g.N} observations cannot determine M-1={g.M - 1} unknowns")
     measured = _checked_measurement(measured, components, g.N)
-    A, background = _matrices([problem])[0]
-    return InverseSystem(A, np.zeros(components * g.N), g, background,
-                         problem.source).with_measurement(*measured, noise=noise)
+    return _systems([problem])[0].with_measurement(*measured, noise=noise)
 
 
-def _matrices(problems):
-    """A and the zero-force background flux of each of `problems`, which
-    lie on one grid, from one stacked march (fdm._march).
+def _systems(problems):
+    """The zero-data InverseSystem of each of `problems`, which lie on one
+    grid, from one stacked march (fdm._march): its A, the zero-force
+    background flux at every observed end, its grid and source, and b = 0.
+    A measurement enters by with_measurement.
 
     Column c*(M-1) + k of A holds the flux response, at every observed end,
     to the unit profile e_k in source component c; row block r belongs to
@@ -250,7 +253,7 @@ def _matrices(problems):
         background = tuple(FluxSeries(end, np.zeros(N)) if bg is None
                            else _flux(u[:, :, bg].T, end, g.dx)
                            for end in _observed_ends(components))
-        built.append((A, background))
+        built.append(InverseSystem(A, np.zeros(components * N), g, background, p.source))
     return built
 
 

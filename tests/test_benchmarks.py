@@ -48,6 +48,11 @@ def test_analytic_fluxes():
     q5r = wf.measured_flux(5, g, wf.RIGHT)
     assert np.all(q5l.values == -np.pi)
     assert np.max(np.abs(q5r.values - (2.0 * g.t[1:] - np.pi))) <= 1e-15
+    # an analytic series is not simulated, so a finer data mesh, never
+    # read, fails rather than being ignored
+    for ex, end in ((1, wf.LEFT), (1, wf.RIGHT), (5, wf.LEFT), (5, wf.RIGHT)):
+        with pytest.raises(wf.InvalidDimension, match="analytic"):
+            wf.measured_flux(ex, g, end, data_refine=2)
 
 
 def test_hat_profile():
@@ -124,6 +129,20 @@ def test_data_refine_changes_data_little():
     for bad in (0, 1.5, True):
         with pytest.raises(wf.InvalidDimension):
             wf.measured_flux(3, g, wf.LEFT, data_refine=bad)
+
+
+def test_measured_flux_is_the_direct_solve_flux():
+    # the simulated series, read off the stacked march, is bit for bit its
+    # slow oracle: a direct solve of the scenario on the data mesh, flux
+    # taken from the whole field and sampled at the coarse levels
+    g = wf.GridSpec(1.0, 1.0, 12, 12)
+    for ex in (2, 3, 4):
+        for end in (wf.LEFT, wf.RIGHT):
+            for r in (1, 2):
+                fine = wf.GridSpec(1.0, 1.0, r * g.M, r * g.N)
+                want = wf.flux(wf.solve_direct(wf.direct_problem(ex, fine)), end).values[r - 1::r]
+                q = wf.measured_flux(ex, g, end, r)
+                assert q.end == end and np.array_equal(q.values, want), (ex, end, r)
 
 
 def test_reference_tables_complete():

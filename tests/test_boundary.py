@@ -98,10 +98,6 @@ OTHER_SLOTS = {
     "FluxSeries.end": (wf.LEFT, lambda v: wf.FluxSeries(v, np.zeros(4)), BAD_ENDS),
     "flux.end": (wf.LEFT, lambda v: wf.flux(FIELD, v), BAD_ENDS),
     "measured_flux.end": (wf.LEFT, lambda v: wf.measured_flux(2, G, v), BAD_ENDS),
-    "measured_flux.problem": (
-        wf.inverse_problem(2, G), lambda v: wf.measured_flux(2, G, wf.LEFT, 1, v),
-        ["abc", np.zeros(5), G, wf.inverse_problem(2, wf.GridSpec(1.0, 1.0, 5, 5)), P2,
-         P1.with_force(np.zeros(3))]),
     "noise_sigma.p": (0.01, lambda v: wf.noise_sigma(BG[0], v), BAD_SCALARS + ["0.1", -1.0]),
     "example_spec.example_id": (2, wf.example_spec,
                                 [0, 6, 2.5, None, "2", RAGGED, True, np.True_]),

@@ -174,31 +174,34 @@ def test_timings_file_is_not_an_artifact(tmp_path):
 
 
 def test_tables_build_each_object_once(tmp_path, monkeypatch):
-    # each of the 16 problems is built once and its matrix formed once; the
-    # left flux of the exact force is marched where a table reads it:
-    # scenarios 1 and 2 at every size for tables 2 and 3 (8), scenarios 3
-    # and 4 at M = 80 for tables 5 and 6 (2); tables 4-6 draw each noise
-    # level once per scenario (9). Every march a grid needs runs in two
-    # time loops, one for its flux series and one for its 4 matrices, so a
-    # run makes 8 loops; their 30 slots are the 10 series and, per grid,
-    # 3 drives (scenarios 1, 2 and 4), scenario 3's impulse and scenario
-    # 1's background
+    # each of the 16 problems is built once and its zero-data system formed
+    # once; the left flux of the exact force is marched where a table reads
+    # it: scenarios 1 and 2 at every size for tables 2 and 3 (8), scenarios
+    # 3 and 4 at M = 80 for tables 5 and 6 (2); tables 4-6 draw each noise
+    # level once per scenario (9), and each draw is the one measurement a
+    # system takes. Every march a grid needs runs in two time loops, one
+    # for its flux series and one for its 4 systems, so a run makes 8
+    # loops; their 30 slots are the 10 series and, per grid, 3 drives
+    # (scenarios 1, 2 and 4), scenario 3's impulse and scenario 1's
+    # background
     from waveforce import benchmarks, fdm, inverse, noise
-    calls = dict.fromkeys(["_march", "add_noise", "inverse_problem", "_matrices"], 0)
+    counted_fns = {"_march": fdm._march, "add_noise": noise.add_noise,
+                   "inverse_problem": benchmarks.inverse_problem, "_systems": inverse._systems,
+                   "with_measurement": inverse.InverseSystem.with_measurement}
+    calls = dict.fromkeys(counted_fns, 0)
     slots = []
-    for name, fn in (("_march", fdm._march), ("add_noise", noise.add_noise),
-                     ("inverse_problem", benchmarks.inverse_problem),
-                     ("_matrices", inverse._matrices)):
-        def counted(*args, _fn=fn, _name=name):
+    for name, fn in counted_fns.items():
+        def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
             if _name == "_march":
                 slots.append(len(args[1]))
-            return _fn(*args)
-        for user in (benchmarks, cli, fdm, inverse, noise):
+            return _fn(*args, **kwargs)
+        for user in (benchmarks, cli, fdm, inverse, noise, inverse.InverseSystem):
             if getattr(user, name, None) is fn:
                 monkeypatch.setattr(user, name, counted)
     assert run("tables", "--out", tmp_path / "t") == 0
-    assert calls == {"_march": 8, "add_noise": 9, "inverse_problem": 16, "_matrices": 4}
+    assert calls == {"_march": 8, "add_noise": 9, "inverse_problem": 16, "_systems": 4,
+                     "with_measurement": 9}
     assert sum(slots) == 30
 
 
@@ -239,6 +242,22 @@ def test_error_reporting(tmp_path, capsys):
     code = run("invert", "--M", 10, "--N", 10, "--out", tmp_path / "y")
     assert code == 1
     assert "measured" in capsys.readouterr().err
+
+
+def test_refining_an_analytic_flux_fails_before_any_march(tmp_path, capsys, monkeypatch):
+    # scenarios 1 and 5 measure an analytic flux, which no finer mesh
+    # simulates: --data-refine above 1 is refused, not recorded unread
+    def no_march(*args):
+        raise AssertionError("marched before refusing the refinement")
+
+    for module in ("fdm", "inverse"):
+        monkeypatch.setattr(f"waveforce.{module}._march", no_march)
+    for ex in (1, 5):
+        out = tmp_path / f"ex{ex}"
+        assert run("invert", "--example", ex, "--M", 10, "--data-refine", 3, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidDimension:") and err.count("\n") == 1, err
+        assert not (out / "manifest.json").exists()
 
 
 def test_order_the_profile_cannot_carry_exits_with_one_line(tmp_path, capsys):

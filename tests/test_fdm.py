@@ -246,8 +246,10 @@ def test_stacked_march_matches_single_march_bit_for_bit(M, N):
             assert u.shape == (N + 1, M + 1, K)
             for k, s in enumerate(slots):
                 assert bitwise_equal(u[:, :, k].T, want[s]), (K, first, k)
-    # solve_direct is the stack of one; _left_fluxes stacks the flux series
+    # solve_direct is the stack of one; _fluxes stacks the flux series
     for p, field in zip(problems, want):
         assert bitwise_equal(wf.solve_direct(p).values, field)
-    for p, q in zip(problems, wf.fdm._left_fluxes(problems)):
-        assert bitwise_equal(q.values, wf.flux(wf.solve_direct(p), wf.LEFT).values)
+    for end in (wf.LEFT, wf.RIGHT):
+        for p, q in zip(problems, wf.fdm._fluxes(problems, end)):
+            assert q.end == end
+            assert bitwise_equal(q.values, wf.flux(wf.solve_direct(p), end).values)

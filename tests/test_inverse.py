@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import waveforce as wf
+from test_fdm import bitwise_equal
 
 
 def fabricated_system(A, b):
@@ -408,11 +409,19 @@ def test_right_rows_mirror_left_rows(case):
     assert mirrored == (case != "stretched-dual")
 
 
+def same_system(s, s1):
+    """A and background bit for bit, signed zeros included."""
+    assert bitwise_equal(s.A, s1.A)
+    for q, q1 in zip(s.background, s1.background, strict=True):
+        assert bitwise_equal(q.values, q1.values)
+
+
 @pytest.mark.parametrize("case", [1, 2, 3, 4, 5, "stretched-dual"])
 def test_matrix_is_the_assembled_A(case, bench):
-    # _matrices reads the grid and the source alone for A: it equals the A
-    # of an assembly with nonzero data or measurement, and the matrix of
-    # the same source with zero data
+    # _systems gives the zero-data system of a problem: the A and
+    # background of an assembly with nonzero data or measurement, b all
+    # +0.0, and the problem's grid and source; its A reads the grid and the
+    # source alone, so it is that of the same source with zero data
     if case == "stretched-dual":  # x-varying modulations, nonzero data
         problem = _stretched_problem(dual=True)
         noise = np.random.default_rng(3).normal(size=(2, problem.grid.N))
@@ -420,30 +429,29 @@ def test_matrix_is_the_assembled_A(case, bench):
     else:
         system = bench(case, 20).system
         problem = wf.inverse_problem(case, system.grid)
-    (A, background), = wf.inverse._matrices([problem])
-    assert np.array_equal(A, system.A)
-    assert all(np.array_equal(q.values, bg.values) for q, bg in zip(background, system.background))
+    zero, = wf.inverse._systems([problem])
+    same_system(zero, system)
+    assert zero.grid is problem.grid and zero.source is problem.source and zero.noise is None
+    assert bitwise_equal(zero.b, np.zeros(len(system.b)))
     g = problem.grid
     quiet = dataclasses.replace(problem, initial=wf.InitialData.zero(g),
                                 boundary=wf.BoundaryData.zero(g))
-    assert np.array_equal(wf.inverse._matrices([quiet])[0][0], A)
+    assert bitwise_equal(wf.inverse._systems([quiet])[0].A, zero.A)
 
 
 def test_matrices_of_one_grid_share_one_march(monkeypatch):
-    # the problems of one grid as slots of one march: each A and background
-    # is, bit for bit, that of the problem alone
+    # the problems of one grid as slots of one march: each system is, bit
+    # for bit, that of the problem alone
     g = wf.GridSpec(1.0, 1.0, 20, 20)
     problems = [wf.inverse_problem(ex, g) for ex in (1, 2, 3, 4, 5)]
-    alone = [wf.inverse._matrices([p])[0] for p in problems]
+    alone = [wf.inverse._systems([p])[0] for p in problems]
     marches = capture_marches(monkeypatch)
-    together = wf.inverse._matrices(problems)
+    together = wf.inverse._systems(problems)
     # drives: 1 + 1 + 1 + 2, one impulse (scenario 3), backgrounds: 1 and 5
     assert [len(forces) for _, forces in marches] == [8]
-    for (A, background), (A1, background1) in zip(together, alone):
-        assert np.array_equal(A, A1) and np.array_equal(np.signbit(A), np.signbit(A1))
-        for q, q1 in zip(background, background1):
-            assert np.array_equal(q.values, q1.values)
-            assert np.array_equal(np.signbit(q.values), np.signbit(q1.values))
+    for p, s, s1 in zip(problems, together, alone, strict=True):
+        same_system(s, s1)
+        assert bitwise_equal(s.b, s1.b) and s.source is s1.source is p.source
 
 
 def test_random_mirrored_dual_split_matches_stacked_lstsq():
