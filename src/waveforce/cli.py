@@ -420,33 +420,26 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     if cfg.example not in (None, 1, 2, 3, 4):
         raise WaveforceError(f"tables cover scenarios 1..4, got {cfg.example}")
     wanted = (cfg.example,) if cfg.example is not None else (1, 2, 3, 4)
-    problems = {(ex, m): inverse_problem(ex, GridSpec(1.0, 1.0, m, m))
-                for ex in wanted for m in _TABLE_SIZES}
-
-    def by_grid(keys, build):
-        # build(keys of one grid) -> one result per key: one call, so one
-        # stacked march, per grid; the results keep the order of keys
-        done = {}
-        for m in _TABLE_SIZES:
-            if on_grid := [key for key in keys if key[1] == m]:
-                done.update(zip(on_grid, build(on_grid)))
-        return {key: done[key] for key in keys}
-
-    # the exact profile, and the scheme's left flux of it, on each mesh a
-    # table reads them on: tables 2 and 3 tabulate the flux, and tables 4-6
-    # take it at M = 80 as their measured data
-    exact = {(ex, m): exact_force(ex, p.grid) for (ex, m), p in problems.items()
-             if ex in (1, 2) or m == 80}
-    series = by_grid(exact, lambda keys: _fluxes(
-        [problems[key].with_force(exact[key].values) for key in keys], LEFT))
-    stages.lap("data")
-    # every problem's zero-data system: table 1 reads its A, and tables 4-6
-    # draw their noisy measurements from those of scenarios 2-4 at M = 80
-    systems = by_grid(problems, lambda keys: _systems([problems[key] for key in keys]))
-    stages.lap("assembly")
+    exact, series, systems = {}, {}, {}
+    for m in _TABLE_SIZES:
+        grid = GridSpec(1.0, 1.0, m, m)
+        problems = {(ex, m): inverse_problem(ex, grid) for ex in wanted}
+        # the exact profile, and the scheme's left flux of it, where a
+        # table reads them: tables 2 and 3 tabulate the flux, and tables
+        # 4-6 take it at M = 80 as their measured data
+        read = [(ex, m) for ex in wanted if ex in (1, 2) or m == 80]
+        exact.update({key: exact_force(key[0], grid) for key in read})
+        if read:
+            series.update(zip(read, _fluxes([problems[k].with_force(exact[k].values) for k in read], LEFT)))
+        stages.lap("data")
+        # the grid's zero-data systems: table 1 reads their A, and tables
+        # 4-6 draw their noisy measurements from those of scenarios 2-4 at
+        # M = 80
+        systems.update(zip(problems, _systems(list(problems.values()))))
+        stages.lap("assembly")
     # table name -> (header, rows), written together at the end
-    tables = {"table1.csv": (["example", "M", "cond"], [(str(ex), str(m), condition_number(s.A))
-                                                        for (ex, m), s in systems.items()])}
+    tables = {"table1.csv": (["example", "M", "cond"], [(str(ex), str(m), condition_number(systems[ex, m].A))
+                                                        for ex in wanted for m in _TABLE_SIZES])}
     stages.lap("cond")
 
     for ex, name in ((1, "table2.csv"), (2, "table3.csv")):

@@ -18,11 +18,12 @@ zero-data march driven by the stencil's weights times the modulation: the
 field at node k is column k. A modulation that varies in x is instead a
 causal convolution of each node's modulation with the left flux kernel
 (first time level weighted as the first marched row weights it); one
-impulse-driven march gives that kernel for every node at once. These
-drives, and the zero-force background of every problem with nonzero
-data, are the slots of one stacked march (fdm._march), so the problems
-of one grid, a dual's two modulations and its background included, cost
-one time loop. _systems returns each such problem's system with zero
+impulse-driven march gives that kernel for every node at once. Every
+slot of one stacked march (fdm._march) is such a drive, the zero-force
+background of a problem with nonzero data included: it is the drive of
+the zero series under that problem's data. So the problems of one grid,
+a dual's two modulations and its background included, cost one time
+loop. _systems returns each such problem's system with zero
 data (b = 0); an assembly is that system with b rebuilt from the
 measurement by with_measurement. The march is mirror-symmetric bit for
 bit (its neighbor sum a + b is b + a), so the right end's blocks and
@@ -183,31 +184,32 @@ def _systems(problems):
 
     Column c*(M-1) + k of A holds the flux response, at every observed end,
     to the unit profile e_k in source component c; row block r belongs to
-    the r-th observed end. The march's slots are:
-    - one drive per modulation that does not vary in x: a zero-data march
-      forced by the left flux stencil's inward weights (fdm._FLUX_STENCIL
-      at nodes 1 and 2) times the modulation, whose field at node k and
-      level n+1 is entry [n, k-1] of the left block;
-    - one impulse, when a modulation varies in x: the drive of the
-      modulation 1 / fdm._FIRST_LEVEL at t_0 and 0 after it, whose field is
-      the left flux kernel G (a unit force at node k entering level t_1
-      at full weight), which such a modulation is convolved with;
-    - the zero-force background of each problem whose initial or boundary
-      data are not all +0.0 (any other background is +0.0).
+    the r-th observed end. Every slot of the march is a drive: a march
+    forced by the left flux stencil's inward weights (fdm._FLUX_STENCIL at
+    nodes 1 and 2) times one time series. The slots are:
+    - one per modulation that does not vary in x: the drive of the
+      modulation with zero data, whose field at node k and level n+1 is
+      entry [n, k-1] of the left block;
+    - one impulse, when a modulation varies in x: the drive of the series
+      1 / fdm._FIRST_LEVEL at t_0 and 0 after it with zero data, whose
+      field is the left flux kernel G (a unit force at node k entering
+      level t_1 at full weight), which such a modulation is convolved with;
+    - the background of each problem whose initial or boundary data are
+      not all +0.0: the drive of the zero series under its data, whose
+      flux is the zero-force flux (any other background is +0.0).
     The right blocks are the left ones mirrored (see the module
     docstring). A reads the grid and the sources alone.
     """
     g = problems[0].grid
     N, m = g.N, g.M - 1
     quiet = (InitialData.zero(g), BoundaryData.zero(g))
-    # slot k marches data[k] under inputs[k]: a time series that scales the
-    # stencil's drive, or the problem whose background it is
-    inputs, data, plans = [], [], []
+    # slot k marches data[k] driven by the stencil's weights times series[k]
+    series, data, plans = [], [], []
 
-    def slot(source, pair=quiet):
-        inputs.append(source)
+    def slot(x, pair=quiet):
+        series.append(x)
         data.append(pair)
-        return len(inputs) - 1
+        return len(series) - 1
 
     for p in problems:
         # driven: a modulation with one value across the interior nodes at
@@ -217,7 +219,7 @@ def _systems(problems):
         values = np.concatenate([p.initial.displacement, p.initial.velocity,
                                  p.boundary.left, p.boundary.right])
         at_rest = not (np.any(values) or np.any(np.signbit(values)))  # all +0.0
-        plans.append((drives, None if at_rest else slot(p, (p.initial, p.boundary))))
+        plans.append((drives, None if at_rest else slot(np.zeros(N + 1), (p.initial, p.boundary))))
     kernel = None
     if any(None in drives for drives, _ in plans):
         impulse = np.zeros(N + 1)
@@ -225,9 +227,7 @@ def _systems(problems):
         kernel = slot(impulse)
     w = np.zeros(g.M + 1)
     w[1:3] = _FLUX_STENCIL[1:]
-    u = _march(g, data, (np.outer(w, x) if isinstance(x, np.ndarray)
-                         else x.with_force(*[np.zeros(m)] * x.source.unknowns).source.values
-                         for x in inputs))
+    u = _march(g, data, (np.outer(w, x) for x in series))
     if kernel is not None:
         kernel = np.ascontiguousarray(u[1:, 1:g.M, kernel])
 

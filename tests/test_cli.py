@@ -174,20 +174,24 @@ def test_timings_file_is_not_an_artifact(tmp_path):
 
 
 def test_tables_build_each_object_once(tmp_path, monkeypatch):
-    # each of the 16 problems is built once and its zero-data system formed
-    # once; the left flux of the exact force is marched where a table reads
-    # it: scenarios 1 and 2 at every size for tables 2 and 3 (8), scenarios
-    # 3 and 4 at M = 80 for tables 5 and 6 (2); tables 4-6 draw each noise
-    # level once per scenario (9), and each draw is the one measurement a
-    # system takes. Every march a grid needs runs in two time loops, one
-    # for its flux series and one for its 4 systems, so a run makes 8
-    # loops; their 30 slots are the 10 series and, per grid, 3 drives
-    # (scenarios 1, 2 and 4), scenario 3's impulse and scenario 1's
-    # background
-    from waveforce import benchmarks, fdm, inverse, noise
+    # each of the 4 meshes is built once, then its problems (16 in all),
+    # and each problem's zero-data system is formed once; the left flux of
+    # the exact force is marched where a table reads it: scenarios 1 and 2
+    # at every size for tables 2 and 3 (8), scenarios 3 and 4 at M = 80 for
+    # tables 5 and 6 (2), each through one with_force; tables 4-6 draw each
+    # noise level once per scenario (9), and each draw is the one
+    # measurement a system takes. Every march a grid needs runs in at most
+    # two time loops, one for its flux series and one for its systems, so a
+    # run makes 8 loops; their 30 slots are the 10 series and, per grid, 3
+    # drives (scenarios 1, 2 and 4), scenario 3's impulse and scenario 1's
+    # background, a drive of the zero series that binds no force. Scenario
+    # 3 alone reads a series on one grid only: 5 loops of one slot each.
+    from waveforce import benchmarks, fdm, inverse, model, noise
     counted_fns = {"_march": fdm._march, "add_noise": noise.add_noise,
                    "inverse_problem": benchmarks.inverse_problem, "_systems": inverse._systems,
-                   "with_measurement": inverse.InverseSystem.with_measurement}
+                   "with_measurement": inverse.InverseSystem.with_measurement,
+                   "with_force": model.WaveProblem.with_force,
+                   "__post_init__": model.GridSpec.__post_init__}  # GridSpec builds
     calls = dict.fromkeys(counted_fns, 0)
     slots = []
     for name, fn in counted_fns.items():
@@ -196,13 +200,20 @@ def test_tables_build_each_object_once(tmp_path, monkeypatch):
             if _name == "_march":
                 slots.append(len(args[1]))
             return _fn(*args, **kwargs)
-        for user in (benchmarks, cli, fdm, inverse, noise, inverse.InverseSystem):
+        for user in (benchmarks, cli, fdm, inverse, noise, inverse.InverseSystem,
+                     model.WaveProblem, model.GridSpec):
             if getattr(user, name, None) is fn:
                 monkeypatch.setattr(user, name, counted)
-    assert run("tables", "--out", tmp_path / "t") == 0
-    assert calls == {"_march": 8, "add_noise": 9, "inverse_problem": 16, "_systems": 4,
-                     "with_measurement": 9}
-    assert sum(slots) == 30
+    for args, want, want_slots in (
+            ((), {"_march": 8, "add_noise": 9, "inverse_problem": 16, "_systems": 4,
+                  "with_measurement": 9, "with_force": 10, "__post_init__": 4}, 30),
+            (("--example", 3), {"_march": 5, "add_noise": 3, "inverse_problem": 4, "_systems": 4,
+                                "with_measurement": 3, "with_force": 1, "__post_init__": 4}, 5)):
+        calls.update(dict.fromkeys(calls, 0))
+        slots.clear()
+        assert run("tables", *args, "--out", tmp_path / "t") == 0
+        assert calls == want, args
+        assert sum(slots) == want_slots, args
 
 
 def test_tables_condition_cell(tmp_path):

@@ -211,11 +211,11 @@ def bitwise_equal(a, b):
 
 
 def stack_problems(g, rng):
-    """Four problems on grid g, the kinds of slot the assembly stacks:
-    nonzero data with a random force; data of -0.0 with the zero-force
-    background of a modulation with negative values, whose force 0*h holds
-    -0.0; a zero-data drive (stencil weights times a series of both
-    signs); and zero data with a random sparse force."""
+    """Four problems on grid g: nonzero data with a random force; data of
+    -0.0 under the force 0*h of a modulation with negative values, which
+    holds -0.0 at every node; a zero-data drive (stencil weights times a
+    series of both signs), the one kind of slot the assembly stacks; and
+    zero data with a random sparse force."""
     prob = random_problem(rng, g.M, g.N)[0]
     data = wf.WaveProblem(g, prob.initial, prob.boundary, prob.source)
     h = wf.sample_grid(g, lambda x, t: np.cos(4.0 * x) - t)

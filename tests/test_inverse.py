@@ -454,6 +454,43 @@ def test_matrices_of_one_grid_share_one_march(monkeypatch):
         assert bitwise_equal(s.b, s1.b) and s.source is s1.source is p.source
 
 
+def test_background_is_the_zero_force_flux(monkeypatch):
+    # a background slot is the stencil's drive of the zero series under the
+    # problem's own data, which binds no force: its flux is, bit for bit and
+    # signed zeros included, that of the direct solve with a zero
+    # KnownForce, alone or stacked with other problems. The drive holds
+    # -0.0 at node 1 (the weight -4 times +0.0), where the solve holds
+    # +0.0; on a grid of M >= 4 only the left flux stencil reads node 1,
+    # and its node 2 (+0.0 or not zero) absorbs the sign
+    def zero_force_flux(p):
+        g = p.grid
+        zero = wf.KnownForce(np.zeros((g.M + 1, g.N + 1)))
+        field = wf.solve_direct(wf.WaveProblem(g, p.initial, p.boundary, zero))
+        return [wf.flux(field, end).values for end in wf.inverse._observed_ends(p.source.unknowns)]
+
+    g = wf.GridSpec(1.0, 1.0, 20, 20)
+    stacks = [[wf.inverse_problem(ex, g)] for ex in (1, 5)]
+    for M, N in ((10, 12), (30, 41)):
+        g = wf.GridSpec(1.0, 1.0, M, N)
+        nz = np.full(M + 1, -0.0), np.full(N + 1, -0.0)
+        negative = wf.sample_grid(g, lambda x, t: -1.0 - t + 0.0 * x), -np.ones((M + 1, N + 1))
+        signed = wf.WaveProblem(g, wf.InitialData(nz[0], nz[0]), wf.BoundaryData(nz[1], nz[1]),
+                                wf.Source(negative))
+        quiet = dataclasses.replace(signed, initial=wf.InitialData.zero(g),
+                                    boundary=wf.BoundaryData.zero(g))
+        stacks += [[signed], [quiet, signed]]
+    marches = capture_marches(monkeypatch)
+    monkeypatch.setattr(wf.WaveProblem, "with_force", None)  # no slot binds a force
+    for problems in stacks:
+        for k, (p, s) in enumerate(zip(problems, wf.inverse._systems(problems), strict=True)):
+            for q, want in zip(s.background, zero_force_flux(p), strict=True):
+                assert bitwise_equal(q.values, want), (p.grid, k, q.end)
+    # every slot's force is a drive: the stencil's weights at nodes 1 and 2
+    # times a series, and zero at every other node
+    for _, forces in marches:
+        assert all(not np.any(F[[0, *range(3, len(F))]]) for F in forces)
+
+
 def test_random_mirrored_dual_split_matches_stacked_lstsq():
     # a dual whose arbitrary modulations are mirror-symmetric on the
     # interior has the mirror relation, and its split solve agrees with the
