@@ -25,9 +25,12 @@ run by run and share the host's drift. It writes BENCH_<LABEL>.json into
 `--timings` file (for invert: data, assembly, sweep, corner, solve, cond,
 output), of their sum (`stages`) and of the process wall time from start to exit
 (`process`, which adds interpreter start-up and imports), all in
-seconds; plus nproc, the Python and numpy versions, the platform, the
-git commit of SRC's checkout with whether its tree differs from that
-commit, and `source`, a digest of SRC's `waveforce/*.py`. A label measured
+seconds; plus nproc, the Python and numpy versions, the name and version
+of the BLAS numpy was built with (`np.show_config`), the environment's
+BLAS thread variables (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS, null when unset; the runs inherit them, and the
+artifacts' bytes depend on them), the platform, the git commit of SRC's
+checkout with whether its tree differs from that commit, and `source`, a digest of SRC's `waveforce/*.py`. A label measured
 on uncommitted work carries its parent's commit, so `source` is what names
 the code it timed. Each SRC must lie in a git checkout, so that its commit
 is recorded: the script stops before the first run when one does not (a
@@ -57,6 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = (2, 3, 4, 5)
 SIZES = (80, 160, 320, 640)
 FLAGS = ["--noise-pct", "1", "--reg-order", "2", "--lambda", "lcurve", "--seed", "1"]
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def git_commit(src):
@@ -76,6 +80,12 @@ def source_digest(src):
     for path in sorted((Path(src) / "waveforce").glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def blas():
+    """Name and version of the BLAS numpy was built with."""
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": info.get("name"), "version": info.get("version")}
 
 
 def cells():
@@ -148,6 +158,8 @@ def main(argv=None):
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": blas(),
+            "blas_threads": {var: os.environ.get(var) for var in THREAD_VARIABLES},
             "platform": platform.platform(),
             "commit": commit,
             "dirty": dirty,

@@ -28,7 +28,7 @@ class NoiseSpec:
     Parameters
     ----------
     p : float
-        Noise fraction, >= 0; p = 0.01 means 1% noise.
+        Noise fraction, finite and >= 0; p = 0.01 means 1% noise.
     seed : int
         Base seed for the generator, >= 0.
     """
@@ -39,7 +39,7 @@ class NoiseSpec:
     def __post_init__(self):
         p = _real(self.p, "noise fraction")
         if not math.isfinite(p) or p < 0:
-            raise WaveforceError(f"noise fraction must be >= 0, got {self.p}")
+            raise WaveforceError(f"noise fraction must be finite and >= 0, got {self.p}")
         seed = _integer(self.seed, "seed")
         if seed < 0:
             raise WaveforceError(f"seed must be >= 0, got {self.seed}")

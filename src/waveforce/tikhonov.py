@@ -26,6 +26,18 @@ lstsq's default cut, sigma_max over all parts) are rounding, and the
 factors drop them: the solve and the L-curve norms then describe the same
 solution, the minimum-norm one along those modes, at every weight.
 
+Stacks. _factor_stack builds the factors of K systems that share A's
+shape, the penalty order and the mirror split, one slot per system: W
+and D_k^+ are formed once, and the QR of A W, the singular values of
+R_T, its inverse, the Abar products and the thin SVDs are each one numpy
+call over the stack, which runs its LAPACK or BLAS routine slot by slot,
+so each slot is bit for bit the build of its system alone. A single
+system is the stack of one slot, its A taken as it is: no copy. The rank
+cut and D_k^+ V are per slot, at each slot's own rank, and a slot that
+fails the rank rule keeps its message and leaves the stack, while the
+others build on. tables factors the systems of scenarios 2-4 at M = 80 as
+one stack per order; every other system is built alone on first use.
+
 Per weight. With bbar = b - Q_T Q_T^T b and beta = U^T bbar, formed once
 per measurement, and y = S beta / (S^2 + lambda),
 
@@ -139,7 +151,8 @@ class RegConfig:
     order : int
         Smoothness order k in {0, 1, 2}.
     lam : float
-        Weight lambda >= 0; lambda = 0 degenerates to plain least squares.
+        Weight lambda, finite and >= 0; lambda = 0 degenerates to plain
+        least squares.
     """
 
     order: int = 0
@@ -151,7 +164,7 @@ class RegConfig:
             raise InvalidDimension(f"order must be 0, 1 or 2, got {self.order}")
         lam = _real(self.lam, "lambda")
         if not math.isfinite(lam) or lam < 0:
-            raise InvalidDimension(f"lambda must be >= 0, got {self.lam}")
+            raise InvalidDimension(f"lambda must be finite and >= 0, got {self.lam}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "lam", lam)
 
@@ -231,7 +244,7 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
     if cfg.lam == 0.0:
         sol, _, _, sv = np.linalg.lstsq(sys.A, sys.b, rcond=None)
         # lstsq returns min(rows, columns) singular values: fewer than the
-        # columns (a wide A) is rank-deficient, as in _check_rank
+        # columns (a wide A) is rank-deficient, as in _rank_messages
         if sv.size < sys.A.shape[1] or sv[-1] <= RANK_TOL * sv[0]:
             raise SingularSystem("system is numerically rank-deficient at lambda = 0")
         return ForceVector(sol, sys.components)
@@ -243,15 +256,20 @@ def _factors(sys: InverseSystem, order: int) -> _Factors:
     shares with its with_measurement copies. A failed factorization is
     kept as its message and raised afresh each time, so no traceback grows
     and no frame of the attempt stays alive."""
-    store = sys._factors
-    if order not in store:
-        try:
-            store[order] = _Factors(sys.A, order, sys.components)
-        except SingularSystem as exc:
-            store[order] = str(exc)
-    if isinstance(store[order], str):
-        raise SingularSystem(store[order])
-    return store[order]
+    _build_factors([sys], order)
+    if isinstance(sys._factors[order], str):
+        raise SingularSystem(sys._factors[order])
+    return sys._factors[order]
+
+
+def _build_factors(systems, order):
+    """Fill the factor stores of the systems that have none of this order
+    yet, all of them one stack of _factor_stack: the systems share A's
+    shape and mirror split, and no two share a store."""
+    new = [s for s in systems if order not in s._factors]
+    if new:
+        for s, built in zip(new, _factor_stack([s.A for s in new], order, new[0].components)):
+            s._factors[order] = built
 
 
 def _has_mirror(A, components):
@@ -301,55 +319,82 @@ def _block_product(X, B, components):
     return out
 
 
-def _check_rank(R):
-    """The rank rule on R_T of Q_T R_T = A W: SingularSystem when cond(A W)
-    >= COND_LIMIT, infinite when A W has fewer rows than columns. At order
-    0 W is empty, and so is R_T: no rule applies."""
+def _rank_messages(R, slots):
+    """The rank rule on each slot of R_T, Q_T R_T = A W: the message of
+    SingularSystem when cond(A W) >= COND_LIMIT, infinite when A W has
+    fewer rows than columns, else None. At order 0 W is empty, and so is
+    R_T: no rule applies."""
     if not R.size:
-        return
-    sv = np.linalg.svd(R, compute_uv=False)
-    smallest = sv[-1] if sv.size == R.shape[1] else 0.0
-    if sv[0] >= COND_LIMIT * smallest:
+        return [None] * len(slots(R))
+    messages = []
+    for sv in slots(np.linalg.svd(R, compute_uv=False)):
+        smallest = sv[-1] if sv.size == R.shape[-1] else 0.0
         cond = sv[0] / smallest if smallest else np.inf
-        raise SingularSystem(f"A W (W the null space of D) has condition number {cond:.3g}, "
-                             f"at or above {COND_LIMIT:g}")
+        messages.append(None if sv[0] < COND_LIMIT * smallest else
+                        f"A W (W the null space of D) has condition number {cond:.3g}, "
+                        f"at or above {COND_LIMIT:g}")
+    return messages
+
+
+def _factor_stack(As, order, components):
+    """The _Factors of each A of `As` at the penalty order, or the message of
+    its failed rank rule, built as one stack (see the module docstring).
+    InvalidDimension when D_k has no row on the profiles (_checked_nodes),
+    before any product."""
+    A = As[0] if len(As) == 1 else np.stack(As)  # a lone A is no stack's copy
+    m = A.shape[-1] // components
+    _checked_nodes(order, m)
+    mirrors = {_has_mirror(X, components) for X in As}
+    if len(mirrors) > 1:
+        raise ValueError("the systems of a stack share one mirror split")
+    parities = (1, -1) if mirrors.pop() else (0,)
+
+    def slots(X):  # X along a leading axis of slots, a lone A's one slot included
+        return X if A.ndim == 3 else X[None]
+
+    W = _null_basis(order, m)
+    Q, R = np.linalg.qr(_block_product(A, W, components))  # Q_T R_T = A W
+    messages = _rank_messages(R, slots)
+    kept = [msg is None for msg in messages]
+    if not any(kept):
+        return messages
+    if not all(kept):
+        As = [X for X, keep in zip(As, kept) if keep]
+        A, Q, R = A[kept], Q[kept], R[kept]
+    WRinv = _block_product(np.linalg.inv(R).swapaxes(-1, -2), W.T, components).swapaxes(-1, -2)
+    Dp = _pseudo_inverse(W, order, m)
+    top = A.shape[-2] // len(parities)  # a split system's left rows
+    Abar = _block_product(A[..., :top, :], Dp, components)
+    Abar -= Q[..., :top, :] @ _block_product(Q.swapaxes(-1, -2) @ A, Dp, components)
+    del Dp  # formed again below (0.2 ms at m = 319), to keep it out of the SVD's peak
+    svds = [np.linalg.svd(_SQRT2 * _fold(Abar, parity, components) if parity else Abar,
+                          full_matrices=False) for parity in parities]
+    # the rank cut of the module docstring; a half with no column has no s[0]
+    sigma_max = np.max([s.max(axis=-1, initial=0.0) for _, s, _ in svds], axis=0)
+    cuts = slots(np.finfo(float).eps * max(A.shape[-2], Abar.shape[-1]) * sigma_max)
+    del Abar
+    Dp = _pseudo_inverse(W, order, m)
+    parts = [[] for _ in cuts]
+    for parity, (U, s, Vt) in zip(parities, svds):
+        folded = _fold(Dp, parity, 1).T  # D_k^+ V_tau, V_tau the parity's basis
+        for slot, u, sv, vt, cut in zip(parts, slots(U), slots(s), slots(Vt), cuts):
+            rank = np.count_nonzero(sv > cut)
+            # (D_k^+ V_tau Vt^T)^T = Vt (D_k^+ V_tau)^T
+            slot.append(((-1) ** order * parity, u.T[:rank], sv[:rank],
+                         _block_product(vt[:rank], folded, components)))
+    built = (_Factors(X, q, wr, parities, p)
+             for X, q, wr, p in zip(As, slots(Q), slots(WRinv), parts))
+    return [msg or next(built) for msg in messages]
 
 
 class _Factors:
     """The standard form of the regularized solve of one (A, order) (see the
     module docstring): Q_T, W R_T^-1 and, per part, (sigma, U^T, S,
-    (D_k^+ V)^T). On construction, InvalidDimension when D_k has no row on
-    the profiles (_checked_nodes), before any product, and SingularSystem
-    when A W fails the rank rule."""
+    (D_k^+ V)^T), as _factor_stack builds them."""
 
-    def __init__(self, A, order, components):
-        m = A.shape[1] // components
-        _checked_nodes(order, m)
-        self.A = A
+    def __init__(self, A, Q, WRinv, parities, parts):
+        self.A, self.Q, self.WRinv, self.parities, self.parts = A, Q, WRinv, parities, parts
         self._last = None, None  # (b, its _coefficients)
-        self.parities = (1, -1) if _has_mirror(A, components) else (0,)
-        W = _null_basis(order, m)
-        self.Q, R = np.linalg.qr(_block_product(A, W, components))  # Q_T R_T = A W
-        _check_rank(R)
-        self.WRinv = _block_product(np.linalg.inv(R).T, W.T, components).T
-        Dp = _pseudo_inverse(W, order, m)
-        top = A.shape[0] // len(self.parities)  # a split system's left rows
-        Abar = _block_product(A[:top], Dp, components)
-        Abar -= self.Q[:top] @ _block_product(self.Q.T @ A, Dp, components)
-        del Dp  # formed again below (0.2 ms at m = 319), to keep it out of the SVD's peak
-        svds = [np.linalg.svd(_SQRT2 * _fold(Abar, parity, components) if parity else Abar,
-                              full_matrices=False) for parity in self.parities]
-        # the rank cut of the module docstring; a half with no column has no s[0]
-        sigma_max = max(s.max(initial=0.0) for _, s, _ in svds)
-        cut = np.finfo(float).eps * max(A.shape[0], Abar.shape[1]) * sigma_max
-        del Abar
-        Dp = _pseudo_inverse(W, order, m)
-        self.parts = []
-        for parity, (U, s, Vt) in zip(self.parities, svds):
-            rank = np.count_nonzero(s > cut)
-            # (D_k^+ V_tau Vt^T)^T = Vt (D_k^+ V_tau)^T, V_tau the parity's basis
-            self.parts.append(((-1) ** order * parity, U.T[:rank], s[:rank],
-                               _block_product(Vt[:rank], _fold(Dp, parity, 1).T, components)))
 
     def _coefficients(self, b):
         """(data, beta) of each part: bbar = b - Q_T Q_T^T b folded onto the

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -186,34 +188,77 @@ def test_tables_build_each_object_once(tmp_path, monkeypatch):
     # drives (scenarios 1, 2 and 4), scenario 3's impulse and scenario 1's
     # background, a drive of the zero series that binds no force. Scenario
     # 3 alone reads a series on one grid only: 5 loops of one slot each.
-    from waveforce import benchmarks, fdm, inverse, model, noise
+    # Each penalty order factors the systems tables 4-6 solve as one stack
+    # (3 stacks of 3 slots; of 1 slot for scenario 3), and scenario 1 alone
+    # solves none.
+    from waveforce import benchmarks, fdm, inverse, model, noise, tikhonov
     counted_fns = {"_march": fdm._march, "add_noise": noise.add_noise,
                    "inverse_problem": benchmarks.inverse_problem, "_systems": inverse._systems,
                    "with_measurement": inverse.InverseSystem.with_measurement,
                    "with_force": model.WaveProblem.with_force,
-                   "__post_init__": model.GridSpec.__post_init__}  # GridSpec builds
+                   "__post_init__": model.GridSpec.__post_init__,  # GridSpec builds
+                   "_factor_stack": tikhonov._factor_stack}
     calls = dict.fromkeys(counted_fns, 0)
-    slots = []
+    slots = {"_march": [], "_factor_stack": []}  # the slots of each call
     for name, fn in counted_fns.items():
         def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
-            if _name == "_march":
-                slots.append(len(args[1]))
+            if _name in slots:  # _march(problem, slots, ...), _factor_stack(As, ...)
+                slots[_name].append(len(args[1] if _name == "_march" else args[0]))
             return _fn(*args, **kwargs)
-        for user in (benchmarks, cli, fdm, inverse, noise, inverse.InverseSystem,
+        for user in (benchmarks, cli, fdm, inverse, noise, tikhonov, inverse.InverseSystem,
                      model.WaveProblem, model.GridSpec):
             if getattr(user, name, None) is fn:
                 monkeypatch.setattr(user, name, counted)
-    for args, want, want_slots in (
+    for args, want, want_slots, want_stacks in (
             ((), {"_march": 8, "add_noise": 9, "inverse_problem": 16, "_systems": 4,
-                  "with_measurement": 9, "with_force": 10, "__post_init__": 4}, 30),
+                  "with_measurement": 9, "with_force": 10, "__post_init__": 4,
+                  "_factor_stack": 3}, 30, [3, 3, 3]),
             (("--example", 3), {"_march": 5, "add_noise": 3, "inverse_problem": 4, "_systems": 4,
-                                "with_measurement": 3, "with_force": 1, "__post_init__": 4}, 5)):
+                                "with_measurement": 3, "with_force": 1, "__post_init__": 4,
+                                "_factor_stack": 3}, 5, [1, 1, 1]),
+            (("--example", 1), {"_march": 8, "add_noise": 0, "inverse_problem": 4, "_systems": 4,
+                                "with_measurement": 0, "with_force": 4, "__post_init__": 4,
+                                "_factor_stack": 0}, 12, [])):
         calls.update(dict.fromkeys(calls, 0))
-        slots.clear()
+        for sizes in slots.values():
+            sizes.clear()
         assert run("tables", *args, "--out", tmp_path / "t") == 0
         assert calls == want, args
-        assert sum(slots) == want_slots, args
+        assert sum(slots["_march"]) == want_slots, args
+        assert slots["_factor_stack"] == want_stacks, args
+
+
+# Largest relative gap between the artifacts of one `invert` under
+# OPENBLAS_NUM_THREADS=1 and =2 (scenario 5, M = N = 160, 1% noise, order
+# 2, lambda lcurve): both pick lambda = 5e-6, but the blocked products
+# round in another order, and force.csv moves by 5.7e-16 of max|f| and
+# accuracy_error by 5.5e-16 (9.727570963144485 against 9.72757096314448),
+# with numpy 2.4.6 and OpenBLAS 0.3.31 (Haswell kernels) on x86-64 Linux,
+# 2 vCPUs. The bound stays under eps cond(A) = 4.7e-12, the scale at which
+# a reordered rounding moves the solution.
+BLAS_THREADS_TOL = 1e-12
+
+
+def test_blas_thread_counts_agree_within_tolerance(tmp_path):
+    src = str(Path(wf.__file__).resolve().parent.parent)
+    argv = ["invert", "--example", "5", "--M", "160", "--noise-pct", "1", "--reg-order", "2",
+            "--lambda", "lcurve"]
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        subprocess.run([sys.executable, "-m", "waveforce", *argv, "--out", str(out)], env=env,
+                       check=True)
+        _, rows = read_rows(out / "force.csv")
+        runs.append((np.array(rows, dtype=float)[:, 1:], metrics_dict(out / "metrics.csv")))
+    (f1, m1), (f2, m2) = runs
+    assert m1["lambda"] == m2["lambda"]
+    error1, error2 = float(m1["accuracy_error"]), float(m2["accuracy_error"])
+    gaps = np.max(np.abs(f1 - f2)) / np.max(np.abs(f1)), abs(error1 - error2) / error1
+    print(f"force.csv gap {gaps[0]:.2g}, accuracy_error gap {gaps[1]:.2g}")
+    assert max(gaps) <= BLAS_THREADS_TOL
 
 
 def test_tables_condition_cell(tmp_path):
@@ -334,6 +379,18 @@ def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
     # a mode-only setting left at its default is taken
     monkeypatch.undo()
     assert run("invert", "--example", 1, "--seed", 1, "--M", 10, "--out", tmp_path / "ok") == 0
+
+
+def test_non_finite_values_name_the_whole_rule(tmp_path, capsys):
+    # inf and nan break "finite and >= 0", which the message states whole
+    for flag, name, value, rule in (("--lambda", "lambda", "inf", "lambda"),
+                                    ("--lambda", "lambda", "nan", "lambda"),
+                                    ("--noise-pct", "noise_pct", "inf", "noise fraction"),
+                                    ("--noise-pct", "noise_pct", "nan", "noise fraction")):
+        capsys.readouterr()
+        assert run("invert", "--example", 1, "--M", 10, flag, value, "--out", tmp_path / "o") == 1
+        assert capsys.readouterr().err == (f"WaveforceError: bad value for {name!r}: "
+                                           f"{rule} must be finite and >= 0, got {value}\n")
 
 
 # malformed values of each setting, each tried as a config value and, when it

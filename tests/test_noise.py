@@ -22,8 +22,9 @@ def test_zero_level_returns_same_object():
 def test_spec_validation():
     with pytest.raises(wf.WaveforceError):
         wf.NoiseSpec(-0.01)
-    with pytest.raises(wf.WaveforceError):
-        wf.NoiseSpec(float("nan"))
+    for p in ("inf", "nan"):
+        with pytest.raises(wf.WaveforceError, match=f"^noise fraction must be finite and >= 0, got {p}$"):
+            wf.NoiseSpec(float(p))
     # the seed is a non-negative integer, checked at construction
     for seed in (1.7, -1, True, "3"):
         with pytest.raises(wf.WaveforceError):

@@ -3,6 +3,7 @@ oracles, the shared factorization, SVD diagnostics."""
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import traceback
@@ -152,6 +153,10 @@ def test_config_validation():
         wf.RegConfig(order=3, lam=0.1)
     with pytest.raises(wf.InvalidDimension):
         wf.RegConfig(order=0, lam=-1e-9)
+    # the rule is stated whole: a non-finite weight is not "below 0"
+    for lam in ("inf", "nan"):
+        with pytest.raises(wf.InvalidDimension, match=f"^lambda must be finite and >= 0, got {lam}$"):
+            wf.RegConfig(lam=float(lam))
     for order in (True, 1.5, "1"):
         with pytest.raises(wf.InvalidDimension):
             wf.RegConfig(order=order)
@@ -272,11 +277,11 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
 
 # Peak memory of sweep(system, 2) on a 1%-noise draw, in units of one
 # m x m array (8 m^2 bytes), m the columns of A: readings 4.00 at scenario
-# 2, M = 320 (m = 319), 4.00 at M = 640 and 2.74 at the dual scenario 5,
+# 2, M = 320 (m = 319), 4.00 at M = 640 and 2.38 at the dual scenario 5,
 # M = 160 (m = 318, its SVD taken as two halves): U, V^T, D_k^+ and
 # D_k^+ V alive together. Without the build's `del Abar` before it forms
 # D_k^+ V the whole system reads 5.00 and breaks its bound (the halves read
-# 3.24). The SVD's own workspace is LAPACK's, which tracemalloc does not
+# 2.88). The SVD's own workspace is LAPACK's, which tracemalloc does not
 # see.
 @pytest.mark.parametrize("example, M, bound", [(2, 320, 4.75), (2, 640, 4.75), (5, 160, 3.8)])
 def test_build_memory_is_bounded(bench, example, M, bound):
@@ -721,6 +726,47 @@ def test_failed_factorization_raises_a_fresh_error(monkeypatch):
     assert {str(e) for e in errors} == {str(errors[0])}
     depth = [len(traceback.extract_tb(e.__traceback__)) for e in errors]
     assert max(depth) <= depth[0]
+
+
+def same_factors(f, g):
+    """Whether two _Factors hold the same arrays, bit for bit."""
+    return (f.parities == g.parities and np.array_equal(f.Q, g.Q)
+            and np.array_equal(f.WRinv, g.WRinv) and len(f.parts) == len(g.parts)
+            and all(p[0] == q[0] and all(np.array_equal(x, y) for x, y in zip(p[1:], q[1:]))
+                    for p, q in zip(f.parts, g.parts)))
+
+
+def test_stacked_build_matches_one_system_builds(bench):
+    # scenarios 2-4 at M = 80 at each order, the stacks tables builds: each
+    # slot is the build of its system alone, bit for bit, and keeps that
+    # system's own A
+    systems = [bench(ex, 80).system for ex in (2, 3, 4)]
+    for order in (0, 1, 2):
+        stack = tikhonov._factor_stack([s.A for s in systems], order, 1)
+        for s, built in zip(systems, stack):
+            assert built.A is s.A
+            assert same_factors(built, tikhonov._factors(dataclasses.replace(s), order))
+    # a mirrored dual and an off-mirror one do not share a split
+    A = bench(5, 40).system.A
+    B = A.copy()
+    B[0, 0] += 1.0
+    with pytest.raises(ValueError, match="mirror split"):
+        tikhonov._factor_stack([A, B], 2, 2)
+
+
+def test_stack_slot_failing_the_rank_rule(bench):
+    # ones(80, 79) annihilates the linear null vector of D_2: its slot keeps
+    # the message it raises alone, and the slots around it still build
+    bad = fabricated_system(np.ones((80, 79)), np.ones(80))
+    with pytest.raises(wf.SingularSystem) as alone:
+        tikhonov._factors(dataclasses.replace(bad), 2)
+    systems = [dataclasses.replace(bench(ex, 80).system) for ex in (2, 4)]
+    tikhonov._build_factors([systems[0], bad, systems[1]], 2)
+    assert bad._factors[2] == str(alone.value)
+    with pytest.raises(wf.SingularSystem, match=f"^{re.escape(str(alone.value))}$"):
+        wf.tikhonov_solve(bad, wf.RegConfig(order=2, lam=1e-3))
+    for s in systems:
+        assert same_factors(s._factors[2], tikhonov._factors(dataclasses.replace(s), 2))
 
 
 def test_zero_lambda_equals_plain_lstsq(bench):
