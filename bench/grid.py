@@ -2,7 +2,7 @@
 
 Usage, from the root of a source checkout:
 
-    python3 bench/grid.py LABEL[=SRC] [LABEL=SRC ...] [--repeats 5] [--out-dir bench]
+    python3 bench/grid.py LABEL[=SRC] [LABEL=SRC ...] [--repeats 9] [--out-dir bench]
 
 Each LABEL times the package under SRC (default: this checkout's `src/`).
 For scenarios 2 (one unknown profile), 3 (one, with the only modulation
@@ -13,7 +13,9 @@ conditioned, as in the noise study) and 5 (two) at M = N in
     python -m waveforce invert --example E --M M --noise-pct 1 --reg-order 2
         --lambda lcurve --seed 1 --timings FILE
 
-in a fresh process `--repeats` times per cell. One more cell runs
+in a fresh process `--repeats` times per cell (default 9: with 5, a
+pair's medians of stages that neither side changed moved 40-60% with the
+host, which 9 repeats held level). One more cell runs
 
     python -m waveforce tables --timings FILE
 
@@ -119,7 +121,7 @@ def summary(runs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("labels", nargs="+", metavar="LABEL[=SRC]")
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=9)
     parser.add_argument("--out-dir", default=str(ROOT / "bench"))
     args = parser.parse_args(argv)
     if args.repeats < 1:

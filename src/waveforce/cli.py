@@ -18,7 +18,9 @@ not read fails like a malformed value unless it keeps its default:
 --lambda-grid without --lambda lcurve, --data-refine without --example,
 --seed without noise, and the external data files with --example. A
 --data-refine above 1 for a scenario whose flux is analytic (1 and 5) is
-refused by measured_flux, which holds that scenario rule.
+refused by measured_flux, which holds that scenario rule. A run that reads
+--reg-order (a sweep, or a weight above 0) refuses an order with no more
+nodes than itself in a profile's M - 1, also before any march.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .benchmarks import (
     measured_flux,
 )
 from .csvio import read_matrix, read_series, write_matrix, write_rows, write_series
-from .errors import WaveforceError
+from .errors import InvalidDimension, WaveforceError
 from .fdm import _fluxes, flux, solve_direct
 from .inverse import _observed_ends, _systems, assemble_dual, assemble_single
 from .lcurve import _CORNER_POINTS, _checked_grid, corner, sweep
@@ -68,6 +70,7 @@ from .noise import NoiseSpec
 from .tikhonov import (
     RegConfig,
     _build_factors,
+    _checked_nodes,
     accuracy_error,
     condition_number,
     tikhonov_solve,
@@ -282,6 +285,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         only = setting.metadata["only"]
         if only and getattr(cfg, setting.name) != setting.default and not only[1](cfg):
             raise WaveforceError(f"{name!r} is read only {only[0]}")
+    # a sweep or a weight above 0 reads the order, which needs more nodes
+    # than itself among a profile's M - 1; an M below 2 fails as a grid
+    if cfg.M >= 2 and (_SWEPT[1](cfg) or float(cfg.lam) > 0):
+        try:
+            _checked_nodes(cfg.reg_order, cfg.M - 1)
+        except InvalidDimension as exc:
+            raise WaveforceError(f"bad value for 'reg_order': {exc}") from None
     return cfg
 
 
@@ -327,11 +337,14 @@ def _run_direct(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
 
 
 def _assemble(cfg: RunConfig, stages: _Stages):
-    """Build the inverse system per the configuration.
+    """Build the inverse system per the configuration, and sweep it when
+    the run sweeps (_SWEPT).
 
     One measured series per observed end: the left end, and the right end
     too when the source has two modulations. Returns (system, exact
-    ForceVector or None); the stages "data" and "assembly" are booked.
+    ForceVector or None, the sweep's points and their corner, or None and
+    None when the run does not sweep); the stages "data" and "assembly"
+    are booked, and "sweep" and "corner" when the run sweeps.
     """
     grid = cfg.grid()
     if cfg.example is not None:
@@ -354,7 +367,13 @@ def _assemble(cfg: RunConfig, stages: _Stages):
     assemble = assemble_single if len(measured) == 1 else assemble_dual
     system = assemble(problem, *measured, cfg.noise())
     stages.lap("assembly")
-    return system, exact
+    points = best = None
+    if _SWEPT[1](cfg):
+        points = sweep(system, cfg.reg_order, cfg.lambda_grid)
+        stages.lap("sweep")
+        best = corner(points)
+        stages.lap("corner")
+    return system, exact, points, best
 
 
 def _write_lcurve(outdir: Path, points) -> str:
@@ -364,15 +383,8 @@ def _write_lcurve(outdir: Path, points) -> str:
 
 
 def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    system, exact = _assemble(cfg, stages)
-    points = None
-    if cfg.lam == "lcurve":
-        points = sweep(system, cfg.reg_order, cfg.lambda_grid)
-        stages.lap("sweep")
-        lam = corner(points).lam
-        stages.lap("corner")
-    else:
-        lam = float(cfg.lam)
+    system, exact, points, best = _assemble(cfg, stages)
+    lam = float(cfg.lam) if best is None else best.lam
     solution = tikhonov_solve(system, RegConfig(order=cfg.reg_order, lam=lam))
     stages.lap("solve")
     cond = condition_number(system.A)
@@ -401,11 +413,7 @@ def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
 
 
 def _run_lcurve(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    system, _ = _assemble(cfg, stages)
-    points = sweep(system, cfg.reg_order, cfg.lambda_grid)
-    stages.lap("sweep")
-    best = corner(points)
-    stages.lap("corner")
+    _, _, points, best = _assemble(cfg, stages)
     write_rows(outdir / "metrics.csv", ["metric", "value"], [
         ("lambda_corner", best.lam),
         ("residual_norm", best.residual_norm),

@@ -31,15 +31,17 @@ shape, the penalty order and the mirror split, one slot per system: W
 and D_k^+ are formed once, and the QR of A W, the singular values of
 R_T, its inverse, the Abar products and the thin SVDs are each one numpy
 call over the stack, which runs its LAPACK or BLAS routine slot by slot,
-so each slot is bit for bit the build of its system alone. A single
-system is the stack of one slot, its A taken as it is: no copy. The rank
-cut and D_k^+ V are per slot, at each slot's own rank, and a slot that
-fails the rank rule keeps its message and leaves the stack, while the
-others build on. tables factors the systems of scenarios 2-4 at M = 80 as
-one stack per order; every other system is built alone on first use.
+so each slot is bit for bit the build of its system alone. A lone
+system is the one-slot stack A[None], a view of its A, not a copy. The
+rank cut and D_k^+ V are per slot, at each slot's own rank, and a slot
+that fails the rank rule keeps its message and leaves the stack, while
+the others build on. tables factors the systems of scenarios 2-4 at
+M = 80 as one stack per order; every other system is built alone on
+first use.
 
 Per weight. With bbar = b - Q_T Q_T^T b and beta = U^T bbar, formed once
-per measurement, and y = S beta / (S^2 + lambda),
+per measurement by _Factors.spectrum with ||bbar - U beta||^2, the
+squared norm of bbar outside range(Abar), and y = S beta / (S^2 + lambda),
 
     f = z + W R_T^-1 Q_T^T (b - A z),    z = D_k^+ V y,
     ||D_k f|| = ||y||,
@@ -319,15 +321,15 @@ def _block_product(X, B, components):
     return out
 
 
-def _rank_messages(R, slots):
+def _rank_messages(R):
     """The rank rule on each slot of R_T, Q_T R_T = A W: the message of
     SingularSystem when cond(A W) >= COND_LIMIT, infinite when A W has
     fewer rows than columns, else None. At order 0 W is empty, and so is
     R_T: no rule applies."""
     if not R.size:
-        return [None] * len(slots(R))
+        return [None] * len(R)
     messages = []
-    for sv in slots(np.linalg.svd(R, compute_uv=False)):
+    for sv in np.linalg.svd(R, compute_uv=False):
         smallest = sv[-1] if sv.size == R.shape[-1] else 0.0
         cond = sv[0] / smallest if smallest else np.inf
         messages.append(None if sv[0] < COND_LIMIT * smallest else
@@ -341,20 +343,16 @@ def _factor_stack(As, order, components):
     its failed rank rule, built as one stack (see the module docstring).
     InvalidDimension when D_k has no row on the profiles (_checked_nodes),
     before any product."""
-    A = As[0] if len(As) == 1 else np.stack(As)  # a lone A is no stack's copy
+    A = As[0][None] if len(As) == 1 else np.stack(As)  # a lone A's one slot is a view
     m = A.shape[-1] // components
     _checked_nodes(order, m)
     mirrors = {_has_mirror(X, components) for X in As}
     if len(mirrors) > 1:
         raise ValueError("the systems of a stack share one mirror split")
     parities = (1, -1) if mirrors.pop() else (0,)
-
-    def slots(X):  # X along a leading axis of slots, a lone A's one slot included
-        return X if A.ndim == 3 else X[None]
-
     W = _null_basis(order, m)
     Q, R = np.linalg.qr(_block_product(A, W, components))  # Q_T R_T = A W
-    messages = _rank_messages(R, slots)
+    messages = _rank_messages(R)
     kept = [msg is None for msg in messages]
     if not any(kept):
         return messages
@@ -371,19 +369,18 @@ def _factor_stack(As, order, components):
                           full_matrices=False) for parity in parities]
     # the rank cut of the module docstring; a half with no column has no s[0]
     sigma_max = np.max([s.max(axis=-1, initial=0.0) for _, s, _ in svds], axis=0)
-    cuts = slots(np.finfo(float).eps * max(A.shape[-2], Abar.shape[-1]) * sigma_max)
+    cuts = np.finfo(float).eps * max(A.shape[-2], Abar.shape[-1]) * sigma_max
     del Abar
     Dp = _pseudo_inverse(W, order, m)
     parts = [[] for _ in cuts]
     for parity, (U, s, Vt) in zip(parities, svds):
         folded = _fold(Dp, parity, 1).T  # D_k^+ V_tau, V_tau the parity's basis
-        for slot, u, sv, vt, cut in zip(parts, slots(U), slots(s), slots(Vt), cuts):
+        for slot, u, sv, vt, cut in zip(parts, U, s, Vt, cuts):
             rank = np.count_nonzero(sv > cut)
             # (D_k^+ V_tau Vt^T)^T = Vt (D_k^+ V_tau)^T
             slot.append(((-1) ** order * parity, u.T[:rank], sv[:rank],
                          _block_product(vt[:rank], folded, components)))
-    built = (_Factors(X, q, wr, parities, p)
-             for X, q, wr, p in zip(As, slots(Q), slots(WRinv), parts))
+    built = (_Factors(X, q, wr, parities, p) for X, q, wr, p in zip(As, Q, WRinv, parts))
     return [msg or next(built) for msg in messages]
 
 
@@ -394,39 +391,40 @@ class _Factors:
 
     def __init__(self, A, Q, WRinv, parities, parts):
         self.A, self.Q, self.WRinv, self.parities, self.parts = A, Q, WRinv, parities, parts
-        self._last = None, None  # (b, its _coefficients)
+        self._last = None, None  # (b, its spectrum)
 
-    def _coefficients(self, b):
-        """(data, beta) of each part: bbar = b - Q_T Q_T^T b folded onto the
-        part's rows, and beta = U^T bbar. Those of the last b are kept, so
-        that a sweep and the solve at its corner, both on one system's
-        read-only b, form them once."""
-        last, coefficients = self._last
+    def spectrum(self, b):
+        """(betas, outside) of the measurement b: each part's beta = U^T bbar,
+        bbar = b - Q_T Q_T^T b folded onto the part's rows, and the squared
+        norm of bbar outside range(Abar), ||bbar - U beta||^2 summed over the
+        parts. Those of the last b are kept, so that a sweep and the solve at
+        its corner, both on one system's read-only b, form them once."""
+        last, spectrum = self._last
         if b is last:
-            return coefficients
+            return spectrum
         bbar = b - self.Q @ (self.Q.T @ b)
         h = bbar.size // 2
         data = [(bbar[:h] + sigma * bbar[h:]) / _SQRT2 if sigma else bbar
                 for sigma, _, _, _ in self.parts]
-        coefficients = data, [Ut @ x for (_, Ut, _, _), x in zip(self.parts, data)]
-        self._last = b, coefficients
-        return coefficients
+        betas = [Ut @ x for (_, Ut, _, _), x in zip(self.parts, data)]
+        outside = sum(_squares(x - beta @ Ut) for (_, Ut, _, _), x, beta in zip(self.parts, data, betas))
+        self._last = b, (betas, outside)
+        return betas, outside
 
     def solve(self, b, lam):
         """The solution of one weight lambda > 0."""
-        _, betas = self._coefficients(b)
+        betas, _ = self.spectrum(b)
         z = sum((s * beta / (s * s + lam)) @ DVt for (_, _, s, DVt), beta in zip(self.parts, betas))
         return z + self.WRinv @ (self.Q.T @ (b - self.A @ z))
 
     def norms(self, b, lambdas):
         """(||A f - b||, ||D_k f||) of the solution f of each weight lambda > 0
         of a 1-D array, as two arrays, in closed form."""
-        data, betas = self._coefficients(b)
-        rest = sum(_squares(x - beta @ Ut) for (_, Ut, _, _), x, beta in zip(self.parts, data, betas))
+        betas, outside = self.spectrum(b)
         s, beta = np.concatenate([part[2] for part in self.parts]), np.concatenate(betas)
         lams = lambdas[:, None]
         d = s * s + lams
-        return np.sqrt(_squares(lams * beta / d) + rest), np.sqrt(_squares(s * beta / d))
+        return np.sqrt(_squares(lams * beta / d) + outside), np.sqrt(_squares(s * beta / d))
 
 
 def _squares(X):

@@ -154,24 +154,26 @@ def test_timings_file_is_not_an_artifact(tmp_path):
     stages = {
         "invert": (argv + ("--lambda", "lcurve"),
                    ["data", "assembly", "sweep", "corner", "solve", "cond", "output"]),
+        # a fixed weight: no sweep, no corner
+        "invert-fixed": (argv + ("--lambda", "1e-3"), ["data", "assembly", "solve", "cond", "output"]),
         "lcurve": (argv, ["data", "assembly", "sweep", "corner", "output"]),
         "tables": (("--example", 3), ["data", "assembly", "cond", "flux_tables", "solves",
                                       "output"]),
     }
-    for command, (args, names) in stages.items():
-        assert run(command, *args, "--out", plain / command) == 0
-        assert run(command, *args, "--out", timed / command,
-                   "--timings", tmp_path / f"{command}.json") == 0
-        seconds = json.loads((tmp_path / f"{command}.json").read_text())
+    for key, (args, names) in stages.items():
+        command = key.split("-")[0]
+        assert run(command, *args, "--out", plain / key) == 0
+        assert run(command, *args, "--out", timed / key, "--timings", tmp_path / f"{key}.json") == 0
+        seconds = json.loads((tmp_path / f"{key}.json").read_text())
         assert list(seconds) == names
         assert all(isinstance(v, float) and v >= 0.0 for v in seconds.values())
         # the artifacts and the manifest's artifact list are unchanged
-        files = sorted(p.name for p in (plain / command).iterdir())
-        assert files == sorted(p.name for p in (timed / command).iterdir())
+        files = sorted(p.name for p in (plain / key).iterdir())
+        assert files == sorted(p.name for p in (timed / key).iterdir())
         for name in files:
             if name != "manifest.json":
-                assert (plain / command / name).read_bytes() == (timed / command / name).read_bytes()
-        manifest = json.loads((timed / command / "manifest.json").read_text())
+                assert (plain / key / name).read_bytes() == (timed / key / name).read_bytes()
+        manifest = json.loads((timed / key / "manifest.json").read_text())
         assert manifest["artifacts"] == files and "timings" not in manifest["config"]
 
 
@@ -317,14 +319,15 @@ def test_refining_an_analytic_flux_fails_before_any_march(tmp_path, capsys, monk
 
 
 def test_order_the_profile_cannot_carry_exits_with_one_line(tmp_path, capsys):
-    # a penalty order with no row on M - 1 nodes per profile, single and dual
+    # a penalty order with no row on M - 1 nodes per profile, single and
+    # dual, is a bad setting
     for argv, nodes in ((("invert", "--example", 2, "--M", 2, "--lambda", "1e-3"), 1),
                         (("lcurve", "--example", 5, "--M", 3), 2)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(*argv, "--reg-order", 2, "--out", tmp_path / "o") == 1
-        assert capsys.readouterr().err == \
-            f"InvalidDimension: operator of order 2 needs at least 3 entries, got {nodes}\n"
+        assert capsys.readouterr().err == ("WaveforceError: bad value for 'reg_order': "
+                                           f"operator of order 2 needs at least 3 entries, got {nodes}\n")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -369,9 +372,15 @@ def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
                   for name in names]
     cases += [(command, "--example", 1, *noise, "--seed", 2)
               for command in ("invert", "lcurve") for noise in ((), ("--noise-pct", 0))]
+    # an order with no more nodes than itself in a profile (M - 1), where
+    # the run reads the order: a sweep or a weight above 0
+    cases += [("invert", "--example", 2, "--M", 3, "--lambda", "lcurve", "--reg-order", 2),
+              ("lcurve", "--example", 5, "--M", 2, "--reg-order", 1),
+              ("invert", "--example", 2, "--M", 2, "--lambda", "1e-3", "--reg-order", 2)]
     for command, *argv in cases:
         capsys.readouterr()
-        assert run(command, *argv, "--M", 10, "--out", tmp_path / "bl") == 1
+        # a case's own --M comes later, so it wins
+        assert run(command, "--M", 10, *argv, "--out", tmp_path / "bl") == 1
         err = capsys.readouterr().err
         assert err.startswith("WaveforceError:") and err.count("\n") == 1
         name = next(a for a in reversed(argv) if str(a).startswith("--"))[2:].replace("-", "_")
@@ -379,6 +388,8 @@ def test_bad_lambda_rejected_before_any_march(tmp_path, capsys, monkeypatch):
     # a mode-only setting left at its default is taken
     monkeypatch.undo()
     assert run("invert", "--example", 1, "--seed", 1, "--M", 10, "--out", tmp_path / "ok") == 0
+    # at lambda = 0 the order is not read
+    assert run("invert", "--example", 2, "--M", 2, "--reg-order", 2, "--out", tmp_path / "ok") == 0
 
 
 def test_non_finite_values_name_the_whole_rule(tmp_path, capsys):
