@@ -503,6 +503,8 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
+        if cfg.timings:
+            Path(cfg.timings).parent.mkdir(parents=True, exist_ok=True)
         artifacts = _COMMANDS[cfg.command][0](cfg, outdir, stages)
         _write_manifest(outdir, cfg, artifacts + ["manifest.json"])
         stages.lap("output")

@@ -40,7 +40,8 @@ class UnderdeterminedSystem(WaveforceError):
 
 class SingularSystem(WaveforceError):
     """Solve found numerically dependent columns: a rank-deficient A at lambda = 0, or
-    at lambda > 0 an A W (W the null space of D_k) past the rank rule's condition limit."""
+    at lambda > 0 an A W (W the null space of D_k) past the rank rule's condition limit,
+    which a sweep and each build of the regularized solve's factors raise as well."""
 
 
 class ZeroMatrix(WaveforceError):

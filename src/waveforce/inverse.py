@@ -95,7 +95,7 @@ class InverseSystem:
     background: tuple
     source: Source
     noise: NoiseSpec | None = None
-    # {order: tikhonov._Factors (the standard form), or its failed rank rule's message}
+    # {order: tikhonov._Factors, the standard form of the regularized solve}
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):

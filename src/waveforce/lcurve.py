@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateCurve, InvalidDimension, SingularSystem
+from .errors import DegenerateCurve, InvalidDimension
 from .inverse import InverseSystem
 from .model import _float_array, _instance
 from .tikhonov import RegConfig, _factors
@@ -94,8 +94,13 @@ def sweep(sys: InverseSystem, order: int = 0,
     list of LCurvePoint
         One entry per lambda, with no floating-point warning for a weight
         whose norms overflow (they are then infinite, which corner
-        ignores); when the system fails the rank rule of the regularized
-        solve, every weight is skipped.
+        ignores).
+
+    Raises
+    ------
+    SingularSystem
+        When A W fails the rank rule of the regularized solve, as
+        tikhonov_solve raises it at every lambda > 0.
     """
     _instance(sys, (InverseSystem,), "system")
     order = RegConfig(order=order).order
@@ -103,10 +108,7 @@ def sweep(sys: InverseSystem, order: int = 0,
         lams = DEFAULT_LAMBDA_GRID if order == 0 else EXTENDED_LAMBDA_GRID
     else:
         lams = _checked_grid(lambdas)
-    try:
-        factors = _factors(sys, order)
-    except SingularSystem:  # the rank rule failed, so every weight does
-        return []
+    factors = _factors(sys, order)
     # sigma beta / (sigma^2 + lambda) <= |beta| / (2 sqrt(lambda)), so a
     # norm overflows only for lambda near the smallest doubles: it stays
     # infinite

@@ -215,37 +215,48 @@ def sample_grid(grid, fn):
     return _readonly(values, "sampled function", ndim=2)
 
 
+class _SeriesPair:
+    """Two read-only series of one length on one grid axis, the base of
+    InitialData and BoundaryData. Each subclass names its two fields
+    (_fields), each series in messages (_labels), the series whose lengths
+    differ (_lengths) and the grid axis it samples (_axis, "x" or "t")."""
+
+    def __post_init__(self):
+        (a, b), (la, lb) = self._fields, self._labels
+        first, second = _readonly(getattr(self, a), la), _readonly(getattr(self, b), lb)
+        object.__setattr__(self, a, first)
+        object.__setattr__(self, b, second)
+        if first.shape != second.shape:
+            raise DimensionMismatch(f"{self._lengths} lengths differ: {first.size} vs {second.size}")
+
+    @classmethod
+    def from_callables(cls, grid, first, second):
+        """The pair of the two callables sampled on the grid's axis."""
+        _instance(grid, (GridSpec,), "grid")
+        axis = (getattr(grid, cls._axis),)
+        return cls(*(_sampled(fn, axis, label) for fn, label in zip((first, second), cls._labels)))
+
+    @classmethod
+    def zero(cls, grid):
+        """The pair of zero series on the grid's axis."""
+        _instance(grid, (GridSpec,), "grid")
+        z = np.zeros(getattr(grid, cls._axis).size)
+        return cls(z, z)
+
+
 @dataclass(frozen=True, eq=False)
-class InitialData:
+class InitialData(_SeriesPair):
     """Initial displacement and velocity sampled at the M+1 space nodes."""
 
     displacement: np.ndarray
     velocity: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "displacement", _readonly(self.displacement, "displacement"))
-        object.__setattr__(self, "velocity", _readonly(self.velocity, "velocity"))
-        if self.displacement.shape != self.velocity.shape:
-            raise DimensionMismatch(
-                f"displacement and velocity lengths differ: "
-                f"{self.displacement.size} vs {self.velocity.size}"
-            )
-
-    @classmethod
-    def from_callables(cls, grid, u0, v0):
-        _instance(grid, (GridSpec,), "grid")
-        x = (grid.x,)
-        return cls(_sampled(u0, x, "displacement"), _sampled(v0, x, "velocity"))
-
-    @classmethod
-    def zero(cls, grid):
-        _instance(grid, (GridSpec,), "grid")
-        z = np.zeros(grid.M + 1)
-        return cls(z, z)
+    _fields = _labels = ("displacement", "velocity")
+    _lengths, _axis = "displacement and velocity", "x"
 
 
 @dataclass(frozen=True, eq=False)
-class BoundaryData:
+class BoundaryData(_SeriesPair):
     """Dirichlet values at the two ends, sampled at the N+1 time levels.
 
     left holds u(0, t_j); right holds u(L, t_j).
@@ -254,25 +265,8 @@ class BoundaryData:
     left: np.ndarray
     right: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", _readonly(self.left, "left boundary"))
-        object.__setattr__(self, "right", _readonly(self.right, "right boundary"))
-        if self.left.shape != self.right.shape:
-            raise DimensionMismatch(
-                f"boundary series lengths differ: {self.left.size} vs {self.right.size}"
-            )
-
-    @classmethod
-    def from_callables(cls, grid, p0, pl):
-        _instance(grid, (GridSpec,), "grid")
-        t = (grid.t,)
-        return cls(_sampled(p0, t, "left boundary"), _sampled(pl, t, "right boundary"))
-
-    @classmethod
-    def zero(cls, grid):
-        _instance(grid, (GridSpec,), "grid")
-        z = np.zeros(grid.N + 1)
-        return cls(z, z)
+    _fields, _labels = ("left", "right"), ("left boundary", "right boundary")
+    _lengths, _axis = "boundary series", "t"
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,11 +33,10 @@ R_T, its inverse, the Abar products and the thin SVDs are each one numpy
 call over the stack, which runs its LAPACK or BLAS routine slot by slot,
 so each slot is bit for bit the build of its system alone. A lone
 system is the one-slot stack A[None], a view of its A, not a copy. The
-rank cut and D_k^+ V are per slot, at each slot's own rank, and a slot
-that fails the rank rule keeps its message and leaves the stack, while
-the others build on. tables factors the systems of scenarios 2-4 at
-M = 80 as one stack per order; every other system is built alone on
-first use.
+rank cut and D_k^+ V are per slot, at each slot's own rank. A slot that
+fails the rank rule fails the stack: SingularSystem, and no slot is
+built. tables factors the systems of scenarios 2-4 at M = 80 as one stack
+per order; every other system is built alone on first use.
 
 Per weight. With bbar = b - Q_T Q_T^T b and beta = U^T bbar, formed once
 per measurement by _Factors.spectrum with ||bbar - U beta||^2, the
@@ -90,7 +89,7 @@ products, QRs and SVDs over its iterations, outweighs the SVD's cubic
 excess below that. Both resolve sigma_min only to about eps cond(A); the
 two agree within 0.03 eps cond(A) on scenarios 2-4 at M = 160 and 320.
 
-Rank rule for lambda > 0, checked once per build: SingularSystem when
+Rank rule for lambda > 0, checked on each build: SingularSystem when
 cond(A W), from the singular values of R_T, is at or above
 COND_LIMIT = 1e6 (= 1 / sqrt(RANK_TOL)). The solution's part in the null
 space of D_k is R_T^-1 Q_T^T (b - A z), unregularized, so A W carries the
@@ -246,7 +245,7 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
     if cfg.lam == 0.0:
         sol, _, _, sv = np.linalg.lstsq(sys.A, sys.b, rcond=None)
         # lstsq returns min(rows, columns) singular values: fewer than the
-        # columns (a wide A) is rank-deficient, as in _rank_messages
+        # columns (a wide A) is rank-deficient, as in _check_rank
         if sv.size < sys.A.shape[1] or sv[-1] <= RANK_TOL * sv[0]:
             raise SingularSystem("system is numerically rank-deficient at lambda = 0")
         return ForceVector(sol, sys.components)
@@ -255,19 +254,18 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
 
 def _factors(sys: InverseSystem, order: int) -> _Factors:
     """The _Factors of the system's A and penalty order, from the store it
-    shares with its with_measurement copies. A failed factorization is
-    kept as its message and raised afresh each time, so no traceback grows
-    and no frame of the attempt stays alive."""
+    shares with its with_measurement copies. A system that fails the rank
+    rule stores nothing: each call tries it again and raises SingularSystem
+    afresh."""
     _build_factors([sys], order)
-    if isinstance(sys._factors[order], str):
-        raise SingularSystem(sys._factors[order])
     return sys._factors[order]
 
 
 def _build_factors(systems, order):
     """Fill the factor stores of the systems that have none of this order
     yet, all of them one stack of _factor_stack: the systems share A's
-    shape and mirror split, and no two share a store."""
+    shape and mirror split, and no two share a store. When one fails the
+    rank rule, no store is filled."""
     new = [s for s in systems if order not in s._factors]
     if new:
         for s, built in zip(new, _factor_stack([s.A for s in new], order, new[0].components)):
@@ -321,28 +319,26 @@ def _block_product(X, B, components):
     return out
 
 
-def _rank_messages(R):
-    """The rank rule on each slot of R_T, Q_T R_T = A W: the message of
-    SingularSystem when cond(A W) >= COND_LIMIT, infinite when A W has
-    fewer rows than columns, else None. At order 0 W is empty, and so is
-    R_T: no rule applies."""
+def _check_rank(R):
+    """The rank rule on each slot of R_T, Q_T R_T = A W: SingularSystem at
+    the first slot where cond(A W) >= COND_LIMIT, infinite when A W has
+    fewer rows than columns. At order 0 W is empty, and so is R_T: no rule
+    applies."""
     if not R.size:
-        return [None] * len(R)
-    messages = []
+        return
     for sv in np.linalg.svd(R, compute_uv=False):
         smallest = sv[-1] if sv.size == R.shape[-1] else 0.0
-        cond = sv[0] / smallest if smallest else np.inf
-        messages.append(None if sv[0] < COND_LIMIT * smallest else
-                        f"A W (W the null space of D) has condition number {cond:.3g}, "
-                        f"at or above {COND_LIMIT:g}")
-    return messages
+        if sv[0] >= COND_LIMIT * smallest:
+            cond = sv[0] / smallest if smallest else np.inf
+            raise SingularSystem(f"A W (W the null space of D) has condition number {cond:.3g}, "
+                                 f"at or above {COND_LIMIT:g}")
 
 
 def _factor_stack(As, order, components):
-    """The _Factors of each A of `As` at the penalty order, or the message of
-    its failed rank rule, built as one stack (see the module docstring).
-    InvalidDimension when D_k has no row on the profiles (_checked_nodes),
-    before any product."""
+    """The _Factors of each A of `As` at the penalty order, built as one
+    stack (see the module docstring). InvalidDimension when D_k has no row
+    on the profiles (_checked_nodes), before any product; SingularSystem
+    when a slot fails the rank rule (_check_rank), before any is built."""
     A = As[0][None] if len(As) == 1 else np.stack(As)  # a lone A's one slot is a view
     m = A.shape[-1] // components
     _checked_nodes(order, m)
@@ -352,13 +348,7 @@ def _factor_stack(As, order, components):
     parities = (1, -1) if mirrors.pop() else (0,)
     W = _null_basis(order, m)
     Q, R = np.linalg.qr(_block_product(A, W, components))  # Q_T R_T = A W
-    messages = _rank_messages(R)
-    kept = [msg is None for msg in messages]
-    if not any(kept):
-        return messages
-    if not all(kept):
-        As = [X for X, keep in zip(As, kept) if keep]
-        A, Q, R = A[kept], Q[kept], R[kept]
+    _check_rank(R)
     WRinv = _block_product(np.linalg.inv(R).swapaxes(-1, -2), W.T, components).swapaxes(-1, -2)
     Dp = _pseudo_inverse(W, order, m)
     top = A.shape[-2] // len(parities)  # a split system's left rows
@@ -380,8 +370,7 @@ def _factor_stack(As, order, components):
             # (D_k^+ V_tau Vt^T)^T = Vt (D_k^+ V_tau)^T
             slot.append(((-1) ** order * parity, u.T[:rank], sv[:rank],
                          _block_product(vt[:rank], folded, components)))
-    built = (_Factors(X, q, wr, parities, p) for X, q, wr, p in zip(As, Q, WRinv, parts))
-    return [msg or next(built) for msg in messages]
+    return [_Factors(X, q, wr, parities, p) for X, q, wr, p in zip(As, Q, WRinv, parts)]
 
 
 class _Factors:

@@ -162,9 +162,11 @@ def test_timings_file_is_not_an_artifact(tmp_path):
     }
     for key, (args, names) in stages.items():
         command = key.split("-")[0]
+        # a timings file's missing directory is made, as --out's is
+        timings = tmp_path / ("missing" if key == "tables" else "") / f"{key}.json"
         assert run(command, *args, "--out", plain / key) == 0
-        assert run(command, *args, "--out", timed / key, "--timings", tmp_path / f"{key}.json") == 0
-        seconds = json.loads((tmp_path / f"{key}.json").read_text())
+        assert run(command, *args, "--out", timed / key, "--timings", timings) == 0
+        seconds = json.loads(timings.read_text())
         assert list(seconds) == names
         assert all(isinstance(v, float) and v >= 0.0 for v in seconds.values())
         # the artifacts and the manifest's artifact list are unchanged
@@ -493,6 +495,21 @@ def test_external_inversion_roundtrip(tmp_path):
     assert np.max(np.abs([float(r[2]) + 2.0 for r in rows])) <= 1e-8
     assert run(*base, "--modulation2", mod2) == 1
     assert run(*base, "--measured-right", meas_right) == 1
+
+
+def test_failed_rank_rule_names_its_cause(tmp_path, capsys):
+    # an all-zero modulation annihilates every profile, the constant one
+    # that D_1 does not see too: a fixed weight and a swept one alike exit
+    # with the rank rule's error, which names the cause
+    mod, meas = tmp_path / "h.csv", tmp_path / "q.csv"
+    write_matrix(mod, np.zeros((11, 11)))
+    write_series(meas, np.ones(10))
+    base = ("--M", 10, "--N", 10, "--modulation", mod, "--measured-left", meas,
+            "--reg-order", 1, "--out", tmp_path / "out")
+    for argv in (("invert", "--lambda", "lcurve"), ("invert", "--lambda", "1e-3"), ("lcurve",)):
+        assert run(*argv, *base) == 1
+        assert capsys.readouterr().err == ("SingularSystem: A W (W the null space of D) has "
+                                           "condition number inf, at or above 1e+06\n")
 
 
 # Argument lists whose artifacts are pinned byte for byte by tests/cli_oracle.json

@@ -1,6 +1,7 @@
 """Weight sweep and corner selection."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -152,16 +153,19 @@ def test_sweep_deterministic(bench):
            [(p.lam, p.residual_norm, p.solution_norm) for p in p2]
 
 
-def test_sweep_skips_failing_weights():
+def test_sweep_raises_the_rank_rule_and_takes_tiny_weights():
     # rank-1 matrix: an identity penalty fixes it at every positive weight,
     # but the second-difference penalty shares the null vector (-1, 0, 1)
-    # with it, so no weight helps and every sweep entry is skipped
+    # with it, so no weight helps and the sweep raises what the solve does
     from test_inverse import fabricated_system
     from test_tikhonov import ORACLE_GRID_TOL, stacked_lstsq
     A = np.ones((5, 3))
     s = fabricated_system(A, np.ones(5))
     assert len(wf.sweep(s, 0)) == wf.DEFAULT_LAMBDA_GRID.size
-    assert wf.sweep(s, 2) == []
+    with pytest.raises(wf.SingularSystem) as solved:
+        wf.tikhonov_solve(s, wf.RegConfig(order=2, lam=1e-3))
+    with pytest.raises(wf.SingularSystem, match=f"^{re.escape(str(solved.value))}$"):
+        wf.sweep(s, 2)
     # no positive weight divides by zero: the smallest doubles keep finite
     # norms and raise no floating-point warning. This A's two zero singular
     # values compute as about 1e-16, far above sqrt(lambda); cut as rounding,

@@ -695,9 +695,10 @@ def test_near_degenerate_stack_raises():
         assert (null_space_cond(A, 2) >= tikhonov.COND_LIMIT) == cond_limit_hit
         s = fabricated_system(A, np.ones(5))
         if cond_limit_hit:
-            with pytest.raises(wf.SingularSystem, match="condition number"):
+            with pytest.raises(wf.SingularSystem, match="condition number") as solved:
                 wf.tikhonov_solve(s, cfg)
-            assert wf.sweep(s, 2) == []
+            with pytest.raises(wf.SingularSystem, match=f"^{re.escape(str(solved.value))}$"):
+                wf.sweep(s, 2)
         else:
             assert np.all(np.isfinite(wf.tikhonov_solve(s, cfg).values))
     # an exactly annihilated null vector: A W has a zero column; and one
@@ -741,11 +742,13 @@ def test_standard_form_near_the_rank_limit():
 
 
 def test_failed_factorization_raises_a_fresh_error(monkeypatch):
-    # one attempt per (system, order); each later solve raises a new error
-    # from the kept message, so the traceback does not grow call by call
-    calls = []
-    qr = np.linalg.qr
+    # a failed build stores nothing: each solve tries again, and stops after
+    # the QR of A W and the values-only SVD of R_T, before any thin SVD;
+    # each raises a new error, so the traceback does not grow call by call
+    calls, svds = [], []
+    qr, svd = np.linalg.qr, np.linalg.svd
     monkeypatch.setattr(np.linalg, "qr", lambda X: calls.append(X.shape) or qr(X))
+    monkeypatch.setattr(np.linalg, "svd", lambda X, **kw: svds.append(kw) or svd(X, **kw))
     s = fabricated_system(np.ones((5, 3)), np.ones(5))
     cfg = wf.RegConfig(order=2, lam=1e-3)
     errors = []
@@ -753,7 +756,9 @@ def test_failed_factorization_raises_a_fresh_error(monkeypatch):
         with pytest.raises(wf.SingularSystem) as info:
             wf.tikhonov_solve(s, cfg)
         errors.append(info.value)
-    assert len(calls) == 1
+    assert calls == [(1, 5, 2)] * 100
+    assert svds == [{"compute_uv": False}] * 100
+    assert s._factors == {}
     assert len({id(e) for e in errors}) == len(errors)
     assert {str(e) for e in errors} == {str(errors[0])}
     depth = [len(traceback.extract_tb(e.__traceback__)) for e in errors]
@@ -787,18 +792,20 @@ def test_stacked_build_matches_one_system_builds(bench):
 
 
 def test_stack_slot_failing_the_rank_rule(bench):
-    # ones(80, 79) annihilates the linear null vector of D_2: its slot keeps
-    # the message it raises alone, and the slots around it still build
+    # ones(80, 79) annihilates the linear null vector of D_2: its slot fails
+    # the stack with the message it raises alone, and no store is filled;
+    # the systems around it then build alone as before
     bad = fabricated_system(np.ones((80, 79)), np.ones(80))
     with pytest.raises(wf.SingularSystem) as alone:
         tikhonov._factors(dataclasses.replace(bad), 2)
     systems = [dataclasses.replace(bench(ex, 80).system) for ex in (2, 4)]
-    tikhonov._build_factors([systems[0], bad, systems[1]], 2)
-    assert bad._factors[2] == str(alone.value)
+    with pytest.raises(wf.SingularSystem, match=f"^{re.escape(str(alone.value))}$"):
+        tikhonov._build_factors([systems[0], bad, systems[1]], 2)
+    assert all(2 not in s._factors for s in (systems[0], bad, systems[1]))
     with pytest.raises(wf.SingularSystem, match=f"^{re.escape(str(alone.value))}$"):
         wf.tikhonov_solve(bad, wf.RegConfig(order=2, lam=1e-3))
     for s in systems:
-        assert same_factors(s._factors[2], tikhonov._factors(dataclasses.replace(s), 2))
+        assert same_factors(tikhonov._factors(s, 2), tikhonov._factors(dataclasses.replace(s), 2))
 
 
 def test_zero_lambda_equals_plain_lstsq(bench):
