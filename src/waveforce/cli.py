@@ -69,8 +69,8 @@ from .model import (
 from .noise import NoiseSpec
 from .tikhonov import (
     RegConfig,
-    _build_factors,
     _checked_nodes,
+    _factors,
     accuracy_error,
     condition_number,
     tikhonov_solve,
@@ -460,7 +460,7 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     # each penalty order factors the solved systems as one stack, whose
     # slots their noisy copies share
     for order in (0, 1, 2):
-        _build_factors([systems[ex, 80] for ex in (2, 3, 4) if ex in wanted], order)
+        _factors([systems[ex, 80] for ex in (2, 3, 4) if ex in wanted], order)
     for ex, name in ((2, "table4.csv"), (3, "table5.csv"), (4, "table6.csv")):
         if ex not in wanted:
             continue

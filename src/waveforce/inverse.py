@@ -19,18 +19,17 @@ field at node k is column k. A modulation that varies in x is instead a
 causal convolution of each node's modulation with the left flux kernel
 (first time level weighted as the first marched row weights it); one
 impulse-driven march gives that kernel for every node at once. Every
-slot of one stacked march (fdm._march) is such a drive, the zero-force
-background of a problem with nonzero data included: it is the drive of
-the zero series under that problem's data. So the problems of one grid,
-a dual's two modulations and its background included, cost one time
-loop. _systems returns each such problem's system with zero
-data (b = 0); an assembly is that system with b rebuilt from the
-measurement by with_measurement. The march is mirror-symmetric bit for
-bit (its neighbor sum a + b is b + a), so the right end's blocks and
-kernel are the left ones with the columns reversed, and no march is made
-for the right end. This relies on the symmetric constant-coefficient
-interior operator; a space-dependent wave speed or other boundary
-conditions would break it.
+slot of one stacked march (fdm._march) is such a drive, each problem's
+zero-force background included: it is the drive of the zero series under
+that problem's data. So the problems of one grid, a dual's two
+modulations and its background included, cost one time loop. _systems
+returns each such problem's system with zero data (b = 0); an assembly
+is that system with b rebuilt from the measurement by with_measurement.
+The march is mirror-symmetric bit for bit (its neighbor sum a + b is
+b + a), so the right end's blocks and kernel are the left ones with the
+columns reversed, and no march is made for the right end. This relies on
+the symmetric constant-coefficient interior operator; a space-dependent
+wave speed or other boundary conditions would break it.
 
 Mirror relation. When, in addition, every modulation equals its own
 mirror image on the interior nodes (h(x_k, t) = h(x_{M-k}, t), as for
@@ -194,9 +193,8 @@ def _systems(problems):
       1 / fdm._FIRST_LEVEL at t_0 and 0 after it with zero data, whose
       field is the left flux kernel G (a unit force at node k entering
       level t_1 at full weight), which such a modulation is convolved with;
-    - the background of each problem whose initial or boundary data are
-      not all +0.0: the drive of the zero series under its data, whose
-      flux is the zero-force flux (any other background is +0.0).
+    - the background of each problem: the drive of the zero series under
+      its data, whose flux is the zero-force flux.
     The right blocks are the left ones mirrored (see the module
     docstring). A reads the grid and the sources alone.
     """
@@ -216,10 +214,7 @@ def _systems(problems):
         # each of the levels t_0..t_{N-1}, the ones whose force a march reads
         drives = [slot(h[1]) if np.all(h[1:g.M, :N] == h[1, :N]) else None
                   for h in p.source.modulations]
-        values = np.concatenate([p.initial.displacement, p.initial.velocity,
-                                 p.boundary.left, p.boundary.right])
-        at_rest = not (np.any(values) or np.any(np.signbit(values)))  # all +0.0
-        plans.append((drives, None if at_rest else slot(np.zeros(N + 1), (p.initial, p.boundary))))
+        plans.append((drives, slot(np.zeros(N + 1), (p.initial, p.boundary))))
     kernel = None
     if any(None in drives for drives, _ in plans):
         impulse = np.zeros(N + 1)
@@ -249,10 +244,7 @@ def _systems(problems):
             for blk, G in zip(blocks, (kernel, kernel[:, ::-1])):
                 for s in range(N):
                     blk[s:] += hw[s] * G[:N - s]
-        # at rest, the background march would give +0.0 everywhere
-        background = tuple(FluxSeries(end, np.zeros(N)) if bg is None
-                           else _flux(u[:, :, bg].T, end, g.dx)
-                           for end in _observed_ends(components))
+        background = tuple(_flux(u[:, :, bg].T, end, g.dx) for end in _observed_ends(components))
         built.append(InverseSystem(A, np.zeros(components * N), g, background, p.source))
     return built
 

@@ -108,7 +108,7 @@ def sweep(sys: InverseSystem, order: int = 0,
         lams = DEFAULT_LAMBDA_GRID if order == 0 else EXTENDED_LAMBDA_GRID
     else:
         lams = _checked_grid(lambdas)
-    factors = _factors(sys, order)
+    factors, = _factors([sys], order)
     # sigma beta / (sigma^2 + lambda) <= |beta| / (2 sqrt(lambda)), so a
     # norm overflows only for lambda near the smallest doubles: it stays
     # infinite
@@ -131,9 +131,8 @@ def _menger(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
+    # v is never constant: corner refuses a constant norm as collinear
     lo, hi = v.min(), v.max()
-    if hi == lo:
-        return np.zeros_like(v)
     return (v - lo) / (hi - lo)
 
 

@@ -219,7 +219,8 @@ class _SeriesPair:
     """Two read-only series of one length on one grid axis, the base of
     InitialData and BoundaryData. Each subclass names its two fields
     (_fields), each series in messages (_labels), the series whose lengths
-    differ (_lengths) and the grid axis it samples (_axis, "x" or "t")."""
+    differ (_lengths), the grid axis it samples (_axis, "x" or "t") and
+    the pair itself (_name)."""
 
     def __post_init__(self):
         (a, b), (la, lb) = self._fields, self._labels
@@ -252,7 +253,7 @@ class InitialData(_SeriesPair):
     velocity: np.ndarray
 
     _fields = _labels = ("displacement", "velocity")
-    _lengths, _axis = "displacement and velocity", "x"
+    _lengths, _axis, _name = "displacement and velocity", "x", "initial data"
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +267,7 @@ class BoundaryData(_SeriesPair):
     right: np.ndarray
 
     _fields, _labels = ("left", "right"), ("left boundary", "right boundary")
-    _lengths, _axis = "boundary series", "t"
+    _lengths, _axis, _name = "boundary series", "t", "boundary data"
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,14 +340,10 @@ class WaveProblem:
                             ("boundary", (BoundaryData,)), ("source", (KnownForce, Source))):
             _instance(getattr(self, name), types, name)
         g = self.grid
-        if self.initial.displacement.size != g.M + 1:
-            raise DimensionMismatch(
-                f"initial data has {self.initial.displacement.size} samples, grid needs {g.M + 1}"
-            )
-        if self.boundary.left.size != g.N + 1:
-            raise DimensionMismatch(
-                f"boundary data has {self.boundary.left.size} samples, grid needs {g.N + 1}"
-            )
+        for pair in (self.initial, self.boundary):
+            size, needed = getattr(pair, pair._fields[0]).size, getattr(g, pair._axis).size
+            if size != needed:
+                raise DimensionMismatch(f"{pair._name} has {size} samples, grid needs {needed}")
         shape = (g.M + 1, g.N + 1)
         arrays = (self.source.values,) if isinstance(self.source, KnownForce) \
             else self.source.modulations

@@ -26,17 +26,18 @@ lstsq's default cut, sigma_max over all parts) are rounding, and the
 factors drop them: the solve and the L-curve norms then describe the same
 solution, the minimum-norm one along those modes, at every weight.
 
-Stacks. _factor_stack builds the factors of K systems that share A's
-shape, the penalty order and the mirror split, one slot per system: W
-and D_k^+ are formed once, and the QR of A W, the singular values of
-R_T, its inverse, the Abar products and the thin SVDs are each one numpy
-call over the stack, which runs its LAPACK or BLAS routine slot by slot,
-so each slot is bit for bit the build of its system alone. A lone
-system is the one-slot stack A[None], a view of its A, not a copy. The
-rank cut and D_k^+ V are per slot, at each slot's own rank. A slot that
-fails the rank rule fails the stack: SingularSystem, and no slot is
+Stacks. _factors is the one entry to the factor store: it returns the
+factors of a list of systems that share A's shape and mirror split, and
+builds those not yet stored as one stack of _factor_stack, one slot per
+system: W and D_k^+ are formed once, and the QR of A W, the singular
+values of R_T, its inverse, the Abar products and the thin SVDs are each
+one numpy call over the stack, which runs its LAPACK or BLAS routine slot
+by slot, so each slot is bit for bit the build of its system alone. A
+lone system is the one-slot stack A[None], a view of its A, not a copy.
+The rank cut and D_k^+ V are per slot, at each slot's own rank. A slot
+that fails the rank rule fails the stack: SingularSystem, and no slot is
 built. tables factors the systems of scenarios 2-4 at M = 80 as one stack
-per order; every other system is built alone on first use.
+per order; tikhonov_solve and lcurve.sweep pass one system.
 
 Per weight. With bbar = b - Q_T Q_T^T b and beta = U^T bbar, formed once
 per measurement by _Factors.spectrum with ||bbar - U beta||^2, the
@@ -249,27 +250,21 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
         if sv.size < sys.A.shape[1] or sv[-1] <= RANK_TOL * sv[0]:
             raise SingularSystem("system is numerically rank-deficient at lambda = 0")
         return ForceVector(sol, sys.components)
-    return ForceVector(_factors(sys, cfg.order).solve(sys.b, cfg.lam), sys.components)
+    return ForceVector(_factors([sys], cfg.order)[0].solve(sys.b, cfg.lam), sys.components)
 
 
-def _factors(sys: InverseSystem, order: int) -> _Factors:
-    """The _Factors of the system's A and penalty order, from the store it
-    shares with its with_measurement copies. A system that fails the rank
-    rule stores nothing: each call tries it again and raises SingularSystem
-    afresh."""
-    _build_factors([sys], order)
-    return sys._factors[order]
-
-
-def _build_factors(systems, order):
-    """Fill the factor stores of the systems that have none of this order
-    yet, all of them one stack of _factor_stack: the systems share A's
-    shape and mirror split, and no two share a store. When one fails the
-    rank rule, no store is filled."""
+def _factors(systems, order):
+    """The _Factors of each system's A at the penalty order, from the store
+    each shares with its with_measurement copies. The systems share A's
+    shape and mirror split, and no two share a store; those with no
+    factors of this order yet are built as one stack of _factor_stack.
+    When one fails the rank rule, no store is filled: each call tries
+    again and raises SingularSystem afresh."""
     new = [s for s in systems if order not in s._factors]
     if new:
         for s, built in zip(new, _factor_stack([s.A for s in new], order, new[0].components)):
             s._factors[order] = built
+    return [s._factors[order] for s in systems]
 
 
 def _has_mirror(A, components):

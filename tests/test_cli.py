@@ -55,6 +55,9 @@ def test_malformed_data_file_names_the_file_and_line(tmp_path):
             reader(tmp_path / name)
     (tmp_path / "empty.csv").write_text("")
     assert read_series(tmp_path / "empty.csv").shape == (0,)
+    # a headered file of blank lines has neither header nor rows
+    (tmp_path / "blank.csv").write_text("\n  \n\n")
+    assert read_rows(tmp_path / "blank.csv") == ([], [])
 
 
 def test_malformed_data_file_exits_with_one_line(tmp_path, capsys):
@@ -188,10 +191,10 @@ def test_tables_build_each_object_once(tmp_path, monkeypatch):
     # noise level once per scenario (9), and each draw is the one
     # measurement a system takes. Every march a grid needs runs in at most
     # two time loops, one for its flux series and one for its systems, so a
-    # run makes 8 loops; their 30 slots are the 10 series and, per grid, 3
-    # drives (scenarios 1, 2 and 4), scenario 3's impulse and scenario 1's
-    # background, a drive of the zero series that binds no force. Scenario
-    # 3 alone reads a series on one grid only: 5 loops of one slot each.
+    # run makes 8 loops; their 42 slots are the 10 series and, per grid, 3
+    # drives (scenarios 1, 2 and 4), scenario 3's impulse and the 4
+    # backgrounds, each a drive of the zero series that binds no force.
+    # Scenario 3 alone reads a series on one grid only: 5 loops, 9 slots.
     # Each penalty order factors the systems tables 4-6 solve as one stack
     # (3 stacks of 3 slots; of 1 slot for scenario 3), and scenario 1 alone
     # solves none.
@@ -217,10 +220,10 @@ def test_tables_build_each_object_once(tmp_path, monkeypatch):
     for args, want, want_slots, want_stacks in (
             ((), {"_march": 8, "add_noise": 9, "inverse_problem": 16, "_systems": 4,
                   "with_measurement": 9, "with_force": 10, "__post_init__": 4,
-                  "_factor_stack": 3}, 30, [3, 3, 3]),
+                  "_factor_stack": 3}, 42, [3, 3, 3]),
             (("--example", 3), {"_march": 5, "add_noise": 3, "inverse_problem": 4, "_systems": 4,
                                 "with_measurement": 3, "with_force": 1, "__post_init__": 4,
-                                "_factor_stack": 3}, 5, [1, 1, 1]),
+                                "_factor_stack": 3}, 9, [1, 1, 1]),
             (("--example", 1), {"_march": 8, "add_noise": 0, "inverse_problem": 4, "_systems": 4,
                                 "with_measurement": 0, "with_force": 4, "__post_init__": 4,
                                 "_factor_stack": 0}, 12, [])):
@@ -302,6 +305,14 @@ def test_error_reporting(tmp_path, capsys):
     code = run("invert", "--M", 10, "--N", 10, "--out", tmp_path / "y")
     assert code == 1
     assert "measured" in capsys.readouterr().err
+
+    # a config file that is no JSON object, and a scenario tables lacks
+    config = tmp_path / "list.json"
+    config.write_text("[1]")
+    for argv, line in ((("direct", "--config", config), "config file must hold a JSON object"),
+                       (("tables", "--example", 5), "tables cover scenarios 1..4, got 5")):
+        assert run(*argv, "--out", tmp_path / "z") == 1
+        assert capsys.readouterr().err == f"WaveforceError: {line}\n"
 
 
 def test_refining_an_analytic_flux_fails_before_any_march(tmp_path, capsys, monkeypatch):

@@ -108,6 +108,13 @@ def test_assembly_requires_matching_source_kind():
         wf.assemble_dual(single, np.zeros(4), np.zeros(4))
 
 
+def test_system_b_matches_the_rows_of_A():
+    g = wf.GridSpec(1.0, 1.0, 10, 10)
+    source = wf.Source((np.ones((11, 11)),))
+    with pytest.raises(wf.DimensionMismatch, match=r"^A is \(10, 9\) but b has 9 entries$"):
+        wf.InverseSystem(np.zeros((10, 9)), np.zeros(9), g, (np.zeros(10),), source)
+
+
 def test_measured_series_validation(bench):
     a = bench(2, 10)
     prob = wf.inverse_problem(2, a.grid)
@@ -346,10 +353,10 @@ def capture_marches(monkeypatch):
     return marches
 
 
-@pytest.mark.parametrize("example, slots", [(2, 1), (5, 3), (3, 1), ("stretched-dual", 2)])
+@pytest.mark.parametrize("example, slots", [(2, 2), (5, 3), (3, 2), ("stretched-dual", 2)])
 def test_assembly_march_count_independent_of_M(example, slots, monkeypatch):
     # one march per assembly, whatever M; its slots are the background
-    # (none for all-zero data, as in scenarios 2 and 3) plus one drive per
+    # (all-zero data, as in scenarios 2 and 3, included) plus one drive per
     # time-only modulation, or one impulse shared by the x-dependent ones;
     # never one per column
     marches = capture_marches(monkeypatch)
@@ -447,8 +454,8 @@ def test_matrices_of_one_grid_share_one_march(monkeypatch):
     alone = [wf.inverse._systems([p])[0] for p in problems]
     marches = capture_marches(monkeypatch)
     together = wf.inverse._systems(problems)
-    # drives: 1 + 1 + 1 + 2, one impulse (scenario 3), backgrounds: 1 and 5
-    assert [len(forces) for _, forces in marches] == [8]
+    # drives: 1 + 1 + 1 + 2, one impulse (scenario 3), one background each
+    assert [len(forces) for _, forces in marches] == [11]
     for p, s, s1 in zip(problems, together, alone, strict=True):
         same_system(s, s1)
         assert bitwise_equal(s.b, s1.b) and s.source is s1.source is p.source
@@ -485,6 +492,13 @@ def test_background_is_the_zero_force_flux(monkeypatch):
         for k, (p, s) in enumerate(zip(problems, wf.inverse._systems(problems), strict=True)):
             for q, want in zip(s.background, zero_force_flux(p), strict=True):
                 assert bitwise_equal(q.values, want), (p.grid, k, q.end)
+    # all +0.0 data, as in scenarios 2-4, give a +0.0 background bit for
+    # bit, on every grid down to M = 2
+    for M in range(2, 25):
+        for N in (M, M + 3, 2 * M):
+            g = wf.GridSpec(1.0, 1.0, M, N)
+            for s in wf.inverse._systems([wf.inverse_problem(ex, g) for ex in (2, 3, 4)]):
+                assert bitwise_equal(s.background[0].values, np.zeros(N)), g
     # every slot's force is a drive: the stencil's weights at nodes 1 and 2
     # times a series, and zero at every other node
     for _, forces in marches:

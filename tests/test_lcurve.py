@@ -123,6 +123,29 @@ def test_corner_rejects_collinear_curve():
     pts = [wf.LCurvePoint(10.0 ** -e, 10.0 ** -e, 10.0 ** e) for e in range(6, 0, -1)]
     with pytest.raises(wf.DegenerateCurve):
         wf.corner(pts)
+    # a constant norm is a constant log axis, so the curve is collinear and
+    # corner never normalizes a norm with no spread
+    for res, sol in (([2.0] * 4, [4.0, 3.0, 1.0, 0.5]), ([4.0, 3.0, 1.0, 0.5], [2.0] * 4)):
+        pts = [wf.LCurvePoint(10.0 ** -e, r, s) for e, r, s in zip(range(6, 2, -1), res, sol)]
+        with pytest.raises(wf.DegenerateCurve, match="collinear"):
+            wf.corner(pts)
+
+
+def degenerate_corner(pairs):
+    """The message corner raises on the points of these (residual, penalty)
+    pairs, at increasing weights."""
+    pts = [wf.LCurvePoint(10.0 ** (e - 9), r, s) for e, (r, s) in enumerate(pairs)]
+    with pytest.raises(wf.DegenerateCurve) as info:
+        wf.corner(pts)
+    return str(info.value)
+
+
+def test_corner_without_a_finite_curvature():
+    # the ends coincide: no chord to measure collinearity against
+    assert degenerate_corner([(1, 1), (2, 2), (1, 1)]) == "all points coincide"
+    # each interior point has a coincident neighbour, so no curvature is finite
+    pairs = [(1, 1), (1, 1), (2, 3), (2, 3), (5, 2), (5, 2)]
+    assert degenerate_corner(pairs) == "no interior point has finite curvature"
 
 
 def test_corner_on_noisy_benchmark(bench):

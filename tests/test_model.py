@@ -90,6 +90,9 @@ def test_callables_are_sampled_through_one_rule():
         assert not isinstance(info.value, wf.WaveforceError)
         if axes == 1:
             assert np.all(call(max) == 1.0)  # no signature: max(x) and max(t) are 1
+            with pytest.raises(TypeError, match="getattr expected") as info:
+                call(getattr)  # no signature to check the one argument against
+            assert not isinstance(info.value, wf.WaveforceError)
         with pytest.raises(wf.DimensionMismatch, match="does not broadcast"):
             call(lambda *axes: np.ones(3))
         assert np.all(call(lambda *axes: 2.0) == 2.0)
@@ -114,6 +117,13 @@ def _zero_problem(g):
 
 
 def test_problem_size_checks():
+    # each data pair against its grid axis, the message naming the pair
+    g = wf.GridSpec(1.0, 1.0, 10, 12)
+    source = wf.Source((np.ones((11, 13)),))
+    with pytest.raises(wf.DimensionMismatch, match="^initial data has 10 samples, grid needs 11$"):
+        wf.WaveProblem(g, wf.InitialData(np.zeros(10), np.zeros(10)), wf.BoundaryData.zero(g), source)
+    with pytest.raises(wf.DimensionMismatch, match="^boundary data has 5 samples, grid needs 13$"):
+        wf.WaveProblem(g, wf.InitialData.zero(g), wf.BoundaryData(np.zeros(5), np.zeros(5)), source)
     g = wf.GridSpec(1.0, 1.0, 4, 4)
     with pytest.raises(wf.DimensionMismatch):
         wf.WaveProblem(g, wf.InitialData(np.zeros(6), np.zeros(6)),
@@ -192,6 +202,13 @@ def test_flux_series_validation():
     q = wf.FluxSeries(wf.RIGHT, [1.0, 2.0])
     assert q.values.dtype == float
     assert not q.values.flags.writeable
+
+
+def test_field_shape_check():
+    g = wf.GridSpec(1.0, 1.0, 10, 10)
+    shapes = r"^field shape \(11, 10\) does not match grid \(11, 11\)$"
+    with pytest.raises(wf.DimensionMismatch, match=shapes):
+        wf.WaveField(g, np.zeros((11, 10)))
 
 
 def test_force_vector_blocks():

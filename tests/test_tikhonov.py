@@ -116,7 +116,7 @@ def unsplit(system, order, monkeypatch):
     copy = dataclasses.replace(system)  # a copy without factors
     with monkeypatch.context() as patch:
         patch.setattr(tikhonov, "_has_mirror", lambda A, components: False)
-        tikhonov._factors(copy, order)
+        tikhonov._factors([copy], order)
     assert copy._factors[order].parities == (0,)
     return copy
 
@@ -401,7 +401,7 @@ def test_spectrum_splits_the_data_by_range():
         A, b = system.A, system.b
         r = A @ np.linalg.lstsq(A, b, rcond=None)[0] - b
         for order in (0, 1, 2):
-            factors = tikhonov._factors(system, order)
+            factors, = tikhonov._factors([system], order)
             assert sum(s.size for _, _, s, _ in factors.parts) == A.shape[1] - order * system.components
             betas, outside = factors.spectrum(b)
             worst[0] = max(worst[0], abs(outside - r @ r) / (r @ r))
@@ -644,7 +644,7 @@ def test_folded_product_gives_orthonormal_singular_vectors(bench):
     s = bench(5, 40).system
     for order in (1, 2):
         D = penalty(order, s.A.shape[1] // 2, 2)
-        even, odd = (DVt @ D.T for _, _, _, DVt in tikhonov._factors(s, order).parts)
+        even, odd = (DVt @ D.T for _, _, _, DVt in tikhonov._factors([s], order)[0].parts)
         for V in (even, odd):
             assert np.max(np.abs(V @ V.T - np.eye(V.shape[0]))) <= 1e-13
         assert np.max(np.abs(even @ odd.T)) <= 1e-13
@@ -722,7 +722,7 @@ def test_standard_form_near_the_rank_limit():
         A[0, 2] += 1e-5
         A *= scale
         s = fabricated_system(A, np.arange(1.0, 6.0))
-        factors = tikhonov._factors(s, 2)
+        factors, = tikhonov._factors([s], 2)
         (_, Ut, sv, DVt), = factors.parts
         Q, V = factors.Q, D @ DVt.T
         for X in (Ut.T, Q, V):
@@ -782,7 +782,7 @@ def test_stacked_build_matches_one_system_builds(bench):
         stack = tikhonov._factor_stack([s.A for s in systems], order, 1)
         for s, built in zip(systems, stack):
             assert built.A is s.A
-            assert same_factors(built, tikhonov._factors(dataclasses.replace(s), order))
+            assert same_factors(built, tikhonov._factors([dataclasses.replace(s)], order)[0])
     # a mirrored dual and an off-mirror one do not share a split
     A = bench(5, 40).system.A
     B = A.copy()
@@ -797,15 +797,15 @@ def test_stack_slot_failing_the_rank_rule(bench):
     # the systems around it then build alone as before
     bad = fabricated_system(np.ones((80, 79)), np.ones(80))
     with pytest.raises(wf.SingularSystem) as alone:
-        tikhonov._factors(dataclasses.replace(bad), 2)
+        tikhonov._factors([dataclasses.replace(bad)], 2)
     systems = [dataclasses.replace(bench(ex, 80).system) for ex in (2, 4)]
     with pytest.raises(wf.SingularSystem, match=f"^{re.escape(str(alone.value))}$"):
-        tikhonov._build_factors([systems[0], bad, systems[1]], 2)
+        tikhonov._factors([systems[0], bad, systems[1]], 2)
     assert all(2 not in s._factors for s in (systems[0], bad, systems[1]))
     with pytest.raises(wf.SingularSystem, match=f"^{re.escape(str(alone.value))}$"):
         wf.tikhonov_solve(bad, wf.RegConfig(order=2, lam=1e-3))
     for s in systems:
-        assert same_factors(tikhonov._factors(s, 2), tikhonov._factors(dataclasses.replace(s), 2))
+        assert same_factors(tikhonov._factors([s], 2)[0], tikhonov._factors([dataclasses.replace(s)], 2)[0])
 
 
 def test_zero_lambda_equals_plain_lstsq(bench):
