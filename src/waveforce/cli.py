@@ -52,7 +52,7 @@ from .benchmarks import (
 from .csvio import read_matrix, read_series, write_matrix, write_rows, write_series
 from .errors import InvalidDimension, WaveforceError
 from .fdm import _fluxes, flux, solve_direct
-from .inverse import _observed_ends, _systems, assemble_dual, assemble_single
+from .inverse import _assemble, _observed_ends, _systems
 from .lcurve import _CORNER_POINTS, _checked_grid, corner, sweep
 from .model import (
     LEFT,
@@ -164,9 +164,8 @@ class RunConfig:
     def grid(self) -> GridSpec:
         return GridSpec(self.L, self.T, self.M, self.N, self.c)
 
-    def noise(self) -> NoiseSpec | None:
-        if self.noise_pct == 0:
-            return None
+    def noise(self) -> NoiseSpec:
+        # add_noise returns the series itself at 0 %
         return NoiseSpec(self.noise_pct / 100.0, self.seed)
 
 
@@ -336,7 +335,7 @@ def _run_direct(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     return ["field.csv", "flux_left.csv", "flux_right.csv"]
 
 
-def _assemble(cfg: RunConfig, stages: _Stages):
+def _identify(cfg: RunConfig, stages: _Stages):
     """Build the inverse system per the configuration, and sweep it when
     the run sweeps (_SWEPT).
 
@@ -364,8 +363,7 @@ def _assemble(cfg: RunConfig, stages: _Stages):
         problem = _external_problem(cfg, grid)
         exact = None
     stages.lap("data")
-    assemble = assemble_single if len(measured) == 1 else assemble_dual
-    system = assemble(problem, *measured, cfg.noise())
+    system = _assemble(problem, measured, cfg.noise())
     stages.lap("assembly")
     points = best = None
     if _SWEPT[1](cfg):
@@ -383,7 +381,7 @@ def _write_lcurve(outdir: Path, points) -> str:
 
 
 def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    system, exact, points, best = _assemble(cfg, stages)
+    system, exact, points, best = _identify(cfg, stages)
     lam = float(cfg.lam) if best is None else best.lam
     solution = tikhonov_solve(system, RegConfig(order=cfg.reg_order, lam=lam))
     stages.lap("solve")
@@ -413,7 +411,7 @@ def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
 
 
 def _run_lcurve(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
-    _, _, points, best = _assemble(cfg, stages)
+    _, _, points, best = _identify(cfg, stages)
     write_rows(outdir / "metrics.csv", ["metric", "value"], [
         ("lambda_corner", best.lam),
         ("residual_norm", best.residual_norm),

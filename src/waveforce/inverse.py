@@ -160,9 +160,11 @@ def _checked_measurement(series, components, N):
 
 
 def _assemble(problem, measured, noise):
-    """Reciprocity assembly shared by the single and dual systems: the
-    intake checks, then the problem's zero-data system from _systems with
-    b rebuilt by with_measurement."""
+    """Reciprocity assembly of the single and dual systems, whose kind is
+    the count of measured series (assemble_single and assemble_dual pass
+    one and two, the CLI as many as it read): the intake checks, then the
+    problem's zero-data system from _systems with b rebuilt by
+    with_measurement."""
     _instance(problem, (WaveProblem,), "problem")
     components = len(measured)
     if problem.source.unknowns != components:

@@ -75,9 +75,9 @@ def sweep(sys: InverseSystem, order: int = 0,
     """Trace the L-curve: both norms of each lambda's regularized solution.
 
     Each point's ||A f - b|| and ||D_k f|| are the closed forms of the
-    system's standard form (see the tikhonov module docstring): once the
-    measurement's coefficients are formed, a weight costs O(m) and no
-    solution is formed.
+    system's standard form, which _Factors.norms evaluates (see the
+    tikhonov module docstring): once the measurement's coefficients are
+    formed, a weight costs O(m) and no solution is formed.
 
     Parameters
     ----------
@@ -92,9 +92,9 @@ def sweep(sys: InverseSystem, order: int = 0,
     Returns
     -------
     list of LCurvePoint
-        One entry per lambda, with no floating-point warning for a weight
-        whose norms overflow (they are then infinite, which corner
-        ignores).
+        One entry per lambda. A norm that overflows is infinite, with no
+        floating-point warning (norms holds that rule), and corner
+        ignores the point.
 
     Raises
     ------
@@ -109,11 +109,7 @@ def sweep(sys: InverseSystem, order: int = 0,
     else:
         lams = _checked_grid(lambdas)
     factors, = _factors([sys], order)
-    # sigma beta / (sigma^2 + lambda) <= |beta| / (2 sqrt(lambda)), so a
-    # norm overflows only for lambda near the smallest doubles: it stays
-    # infinite
-    with np.errstate(over="ignore"):
-        residuals, penalties = factors.norms(sys.b, lams)
+    residuals, penalties = factors.norms(sys.b, lams)
     return list(map(LCurvePoint, lams.tolist(), residuals.tolist(), penalties.tolist()))
 
 

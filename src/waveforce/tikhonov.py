@@ -3,10 +3,12 @@
 The regularized solution minimizes ||A f - b||^2 + lambda ||D_k f||^2 where
 D_0 = I, D_1 takes first differences, D_2 second differences.
 
-lambda = 0 is plain least squares, one lstsq call on A f = b; it raises
-SingularSystem when A is numerically rank-deficient (fewer rows than
-columns, or smallest singular value at or below RANK_TOL times the
-largest).
+lambda = 0 is plain least squares, one lstsq call on A f = b at the cut
+rcond = RANK_TOL, which counts A's rank: SingularSystem when the rank is
+below the column count (fewer rows than columns, or the smallest
+singular value at or below RANK_TOL times the largest). lstsq's default
+cut, eps * max(rows, columns) times the largest, lies above RANK_TOL's
+beyond 4,503 rows, where it would drop a mode the rule accepts.
 
 lambda > 0 runs on one factor object (_Factors) per (A, order), built on
 first use and shared by every weight and every measurement on A: the
@@ -40,16 +42,18 @@ built. tables factors the systems of scenarios 2-4 at M = 80 as one stack
 per order; tikhonov_solve and lcurve.sweep pass one system.
 
 Per weight. With bbar = b - Q_T Q_T^T b and beta = U^T bbar, formed once
-per measurement by _Factors.spectrum with ||bbar - U beta||^2, the
-squared norm of bbar outside range(Abar), and y = S beta / (S^2 + lambda),
+per measurement by _Factors.spectrum, and y = S beta / (S^2 + lambda),
 
     f = z + W R_T^-1 Q_T^T (b - A z),    z = D_k^+ V y,
     ||D_k f|| = ||y||,
     ||A f - b||^2 = ||lambda beta / (S^2 + lambda)||^2 + ||bbar - U beta||^2.
 
 Both norms are sums of squares, so nothing cancels, and a sweep's weights
-cost O(m) each once beta is formed. S^2 + lambda >= lambda > 0: no weight
-divides by zero.
+cost O(m) each once beta is formed. ||bbar - U beta||^2, the squared norm
+of bbar outside range(Abar), is read by the norms alone, and
+_Factors.norms forms it; a norm that overflows there is infinite, with
+no floating-point warning. S^2 + lambda >= lambda > 0: no weight divides
+by zero.
 
 Mirror split. A dual system whose right rows equal its left rows with each
 component block's columns reversed (_has_mirror; met when both
@@ -244,10 +248,10 @@ def tikhonov_solve(sys: InverseSystem, cfg: RegConfig) -> ForceVector:
     _instance(sys, (InverseSystem,), "system")
     _instance(cfg, (RegConfig,), "regularization config")
     if cfg.lam == 0.0:
-        sol, _, _, sv = np.linalg.lstsq(sys.A, sys.b, rcond=None)
-        # lstsq returns min(rows, columns) singular values: fewer than the
-        # columns (a wide A) is rank-deficient, as in _check_rank
-        if sv.size < sys.A.shape[1] or sv[-1] <= RANK_TOL * sv[0]:
+        # lstsq counts the singular values above RANK_TOL * sv(1): the rank
+        # rule's own test, and no more than the rows of a wide A
+        sol, _, rank, _ = np.linalg.lstsq(sys.A, sys.b, rcond=RANK_TOL)
+        if rank < sys.A.shape[1]:
             raise SingularSystem("system is numerically rank-deficient at lambda = 0")
         return ForceVector(sol, sys.components)
     return ForceVector(_factors([sys], cfg.order)[0].solve(sys.b, cfg.lam), sys.components)
@@ -378,11 +382,11 @@ class _Factors:
         self._last = None, None  # (b, its spectrum)
 
     def spectrum(self, b):
-        """(betas, outside) of the measurement b: each part's beta = U^T bbar,
-        bbar = b - Q_T Q_T^T b folded onto the part's rows, and the squared
-        norm of bbar outside range(Abar), ||bbar - U beta||^2 summed over the
-        parts. Those of the last b are kept, so that a sweep and the solve at
-        its corner, both on one system's read-only b, form them once."""
+        """(betas, data) of the measurement b: each part's data, bbar =
+        b - Q_T Q_T^T b folded onto the part's rows, and its beta = U^T
+        times them. Those of the last b are kept, so that a sweep and the
+        solve at its corner, both on one system's read-only b, form them
+        once."""
         last, spectrum = self._last
         if b is last:
             return spectrum
@@ -391,9 +395,8 @@ class _Factors:
         data = [(bbar[:h] + sigma * bbar[h:]) / _SQRT2 if sigma else bbar
                 for sigma, _, _, _ in self.parts]
         betas = [Ut @ x for (_, Ut, _, _), x in zip(self.parts, data)]
-        outside = sum(_squares(x - beta @ Ut) for (_, Ut, _, _), x, beta in zip(self.parts, data, betas))
-        self._last = b, (betas, outside)
-        return betas, outside
+        self._last = b, (betas, data)
+        return betas, data
 
     def solve(self, b, lam):
         """The solution of one weight lambda > 0."""
@@ -403,12 +406,17 @@ class _Factors:
 
     def norms(self, b, lambdas):
         """(||A f - b||, ||D_k f||) of the solution f of each weight lambda > 0
-        of a 1-D array, as two arrays, in closed form."""
-        betas, outside = self.spectrum(b)
-        s, beta = np.concatenate([part[2] for part in self.parts]), np.concatenate(betas)
+        of a 1-D array, as two arrays, in closed form; the residual's part
+        outside range(Abar), ||bbar - U beta||^2 summed over the parts, is
+        formed here, since the solve does not read it. A norm that overflows
+        is infinite, with no floating-point warning."""
+        betas, data = self.spectrum(b)
         lams = lambdas[:, None]
-        d = s * s + lams
-        return np.sqrt(_squares(lams * beta / d) + outside), np.sqrt(_squares(s * beta / d))
+        with np.errstate(over="ignore"):
+            outside = sum(_squares(x - beta @ Ut) for (_, Ut, _, _), x, beta in zip(self.parts, data, betas))
+            s, beta = np.concatenate([part[2] for part in self.parts]), np.concatenate(betas)
+            d = s * s + lams
+            return np.sqrt(_squares(lams * beta / d) + outside), np.sqrt(_squares(s * beta / d))
 
 
 def _squares(X):
@@ -533,7 +541,11 @@ def condition_number(A) -> float:
 def accuracy_error(f_num, f_exact) -> float:
     """Euclidean norm of the nodal difference between two force profiles.
 
-    Accepts ForceVector instances or plain 1-D arrays of equal length.
+    Accepts ForceVector instances or plain 1-D arrays of equal length. A
+    norm that overflows (entries near the largest doubles) is taken again
+    from both profiles scaled by their largest magnitude, so it is finite
+    unless the norm itself exceeds the doubles; any norm that is finite
+    the plain way is that norm, bit for bit.
 
     Raises
     ------
@@ -552,5 +564,10 @@ def accuracy_error(f_num, f_exact) -> float:
             and f_num.components != f_exact.components:
         raise DimensionMismatch(f"profiles have {f_num.components} and "
                                 f"{f_exact.components} components")
-    return float(np.linalg.norm(a - b))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a - b)
+        if not math.isfinite(norm):
+            scale = max(np.abs(a).max(), np.abs(b).max())
+            norm = scale * np.linalg.norm(a / scale - b / scale)
+    return float(norm)
 

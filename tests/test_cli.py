@@ -523,6 +523,24 @@ def test_failed_rank_rule_names_its_cause(tmp_path, capsys):
                                            "condition number inf, at or above 1e+06\n")
 
 
+def test_data_near_overflow_runs_without_a_warning(tmp_path, capsys):
+    # flux data near 1e160: the squared residual outside range(Abar)
+    # overflows, and only the L-curve norms read it, so a fixed weight
+    # solves with no floating-point warning, at lambda = 0 too; a sweep
+    # whose every norm is infinite leaves no point to the corner
+    meas = tmp_path / "q.csv"
+    write_series(meas, 1e160 * np.linspace(1.0, 2.0, 20))
+    base = ("--M", 20, "--measured-left", meas, "--reg-order", 2, "--out", tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in ("1e-3", "0"):
+            assert run("invert", "--lambda", lam, *base) == 0
+            assert capsys.readouterr().err == ""
+        assert run("invert", "--lambda", "lcurve", *base) == 1
+        assert capsys.readouterr().err == ("DegenerateCurve: corner needs at least 3 usable "
+                                           "points, got 0\n")
+
+
 # Argument lists whose artifacts are pinned byte for byte by tests/cli_oracle.json
 # (sha256 of each file, computed with numpy 2.4 and OpenBLAS on x86-64; another
 # BLAS may round differently). Paths are relative to the run directory, so the

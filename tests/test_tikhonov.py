@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import traceback
+import warnings
 import tracemalloc
 from pathlib import Path
 
@@ -386,14 +387,17 @@ def test_spectrum_splits_the_data_by_range():
     # on a grid of more time steps than nodes (M = 20, N = 30), where A
     # has rows outside its range and the factors cut no mode, a 1%-noise
     # draw of scenario 2 and of the mirrored dual scenario 5 at orders 0-2:
-    # `outside` is the least-squares residual ||A lstsq(A, b) - b||^2, since
+    # the part of the data outside range(Abar), the squared residual norm
+    # of norms at lambda = 1e-300 (where the weight's own part underflows),
+    # is the least-squares residual ||A lstsq(A, b) - b||^2, since
     # range(A) = range(Q_T) + range(Abar), and each beta is U^T times its
-    # part's fold of bbar = (I - Q_T Q_T^T) b. Measured: 1.5e-10 relative
-    # for `outside` (1.7e-10 over seeds 1-10) and 1.5e-14 for beta. Where
+    # part's fold of bbar = (I - Q_T Q_T^T) b, which spectrum returns with
+    # it. Measured: 1.5e-10 relative for the outside part (1.7e-10 over
+    # seeds 1-10), 1.5e-14 for beta and 4.9e-14 for the folded data. Where
     # the factors cut modes (scenario 2 at M = 40, N = 60 cuts one) the
     # data along those modes is outside too, and lstsq fits it
     grid = wf.GridSpec(1.0, 1.0, 20, 30, 1.0)
-    worst = [0.0, 0.0]
+    worst = [0.0, 0.0, 0.0]
     for example, assemble in ((2, wf.assemble_single), (5, wf.assemble_dual)):
         problem = wf.inverse_problem(example, grid)
         series = [wf.measured_flux(example, grid, end) for end in (wf.LEFT, wf.RIGHT)]
@@ -403,15 +407,17 @@ def test_spectrum_splits_the_data_by_range():
         for order in (0, 1, 2):
             factors, = tikhonov._factors([system], order)
             assert sum(s.size for _, _, s, _ in factors.parts) == A.shape[1] - order * system.components
-            betas, outside = factors.spectrum(b)
+            outside = factors.norms(b, np.array([1e-300]))[0][0] ** 2
             worst[0] = max(worst[0], abs(outside - r @ r) / (r @ r))
             bbar = (np.eye(b.size) - factors.Q @ factors.Q.T) @ b
             h = b.size // 2
-            for (sigma, Ut, _, _), beta in zip(factors.parts, betas):
-                want = Ut @ ((bbar[:h] + sigma * bbar[h:]) / np.sqrt(2) if sigma else bbar)
+            for (sigma, Ut, _, _), beta, x in zip(factors.parts, *factors.spectrum(b)):
+                fold = (bbar[:h] + sigma * bbar[h:]) / np.sqrt(2) if sigma else bbar
+                worst[2] = max(worst[2], np.max(np.abs(x - fold)) / np.max(np.abs(fold)))
+                want = Ut @ fold
                 worst[1] = max(worst[1], np.max(np.abs(beta - want)) / np.max(np.abs(want)))
-    print(f"spectrum: outside {worst[0]:.2e}, beta {worst[1]:.2e}")
-    assert worst[0] <= 1e-9 and worst[1] <= 1e-13
+    print(f"spectrum: outside {worst[0]:.2e}, beta {worst[1]:.2e}, data {worst[2]:.2e}")
+    assert worst[0] <= 1e-9 and worst[1] <= 1e-13 and worst[2] <= 1e-13
 
 
 def test_fold_is_orthonormal():
@@ -822,6 +828,22 @@ def test_zero_lambda_rank_deficient_raises():
                           wf.RegConfig(order=0, lam=0.0))
 
 
+def test_zero_lambda_keeps_every_mode_the_rank_rule_accepts():
+    # 5,000 rows put lstsq's default cut, eps * rows * sigma_max = 1.1e-12,
+    # above RANK_TOL * sigma_max: a solve at that cut drops the weak mode
+    # sigma = 1.06e-12, which the rank rule accepts, and returns its
+    # coefficient as rounding (-3e-16). The solve keeps it: V^T f is
+    # 1 / sigma = 9.43e11 along it, measured 6.4e-7 relative off the
+    # whole solution of the exact factors
+    rng = np.random.default_rng(7)
+    U = np.linalg.qr(rng.standard_normal((5000, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    s = np.array([1.0, 0.5, 1.06e-12])
+    want = V @ (1.0 / s)
+    got = wf.tikhonov_solve(fabricated_system((U * s) @ V.T, U @ np.ones(3)), wf.RegConfig()).values
+    assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
+
+
 def test_penalty_norm_decreases_with_lambda(bench):
     a = bench(2, 40)
     noisy = a.system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, seed=1))
@@ -907,3 +929,15 @@ def test_accuracy_error_norm():
     with pytest.raises(wf.DimensionMismatch):
         wf.accuracy_error(dual, single)
     assert wf.accuracy_error(dual, np.ones(4)) == 0.0
+
+
+def test_accuracy_error_near_the_largest_doubles():
+    # the difference of entries near 1e300 overflows in the plain norm;
+    # the norm of the profiles scaled by their largest magnitude does not,
+    # and no floating-point warning is printed
+    big = np.full(3, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wf.accuracy_error(big, np.zeros(3)) == pytest.approx(np.sqrt(3.0) * 1e300, rel=1e-15)
+        assert wf.accuracy_error(big, -big) == pytest.approx(2.0 * np.sqrt(3.0) * 1e300, rel=1e-15)
+        assert wf.accuracy_error(wf.ForceVector(big), big) == 0.0
