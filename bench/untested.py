@@ -15,7 +15,10 @@ whenever their module is loaded, so neither is listed. Code that runs
 only in a process of its own, such as `python -m waveforce`, which some
 tests start, is not traced, and shows up here. The suite's outcome is
 printed as pytest prints it; the listing reads the same whether or not a
-test fails. Tracing makes the suite about a fifth slower.
+test fails. The exit status is 1 when the listing holds any statement
+but a process-only entry line, `sys.exit(main())`, and 0 otherwise, so
+"no dead code in src/" is a command that fails. Tracing makes the suite
+about a fifth slower.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ from loc import _docstring_lines  # bench/loc.py, beside this script
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "waveforce"
+
+#: the entry line of `python -m waveforce` and `python -m waveforce.cli`,
+#: which runs only in a process of its own
+_PROCESS_ONLY = "sys.exit(main())"
 
 
 def _heads(path):
@@ -71,16 +78,19 @@ def main():
     finally:
         sys.settrace(None)
 
-    untested = 0
+    untested = []
     for path in sorted(SRC.glob("*.py")):
         lines = path.read_text().splitlines()
         seen = ran.get(str(path), set())
         for lineno, head in _heads(path):
             if not head & seen:
-                untested += 1
-                print(f"{path.relative_to(ROOT)}:{lineno}: {lines[lineno - 1].strip()}")
-    print(f"{untested} statements untested (pytest exit status {int(status)})")
+                untested.append(lines[lineno - 1].strip())
+                print(f"{path.relative_to(ROOT)}:{lineno}: {untested[-1]}")
+    stray = sum(text != _PROCESS_ONLY for text in untested)
+    print(f"{len(untested)} statements untested, {stray} of them not a process-only "
+          f"{_PROCESS_ONLY} (pytest exit status {int(status)})")
+    return 1 if stray else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -92,9 +92,9 @@ def sweep(sys: InverseSystem, order: int = 0,
     Returns
     -------
     list of LCurvePoint
-        One entry per lambda. A norm that overflows is infinite, with no
-        floating-point warning (norms holds that rule), and corner
-        ignores the point.
+        One entry per lambda. A norm whose arithmetic overflows is
+        infinite, never nan, with no floating-point warning (the tikhonov
+        module's floating-point rule), and corner ignores the point.
 
     Raises
     ------

@@ -51,9 +51,18 @@ per measurement by _Factors.spectrum, and y = S beta / (S^2 + lambda),
 Both norms are sums of squares, so nothing cancels, and a sweep's weights
 cost O(m) each once beta is formed. ||bbar - U beta||^2, the squared norm
 of bbar outside range(Abar), is read by the norms alone, and
-_Factors.norms forms it; a norm that overflows there is infinite, with
-no floating-point warning. S^2 + lambda >= lambda > 0: no weight divides
+_Factors.norms forms it. S^2 + lambda >= lambda > 0: no weight divides
 by zero.
+
+Floating-point rule. External data may take any finite magnitude, so the
+factor object's arithmetic (_factor_stack and _Factors' spectrum, solve
+and norms) runs under one rule, _FLOAT_RULE: an overflow, and the
+inf - inf, inf / inf or 0 * inf that follow it, raise no numpy warning.
+Each non-finite result meets a typed refusal instead: a solution meets
+ForceVector's intake (WaveforceError); a norm reads inf, never nan, and
+corner takes finite points only (DegenerateCurve when fewer than three
+remain); the rank rule's condition number reads inf on overflow
+(SingularSystem).
 
 Mirror split. A dual system whose right rows equal its left rows with each
 component block's columns reversed (_has_mirror; met when both
@@ -95,11 +104,11 @@ excess below that. Both resolve sigma_min only to about eps cond(A); the
 two agree within 0.03 eps cond(A) on scenarios 2-4 at M = 160 and 320.
 
 Rank rule for lambda > 0, checked on each build: SingularSystem when
-cond(A W), from the singular values of R_T, is at or above
-COND_LIMIT = 1e6 (= 1 / sqrt(RANK_TOL)). The solution's part in the null
-space of D_k is R_T^-1 Q_T^T (b - A z), unregularized, so A W carries the
-whole problem's degeneracy: an A that (nearly) annihilates a profile the
-penalty does not see. At order 0 W is empty and the rule never fires.
+cond(A W), numpy's cond of R_T (inf when A W has fewer rows than
+columns), is at or above COND_LIMIT = 1e6 (= 1 / sqrt(RANK_TOL)). The
+solution's part in the null space of D_k is R_T^-1 Q_T^T (b - A z),
+unregularized, so A W carries the whole problem's degeneracy: an A that
+(nearly) annihilates a profile the penalty does not see. At order 0 W is empty and the rule never fires.
 
 Memory: a system keeps U and D_k^+ V (about two m x m arrays) for each
 penalty order it solved, and copies made by InverseSystem.with_measurement
@@ -146,6 +155,10 @@ _ITERATION_CAP = 60
 _INVERSE_BLOCK = 64
 
 _SQRT2 = np.sqrt(2.0)
+
+#: the factor object's floating-point rule (see the module docstring):
+#: overflow and its inf - inf, inf / inf and 0 * inf raise no warning
+_FLOAT_RULE = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -320,19 +333,20 @@ def _block_product(X, B, components):
 
 def _check_rank(R):
     """The rank rule on each slot of R_T, Q_T R_T = A W: SingularSystem at
-    the first slot where cond(A W) >= COND_LIMIT, infinite when A W has
-    fewer rows than columns. At order 0 W is empty, and so is R_T: no rule
-    applies."""
+    the first slot where cond(A W) >= COND_LIMIT. numpy's cond reads the
+    ratio of R_T's extreme singular values, inf at a zero one and on
+    overflow, with no floating-point warning; a wide R_T (A W with fewer
+    rows than columns) has a zero singular value cond does not see, and
+    reads inf. At order 0 W is empty, and so is R_T: no rule applies."""
     if not R.size:
         return
-    for sv in np.linalg.svd(R, compute_uv=False):
-        smallest = sv[-1] if sv.size == R.shape[-1] else 0.0
-        if sv[0] >= COND_LIMIT * smallest:
-            cond = sv[0] / smallest if smallest else np.inf
+    for cond in np.linalg.cond(R) if R.shape[-2] >= R.shape[-1] else [np.inf]:
+        if cond >= COND_LIMIT:
             raise SingularSystem(f"A W (W the null space of D) has condition number {cond:.3g}, "
                                  f"at or above {COND_LIMIT:g}")
 
 
+@_FLOAT_RULE
 def _factor_stack(As, order, components):
     """The _Factors of each A of `As` at the penalty order, built as one
     stack (see the module docstring). InvalidDimension when D_k has no row
@@ -369,7 +383,7 @@ def _factor_stack(As, order, components):
             # (D_k^+ V_tau Vt^T)^T = Vt (D_k^+ V_tau)^T
             slot.append(((-1) ** order * parity, u.T[:rank], sv[:rank],
                          _block_product(vt[:rank], folded, components)))
-    return [_Factors(X, q, wr, parities, p) for X, q, wr, p in zip(As, Q, WRinv, parts)]
+    return [_Factors(X, q, wr, p) for X, q, wr, p in zip(As, Q, WRinv, parts)]
 
 
 class _Factors:
@@ -377,10 +391,11 @@ class _Factors:
     module docstring): Q_T, W R_T^-1 and, per part, (sigma, U^T, S,
     (D_k^+ V)^T), as _factor_stack builds them."""
 
-    def __init__(self, A, Q, WRinv, parities, parts):
-        self.A, self.Q, self.WRinv, self.parities, self.parts = A, Q, WRinv, parities, parts
+    def __init__(self, A, Q, WRinv, parts):
+        self.A, self.Q, self.WRinv, self.parts = A, Q, WRinv, parts
         self._last = None, None  # (b, its spectrum)
 
+    @_FLOAT_RULE
     def spectrum(self, b):
         """(betas, data) of the measurement b: each part's data, bbar =
         b - Q_T Q_T^T b folded onto the part's rows, and its beta = U^T
@@ -398,25 +413,29 @@ class _Factors:
         self._last = b, (betas, data)
         return betas, data
 
+    @_FLOAT_RULE
     def solve(self, b, lam):
         """The solution of one weight lambda > 0."""
         betas, _ = self.spectrum(b)
         z = sum((s * beta / (s * s + lam)) @ DVt for (_, _, s, DVt), beta in zip(self.parts, betas))
         return z + self.WRinv @ (self.Q.T @ (b - self.A @ z))
 
+    @_FLOAT_RULE
     def norms(self, b, lambdas):
         """(||A f - b||, ||D_k f||) of the solution f of each weight lambda > 0
-        of a 1-D array, as two arrays, in closed form; the residual's part
+        of a 1-D array, as the two rows of one array, in closed form; the residual's part
         outside range(Abar), ||bbar - U beta||^2 summed over the parts, is
-        formed here, since the solve does not read it. A norm that overflows
-        is infinite, with no floating-point warning."""
+        formed here, since the solve does not read it. A norm whose
+        arithmetic overflows is infinite, never nan, with no floating-point
+        warning (the module's floating-point rule): an overflowed S beta
+        over an overflowed S^2 + lambda is inf / inf."""
         betas, data = self.spectrum(b)
         lams = lambdas[:, None]
-        with np.errstate(over="ignore"):
-            outside = sum(_squares(x - beta @ Ut) for (_, Ut, _, _), x, beta in zip(self.parts, data, betas))
-            s, beta = np.concatenate([part[2] for part in self.parts]), np.concatenate(betas)
-            d = s * s + lams
-            return np.sqrt(_squares(lams * beta / d) + outside), np.sqrt(_squares(s * beta / d))
+        outside = sum(_squares(x - beta @ Ut) for (_, Ut, _, _), x, beta in zip(self.parts, data, betas))
+        s, beta = np.concatenate([part[2] for part in self.parts]), np.concatenate(betas)
+        d = s * s + lams
+        # fmin takes the number of a (nan, number) pair: the nan of inf / inf reads inf
+        return np.fmin(np.sqrt((_squares(lams * beta / d) + outside, _squares(s * beta / d))), np.inf)
 
 
 def _squares(X):

@@ -510,7 +510,7 @@ def test_random_mirrored_dual_split_matches_stacked_lstsq():
     # interior has the mirror relation, and its split solve agrees with the
     # whole system's least squares (1.6e-13 at most; the unmirrored random
     # dual, solved whole, reads 8.1e-14)
-    from test_tikhonov import ORACLE_GRID_TOL, stacked_lstsq
+    from test_tikhonov import ORACLE_GRID_TOL, split, stacked_lstsq
     for mirrored in (True, False):
         problem = _random_problem(dual=True, mirrored=mirrored)
         x = problem.grid.interior_x
@@ -522,7 +522,7 @@ def test_random_mirrored_dual_split_matches_stacked_lstsq():
                 got = wf.tikhonov_solve(system, wf.RegConfig(order=order, lam=lam)).values
                 want = stacked_lstsq(system.A, system.b, order, lam, 2)
                 assert np.max(np.abs(got - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
-            assert system._factors[order].parities == ((1, -1) if mirrored else (0,))
+            assert split(system._factors[order], order) == ((1, -1) if mirrored else (0,))
 
 
 def test_flux_affinity_at_M_640():

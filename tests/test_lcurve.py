@@ -286,14 +286,14 @@ def test_sweep_keeps_the_refined_corner(bench):
 
 
 def test_split_sweep_matches_stacked_lstsq(bench):
-    from test_tikhonov import ORACLE_GRID_TOL, ORACLE_TINY_LAMBDA_TOL, stacked_lstsq
+    from test_tikhonov import ORACLE_GRID_TOL, ORACLE_TINY_LAMBDA_TOL, split, stacked_lstsq
     grid = [1e-14, *wf.EXTENDED_LAMBDA_GRID]
     worst = {ORACLE_GRID_TOL: 0.0, ORACLE_TINY_LAMBDA_TOL: 0.0}
     for m in (40, 80):
         for s in _draws(bench(5, m)):
             for order in (0, 1, 2):
                 assert [p.lam for p in wf.sweep(s, order, grid)] == grid
-                assert s._factors[order].parities == (1, -1)
+                assert split(s._factors[order], order) == (1, -1)
                 for lam in grid:
                     f = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
                     want = stacked_lstsq(s.A, s.b, order, lam, 2)
@@ -307,12 +307,12 @@ def test_split_sweep_matches_stacked_lstsq(bench):
 def test_split_keeps_the_corner(bench, monkeypatch):
     # the corner of the dual scenario at M = 160, order 2, on 30 noise
     # draws: the same weight from the split as from the whole system
-    from test_tikhonov import unsplit
+    from test_tikhonov import split, unsplit
     a = bench(5, 160)
     whole = unsplit(a.system, 2, monkeypatch)
     for seed in range(1, 31):
         noise = wf.NoiseSpec(0.01, seed)
-        split = a.system.with_measurement(a.measured, a.measured_right, noise=noise)
+        mirrored = a.system.with_measurement(a.measured, a.measured_right, noise=noise)
         oracle = whole.with_measurement(a.measured, a.measured_right, noise=noise)
-        assert wf.corner(wf.sweep(split, 2)).lam == wf.corner(wf.sweep(oracle, 2)).lam
-    assert split._factors[2].parities == (1, -1) and oracle._factors[2].parities == (0,)
+        assert wf.corner(wf.sweep(mirrored, 2)).lam == wf.corner(wf.sweep(oracle, 2)).lam
+    assert split(mirrored._factors[2], 2) == (1, -1) and split(oracle._factors[2], 2) == (0,)

@@ -118,8 +118,15 @@ def unsplit(system, order, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(tikhonov, "_has_mirror", lambda A, components: False)
         tikhonov._factors([copy], order)
-    assert copy._factors[order].parities == (0,)
+    assert split(copy._factors[order], order) == (0,)
     return copy
+
+
+def split(factors, order):
+    """The mirror split's parities tau, read from each part's sigma =
+    (-1)^k tau: (1, -1) for a system factored in halves, (0,) for one
+    factored whole."""
+    return tuple((-1) ** order * part[0] for part in factors.parts)
 
 
 def test_difference_operator_forms():
@@ -214,7 +221,7 @@ def test_factored_solve_matches_stacked_lstsq(bench):
                         if m < 160:
                             assert np.max(np.abs(got - lu)) <= tol * np.max(np.abs(lu))
                     # scenario 5 takes the mirror split
-                    assert s._factors[order].parities == ((1, -1) if example == 5 else (0,))
+                    assert split(s._factors[order], order) == ((1, -1) if example == 5 else (0,))
     for key in sorted(worst):
         print(f"vs stacked lstsq, M = {key[0]}, {key[1]} route, tolerance {key[2]:g}: "
               f"{worst[key]:.2e}")
@@ -224,10 +231,10 @@ def test_factored_solve_matches_stacked_lstsq(bench):
 
 
 def test_one_factorization_per_system_and_order(bench, monkeypatch):
-    # per (system, order), one QR of A W, the singular values of its R_T
+    # per (system, order), one QR of A W, the condition number of its R_T
     # and R_T's inverse (k x k per component), and one thin SVD per part
     calls = []
-    for name in ("qr", "svd", "inv"):
+    for name in ("qr", "cond", "svd", "inv"):
         routine = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda X, *args, routine=routine, name=name, **kw:
                             calls.append((name, X.shape)) or routine(X, *args, **kw))
@@ -237,7 +244,7 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
     lam = wf.corner(wf.sweep(noisy, 2)).lam
     f = wf.tikhonov_solve(noisy, wf.RegConfig(order=2, lam=lam))
     # m = 39 nodes, 37 second differences
-    assert calls == [("qr", (1, 40, 2)), ("svd", (1, 2, 2)), ("inv", (1, 2, 2)), ("svd", (1, 40, 37))]
+    assert calls == [("qr", (1, 40, 2)), ("cond", (1, 2, 2)), ("inv", (1, 2, 2)), ("svd", (1, 40, 37))]
     # a new draw shares A, so it shares the factors
     draw = system.with_measurement(a.measured, noise=wf.NoiseSpec(0.01, 2))
     g = wf.tikhonov_solve(draw, wf.RegConfig(order=2, lam=lam))
@@ -250,7 +257,7 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
     wf.sweep(draw, 1)
     wf.tikhonov_solve(noisy, wf.RegConfig(order=1, lam=1e-4))
     wf.tikhonov_solve(noisy, wf.RegConfig())
-    assert calls[4:] == [("qr", (1, 40, 1)), ("svd", (1, 1, 1)), ("inv", (1, 1, 1)), ("svd", (1, 40, 38))]
+    assert calls[4:] == [("qr", (1, 40, 1)), ("cond", (1, 1, 1)), ("inv", (1, 1, 1)), ("svd", (1, 40, 38))]
     # each order keeps its factors: going back to order 2 factors nothing
     wf.sweep(draw, 2)
     wf.tikhonov_solve(noisy, wf.RegConfig(order=1, lam=1e-3))
@@ -266,7 +273,7 @@ def test_one_factorization_per_system_and_order(bench, monkeypatch):
     lam = wf.corner(wf.sweep(noisy, 2)).lam
     wf.tikhonov_solve(noisy, wf.RegConfig(order=2, lam=lam))
     # 37 second differences per profile: 19 even and 18 odd
-    assert calls == [("qr", (1, 80, 4)), ("svd", (1, 4, 4)), ("inv", (1, 4, 4)),
+    assert calls == [("qr", (1, 80, 4)), ("cond", (1, 4, 4)), ("inv", (1, 4, 4)),
                      ("svd", (1, 40, 38)), ("svd", (1, 40, 36))]
     draw = dual.with_measurement(d.measured, d.measured_right, noise=wf.NoiseSpec(0.01, 2))
     wf.tikhonov_solve(draw, wf.RegConfig(order=2, lam=lam))
@@ -622,7 +629,7 @@ def test_rank_rule_counts_both_halves():
                 wf.tikhonov_solve(system, wf.RegConfig(2, 1e-3))
         else:
             wf.tikhonov_solve(system, wf.RegConfig(2, 1e-3))
-            assert system._factors[2].parities == (1, -1)
+            assert split(system._factors[2], 2) == (1, -1)
 
 
 def test_split_with_one_difference_per_profile(bench, tmp_path):
@@ -635,7 +642,7 @@ def test_split_with_one_difference_per_profile(bench, tmp_path):
             got = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
             want = stacked_lstsq(s.A, s.b, order, lam, 2)
             assert np.max(np.abs(got - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
-        assert s._factors[order].parities == (1, -1)
+        assert split(s._factors[order], order) == (1, -1)
         points = wf.sweep(s, order)
         assert len(points) == 18
         assert np.all(np.isfinite([(p.residual_norm, p.solution_norm) for p in points]))
@@ -672,7 +679,7 @@ def test_off_mirror_dual_falls_back_to_the_whole_system(bench):
             got = wf.tikhonov_solve(s, wf.RegConfig(order=order, lam=lam)).values
             want = stacked_lstsq(s.A, s.b, order, lam, 2)
             assert np.max(np.abs(got - want)) <= ORACLE_GRID_TOL * np.max(np.abs(want))
-    assert all(s._factors[order].parities == (0,) for order in (0, 1, 2))
+    assert all(split(s._factors[order], order) == (0,) for order in (0, 1, 2))
 
 
 def test_other_A_never_reuses_factors(bench):
@@ -749,11 +756,12 @@ def test_standard_form_near_the_rank_limit():
 
 def test_failed_factorization_raises_a_fresh_error(monkeypatch):
     # a failed build stores nothing: each solve tries again, and stops after
-    # the QR of A W and the values-only SVD of R_T, before any thin SVD;
+    # the QR of A W and the condition number of R_T, before any thin SVD;
     # each raises a new error, so the traceback does not grow call by call
-    calls, svds = [], []
-    qr, svd = np.linalg.qr, np.linalg.svd
+    calls, conds, svds = [], [], []
+    qr, cond, svd = np.linalg.qr, np.linalg.cond, np.linalg.svd
     monkeypatch.setattr(np.linalg, "qr", lambda X: calls.append(X.shape) or qr(X))
+    monkeypatch.setattr(np.linalg, "cond", lambda X: conds.append(X.shape) or cond(X))
     monkeypatch.setattr(np.linalg, "svd", lambda X, **kw: svds.append(kw) or svd(X, **kw))
     s = fabricated_system(np.ones((5, 3)), np.ones(5))
     cfg = wf.RegConfig(order=2, lam=1e-3)
@@ -763,7 +771,7 @@ def test_failed_factorization_raises_a_fresh_error(monkeypatch):
             wf.tikhonov_solve(s, cfg)
         errors.append(info.value)
     assert calls == [(1, 5, 2)] * 100
-    assert svds == [{"compute_uv": False}] * 100
+    assert conds == [(1, 2, 2)] * 100 and svds == []
     assert s._factors == {}
     assert len({id(e) for e in errors}) == len(errors)
     assert {str(e) for e in errors} == {str(errors[0])}
@@ -773,7 +781,7 @@ def test_failed_factorization_raises_a_fresh_error(monkeypatch):
 
 def same_factors(f, g):
     """Whether two _Factors hold the same arrays, bit for bit."""
-    return (f.parities == g.parities and np.array_equal(f.Q, g.Q)
+    return (np.array_equal(f.Q, g.Q)
             and np.array_equal(f.WRinv, g.WRinv) and len(f.parts) == len(g.parts)
             and all(p[0] == q[0] and all(np.array_equal(x, y) for x, y in zip(p[1:], q[1:]))
                     for p, q in zip(f.parts, g.parts)))
@@ -941,3 +949,62 @@ def test_accuracy_error_near_the_largest_doubles():
         assert wf.accuracy_error(big, np.zeros(3)) == pytest.approx(np.sqrt(3.0) * 1e300, rel=1e-15)
         assert wf.accuracy_error(big, -big) == pytest.approx(2.0 * np.sqrt(3.0) * 1e300, rel=1e-15)
         assert wf.accuracy_error(wf.ForceVector(big), big) == 0.0
+
+
+def extreme_system(M, scales, flux_scale, seed=0):
+    """A system on external data of extreme magnitude, N = M: zero initial
+    and boundary data, one modulation per entry of `scales` (that scale
+    times 1 plus uniform draws) and each end's flux of standard normal
+    draws times flux_scale."""
+    rng = np.random.default_rng(seed)
+    grid = wf.GridSpec(1.0, 1.0, M, M)
+    zeros = np.zeros(M + 1)
+    source = wf.Source(tuple(s * (1.0 + rng.random((M + 1, M + 1))) for s in scales))
+    problem = wf.WaveProblem(grid, wf.InitialData(zeros, zeros), wf.BoundaryData(zeros, zeros), source)
+    fluxes = [wf.FluxSeries(end, flux_scale * rng.standard_normal(M)) for end in (wf.LEFT, wf.RIGHT)]
+    return wf.assemble_single(problem, fluxes[0]) if len(scales) == 1 else wf.assemble_dual(problem, *fluxes)
+
+
+def test_solve_near_overflow_is_refused_without_a_warning():
+    # flux near 1e300: S beta overflows in the filter S beta / (S^2 +
+    # lambda), and the null step W R_T^-1 Q_T^T (b - A z) meets inf - inf;
+    # the non-finite solution meets ForceVector's intake
+    s = extreme_system(3, (1e150,), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wf.WaveforceError, match="non-finite"):
+            wf.tikhonov_solve(s, wf.RegConfig(1, 1e-3))
+
+
+def test_overflowed_norms_read_inf():
+    # singular values near 1e299 and beta near 1e159: S^2 + lambda and
+    # S beta both overflow, and their quotient inf / inf reads inf, not
+    # nan, with no warning; the corner has no usable point
+    s = extreme_system(4, (1e300,), 1e159)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = wf.sweep(s, 0)
+        assert np.all(np.isposinf([(p.residual_norm, p.solution_norm) for p in points]))
+        with pytest.raises(wf.DegenerateCurve, match="got 0"):
+            wf.corner(points)
+
+
+def test_rank_rule_overflow_reads_inf():
+    # a dual whose second modulation is near 1e-320: cond(A W) at order 1
+    # overflows the doubles, and reads inf with no warning
+    s = extreme_system(4, (1.0, 1e-320), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wf.SingularSystem, match="condition number inf,"):
+            wf.tikhonov_solve(s, wf.RegConfig(1, 1e-3))
+
+
+def test_build_overflow_is_refused_without_a_warning():
+    # a modulation near 1e-320: R_T^-1 overflows, and its product with W^T
+    # in the build meets inf - inf; the non-finite solution meets
+    # ForceVector's intake
+    s = extreme_system(4, (1e-320,), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wf.WaveforceError, match="non-finite"):
+            wf.tikhonov_solve(s, wf.RegConfig(2, 1e-3))
