@@ -157,10 +157,7 @@ def _scenario(example_id: int, grid: GridSpec) -> ExampleSpec:
 
 def _refinement(value) -> int:
     """`value` as a mesh refinement factor, an integer >= 1, else InvalidDimension."""
-    r = _integer(value, "data_refine")
-    if r < 1:
-        raise InvalidDimension(f"data_refine must be a positive integer, got {value!r}")
-    return r
+    return _integer(value, "data_refine", least=1)
 
 
 def inverse_problem(example_id: int, grid: GridSpec) -> WaveProblem:

@@ -3,7 +3,8 @@
 No algorithms live here. Construction validates everything the solvers rely
 on (sizes, stability ratio, boundary/initial compatibility) so downstream
 code can assume well-formed inputs. Every caller array enters through
-_checked_array, the one intake rule of the package, every object-valued
+_checked_array, the one intake rule of the package, every scalar through
+_real or _integer (each with its lower bound), every object-valued
 argument through _instance, every end through _checked_end and every
 callable through _sampled; array payloads are copied and marked
 read-only, so instances are safe to share.
@@ -35,21 +36,32 @@ RIGHT = "right"
 COMPATIBILITY_TOL = 1e-12
 
 
-def _real(value, name="value"):
-    """`value` as a float. Bools, text and arrays are rejected, never converted."""
-    if type(value) in (float, int):  # the common cases, without the abstract-class check
-        return float(value)
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+def _real(value, name="value", least=None):
+    """`value` as a float, finite and >= `least` when a bound is given: the
+    intake rule for scalars. Bools, text, arrays and an int beyond the
+    doubles are rejected, never converted."""
+    if type(value) not in (float, int) and (  # the common cases skip the abstract-class check
+            isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)):
         raise InvalidDimension(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # no int in the message: Python prints none of over 4,300 digits
+        raise InvalidDimension(f"{name} lies beyond the range of the doubles") from None
+    if least is not None and not (math.isfinite(v) and v >= least):
+        raise InvalidDimension(f"{name} must be finite and >= {least}, got {value}")
+    return v
 
 
-def _integer(value, name="value"):
-    """`value` as an int. Bools and non-integral numbers are rejected, never truncated."""
+def _integer(value, name="value", least=None):
+    """`value` as an int, >= `least` when a bound is given. Bools and
+    non-integral numbers are rejected, never truncated."""
     # int(10.9) would silently give 10
     if not _real(value, name).is_integer():
         raise InvalidDimension(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    n = int(value)
+    if least is not None and n < least:
+        raise InvalidDimension(f"{name} must be >= {least}, got {value}")
+    return n
 
 
 def _float_array(a):
@@ -158,13 +170,8 @@ class GridSpec:
             if not math.isfinite(v) or v <= 0:
                 raise InvalidDimension(f"{name} must be a positive real, got {getattr(self, name)}")
             object.__setattr__(self, name, v)
-        m, n = _integer(self.M, "M"), _integer(self.N, "N")
-        if m < 2:
-            raise InvalidDimension(f"M must be >= 2, got {self.M}")
-        if n < 1:
-            raise InvalidDimension(f"N must be >= 1, got {self.N}")
-        object.__setattr__(self, "M", m)
-        object.__setattr__(self, "N", n)
+        object.__setattr__(self, "M", _integer(self.M, "M", least=2))
+        object.__setattr__(self, "N", _integer(self.N, "N", least=1))
         if self.r > 1.0:
             raise CFLViolation(f"r = c*dt/dx = {self.r:.6g} exceeds the stability bound 1")
 

@@ -10,12 +10,10 @@ reproducibility contract: same series and spec, same output, always.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WaveforceError
 from .model import LEFT, RIGHT, FluxSeries, _instance, _integer, _real
 
 _END_CODE = {LEFT: 0, RIGHT: 1}
@@ -37,14 +35,8 @@ class NoiseSpec:
     seed: int = 1
 
     def __post_init__(self):
-        p = _real(self.p, "noise fraction")
-        if not math.isfinite(p) or p < 0:
-            raise WaveforceError(f"noise fraction must be finite and >= 0, got {self.p}")
-        seed = _integer(self.seed, "seed")
-        if seed < 0:
-            raise WaveforceError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "p", _real(self.p, "noise fraction", least=0))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", least=0))
 
 
 def noise_sigma(series: FluxSeries, p: float) -> float:

@@ -56,13 +56,14 @@ by zero.
 
 Floating-point rule. External data may take any finite magnitude, so the
 factor object's arithmetic (_factor_stack and _Factors' spectrum, solve
-and norms) runs under one rule, _FLOAT_RULE: an overflow, and the
-inf - inf, inf / inf or 0 * inf that follow it, raise no numpy warning.
+and norms) and condition_number's singular-value ratio (_ratio) run under
+one rule, _FLOAT_RULE: an overflow, and the inf - inf, inf / inf or
+0 * inf that follow it, raise no numpy warning.
 Each non-finite result meets a typed refusal instead: a solution meets
 ForceVector's intake (WaveforceError); a norm reads inf, never nan, and
 corner takes finite points only (DegenerateCurve when fewer than three
 remain); the rank rule's condition number reads inf on overflow
-(SingularSystem).
+(SingularSystem). condition_number returns inf when its ratio overflows.
 
 Mirror split. A dual system whose right rows equal its left rows with each
 component block's columns reversed (_has_mirror; met when both
@@ -81,13 +82,17 @@ Condition number. condition_number takes a mirrored dual's singular values
 from the mirror split's two halves, one values-only SVD each. Any other A
 with at least _QR_ROUTE_MIN = 220 columns and no fewer rows takes the QR
 route (Golub and Van Loan, Matrix Computations, secs. 5.2 and 8.2):
-R = qr(A, mode 'r'), R^-1 by halves (_upper_inverse), and sigma_max of each
+R = qr(A 2^-e, mode 'r'), the power of two 2^-e putting A's largest
+magnitude in [0.5, 1), R^-1 by halves (_upper_inverse), and sigma_max of each
 by block subspace iteration (_largest_singular_value: 4 vectors from a
 private generator of a fixed seed, so numpy's global one is untouched and
 reruns agree bit for bit; Rayleigh-Ritz by the SVD of R Q), so that
-cond(A) = sigma_max(R) sigma_max(R^-1). An iteration stops once a
-Kato-Temple bound puts its relative error at or below 1e-15, 3-7 steps on
-scenarios 2-4. The route falls back to the SVD of A when R's diagonal
+cond(A) = sigma_max(R) sigma_max(R^-1). cond does not depend on scale,
+and the scaling is exact but for entries below about 1e-307 times the
+largest, far under the QR's rounding; it keeps the iteration off
+subnormal numbers, on which the SVD of R Q did not converge (a matrix of
+entries near 1e-320). An iteration stops once a Kato-Temple bound puts
+its relative error at or below 1e-15, 3-7 steps on scenarios 2-4. The route falls back to the SVD of A when R's diagonal
 holds a zero or spans 1 / eps (A numerically singular: the SVD's inf,
 ZeroMatrix or rounding-level ratio stands) and when an iteration has not
 stopped after _ITERATION_CAP = 60 steps: a cluster at sigma_min, as on
@@ -181,11 +186,8 @@ class RegConfig:
         order = _integer(self.order, "order")
         if order not in (0, 1, 2):
             raise InvalidDimension(f"order must be 0, 1 or 2, got {self.order}")
-        lam = _real(self.lam, "lambda")
-        if not math.isfinite(lam) or lam < 0:
-            raise InvalidDimension(f"lambda must be finite and >= 0, got {self.lam}")
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _real(self.lam, "lambda", least=0))
 
 
 def _checked_nodes(order, m):
@@ -207,9 +209,13 @@ def difference_operator(order: int, m: int) -> np.ndarray:
     ------
     InvalidDimension
         When order or m is not an integer, order is not 0, 1 or 2, or
-        m <= order (no rows would remain).
+        m <= order (no rows would remain), and when m x m doubles exceed
+        numpy's largest array.
     """
     order, m = _checked_nodes(order, m)
+    if m * m * 8 > np.iinfo(np.intp).max:  # refused before numpy tries to allocate it
+        raise InvalidDimension("an operator on m entries needs m x m doubles, "
+                               "beyond numpy's largest array")
     D = np.eye(m)
     for _ in range(order):
         D = D[:-1] - D[1:]
@@ -443,6 +449,7 @@ def _squares(X):
     return (X * X).sum(axis=-1)
 
 
+@_FLOAT_RULE
 def _ratio(matrices):
     """The largest over the smallest singular value of all the matrices
     together: inf when the smallest is zero, ZeroMatrix when all are."""
@@ -512,7 +519,8 @@ def _qr_ratio(A):
     to answer, when R's diagonal holds a zero or spans 1 / eps or more
     (A numerically singular, where the SVD gives inf or a rounding-level
     ratio) or when either iteration does not converge."""
-    R = np.linalg.qr(A, mode="r")
+    # scaled exactly to a largest magnitude in [0.5, 1): no subnormal iterates
+    R = np.linalg.qr(np.ldexp(A, -np.frexp(np.abs(A).max())[1]), mode="r")
     d = np.abs(np.diagonal(R))
     if d.min() <= np.finfo(float).eps * d.max():
         return None

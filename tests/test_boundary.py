@@ -44,8 +44,11 @@ def _catalogue(valid):
     return [RAGGED, np.array(1.0), np.ones((2, 2, 2)), a[None], a[0], nan, inf, True, "abc", a + 1j]
 
 
+#: an int beyond the doubles, which float() refuses with OverflowError
+HUGE = 10**400
+
 #: malformed stand-ins for a scalar slot
-BAD_SCALARS = [RAGGED, [1.0], np.ones((2, 2, 2)), np.nan, np.inf, True, "abc", None]
+BAD_SCALARS = [RAGGED, [1.0], np.ones((2, 2, 2)), np.nan, np.inf, True, "abc", None, HUGE]
 
 #: malformed stand-ins for an end slot
 BAD_ENDS = ["middle", None, True, [wf.LEFT, wf.RIGHT], np.array([wf.LEFT, wf.RIGHT])]
@@ -89,6 +92,7 @@ SCALAR_SLOTS = {
     "NoiseSpec.seed": (1, lambda v: wf.add_noise(BG[0], wf.NoiseSpec(0.01, v))),
     "difference_operator.order": (1, lambda v: wf.difference_operator(v, 3)),
     "difference_operator.m": (3, lambda v: wf.difference_operator(1, v)),
+    "measured_flux.data_refine": (1, lambda v: wf.measured_flux(2, G, wf.LEFT, v)),
 }
 
 # slot -> (valid value, call, malformed values): a slot whose valid value is
@@ -100,7 +104,9 @@ OTHER_SLOTS = {
     "measured_flux.end": (wf.LEFT, lambda v: wf.measured_flux(2, G, v), BAD_ENDS),
     "noise_sigma.p": (0.01, lambda v: wf.noise_sigma(BG[0], v), BAD_SCALARS + ["0.1", -1.0]),
     "example_spec.example_id": (2, wf.example_spec,
-                                [0, 6, 2.5, None, "2", RAGGED, True, np.True_]),
+                                [0, 6, 2.5, None, "2", RAGGED, True, np.True_, HUGE]),
+    # sizes beyond numpy's largest array, refused before any allocation
+    "difference_operator.m (size)": (3, lambda v: wf.difference_operator(1, v), [1e300, 2**40]),
     "ForceVector.components (count)": (2, lambda v: wf.ForceVector(np.zeros(4), v), [3, 0, -1]),
     "WaveProblem.with_force (count)": (
         (np.zeros(3),), lambda v: P1.with_force(*v), [(), (np.zeros(3),) * 2]),

@@ -417,6 +417,22 @@ def test_non_finite_values_name_the_whole_rule(tmp_path, capsys):
                                            f"{rule} must be finite and >= 0, got {value}\n")
 
 
+
+def test_config_int_beyond_the_doubles_exits_with_one_line(tmp_path, capsys):
+    # a 400-digit JSON number is an int that float() refuses with
+    # OverflowError; the scalar intake rule types it, at every slot
+    huge = 10**400
+    for setting, settings in (("M", {"M": huge}),
+                              ("seed", {"example": 2, "noise_pct": 1, "seed": huge}),
+                              ("lambda_grid", {"example": 2, "lambda": "lcurve",
+                                               "lambda_grid": [1e-3, huge]})):
+        cfg = tmp_path / f"{setting}.json"
+        cfg.write_text(json.dumps(settings))
+        assert run("invert", "--config", cfg, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"WaveforceError: bad value for {setting!r}: ") and err.count("\n") == 1
+
+
 # malformed values of each setting, each tried as a config value and, when it
 # is text, as flag text; a setting not listed takes a path, which any flag
 # text is, so only a JSON list is malformed

@@ -27,9 +27,14 @@ SCALES = (0.0, 1e-320, 1e-300, 1.0, 1e150, 1e160, 1e300, -1e300)
 #: odd scalars the public functions take as weights, orders and scales
 ODD = (*SCALES, np.inf, -np.inf, np.nan, -1.0, 0.5, 3)
 
-#: odd profile sizes: a size is an allocation of about size^2 doubles, not
-#: a magnitude, so none is large
-ODD_SIZES = (-1, 0, 1, 2, 2.0, 2.5, 7, np.nan, np.inf, True, "3")
+#: ODD and an int beyond the doubles, for the scalar slots; matrix() writes
+#: ODD entries into a float array, which refuses that int itself
+ODD_SCALARS = (*ODD, 10**400)
+
+#: odd profile sizes: a size beyond numpy's largest array is refused before
+#: any allocation, and sizes that fit but would allocate gigabytes of
+#: size^2 doubles stay out of the draws
+ODD_SIZES = (-1, 0, 1, 2, 2.0, 2.5, 7, np.nan, np.inf, True, "3", 1e300, 2**40)
 
 CLI_RUNS = 300
 LIBRARY_RUNS = 1000
@@ -118,8 +123,8 @@ def test_public_functions_on_odd_values():
                 lambda: wf.sweep(fabricated_system(A, b), order),
                 lambda: wf.corner(wf.sweep(fabricated_system(A, b), order)),
                 lambda: wf.accuracy_error(b, matrix((n,))),
-                lambda: wf.difference_operator(pyr.choice(ODD), pyr.choice(ODD_SIZES)),
-                lambda: wf.RegConfig(pyr.choice(ODD), pyr.choice(ODD)),
+                lambda: wf.difference_operator(pyr.choice(ODD_SCALARS), pyr.choice(ODD_SIZES)),
+                lambda: wf.RegConfig(pyr.choice(ODD_SCALARS), pyr.choice(ODD_SCALARS)),
                 lambda: wf.add_noise(wf.FluxSeries(wf.LEFT, b), wf.NoiseSpec(abs(pyr.choice(SCALES)), 1)),
             )
             call = pyr.randrange(len(calls))

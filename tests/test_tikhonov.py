@@ -168,6 +168,9 @@ def test_config_validation():
     for order in (True, 1.5, "1"):
         with pytest.raises(wf.InvalidDimension):
             wf.RegConfig(order=order)
+    # an int too long for Python to print is refused without printing it
+    with pytest.raises(wf.InvalidDimension, match="^lambda lies beyond the range of the doubles$"):
+        wf.RegConfig(0, 10**5000)
     # an integral float is stored as the int it names
     assert type(wf.RegConfig(order=1.0).order) is int
 
@@ -918,6 +921,20 @@ def test_condition_number_basics(bench):
     # to zero, astronomically large otherwise
     assert wf.condition_number(np.diag([1.0, 0.0])) == np.inf
     assert wf.condition_number(np.ones((3, 3))) > 1e15
+
+
+def test_condition_number_at_extreme_magnitudes():
+    # a subnormal smallest singular value reads inf, and a matrix of
+    # subnormal entries, where the QR route's iteration met subnormal
+    # iterates and the SVD of R Q did not converge, reads X's condition
+    # number up to the few bits its subnormals keep
+    X = np.random.default_rng(0).standard_normal((230, 225))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wf.condition_number(np.diag([1.0, 1e-320])) == np.inf
+        cond = wf.condition_number(X)
+        assert wf.condition_number(1e-320 * X) == pytest.approx(cond, rel=1e-3)
+        assert wf.condition_number(1e-310 * X) == pytest.approx(cond, rel=1e-12)
 
 
 def test_accuracy_error_norm():
