@@ -48,6 +48,7 @@ from .model import (
     _instance,
     _integer,
     _sampled,
+    _shown,
     sample_grid,
 )
 
@@ -135,7 +136,7 @@ def example_spec(example_id: int) -> ExampleSpec:
     try:
         return _EXAMPLES[_integer(example_id, "example id")]
     except (InvalidDimension, KeyError):
-        raise UnknownExample(f"no benchmark scenario with id {example_id!r}") from None
+        raise UnknownExample(f"no benchmark scenario with id {_shown(example_id)}") from None
 
 
 def _scenario(example_id: int, grid: GridSpec) -> ExampleSpec:

@@ -10,7 +10,10 @@ or from external data files (series and matrices in the csvio formats).
 Every run writes manifest.json recording the resolved configuration,
 seed, and package version; identical configuration yields byte-identical
 artifacts. --timings FILE writes the wall time of each stage as one JSON
-object; it is not an artifact, so it stays out of the manifest. Failures,
+object; it is not an artifact, so it stays out of the manifest. Every file
+goes through csvio's one writer, which makes the file's missing directory
+as it writes, so a run refused before its first write leaves no directory
+behind. Failures,
 a malformed flag or config value included, exit with status 1 and a
 single "ErrorClass: message" line on stderr; a flag the command does not
 take is an argparse usage error (status 2). A setting the run's mode does
@@ -49,7 +52,7 @@ from .benchmarks import (
     inverse_problem,
     measured_flux,
 )
-from .csvio import read_matrix, read_series, write_matrix, write_rows, write_series
+from .csvio import _write, read_matrix, read_series, write_matrix, write_rows, write_series
 from .errors import InvalidDimension, WaveforceError
 from .fdm import _fluxes, flux, solve_direct
 from .inverse import _assemble, _observed_ends, _systems
@@ -58,7 +61,6 @@ from .model import (
     LEFT,
     RIGHT,
     BoundaryData,
-    FluxSeries,
     GridSpec,
     InitialData,
     Source,
@@ -302,8 +304,7 @@ def _write_manifest(outdir: Path, cfg: RunConfig, artifacts: list) -> None:
                    if not f.metadata["flag_only"]},
         "artifacts": sorted(artifacts),
     }
-    with open(outdir / "manifest.json", "w", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(outdir / "manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _external_problem(cfg: RunConfig, grid: GridSpec) -> WaveProblem:
@@ -357,9 +358,8 @@ def _identify(cfg: RunConfig, stages: _Stages):
         dual = cfg.measured_right is not None
         if dual != (cfg.modulation2 is not None):
             raise WaveforceError("dual identification needs both --modulation2 and --measured-right")
-        measured = [FluxSeries(LEFT, read_series(cfg.measured_left))]
-        if dual:
-            measured.append(FluxSeries(RIGHT, read_series(cfg.measured_right)))
+        # _assemble takes each series as that of its end, left then right
+        measured = [read_series(path) for path in (cfg.measured_left, cfg.measured_right)[:1 + dual]]
         problem = _external_problem(cfg, grid)
         exact = None
     stages.lap("data")
@@ -500,16 +500,11 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         outdir = Path(cfg.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        if cfg.timings:
-            Path(cfg.timings).parent.mkdir(parents=True, exist_ok=True)
         artifacts = _COMMANDS[cfg.command][0](cfg, outdir, stages)
         _write_manifest(outdir, cfg, artifacts + ["manifest.json"])
         stages.lap("output")
         if cfg.timings:
-            with open(cfg.timings, "w", newline="\n") as fh:
-                json.dump(stages.seconds, fh, indent=2)
-                fh.write("\n")
+            _write(cfg.timings, json.dumps(stages.seconds, indent=2) + "\n")
     except (WaveforceError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -3,6 +3,9 @@
 Numbers are written as the shortest decimal string that round-trips the
 64-bit float exactly (Python's repr), '.' as decimal separator, LF line
 endings. Identical data therefore always produces byte-identical files.
+_write is the one writer of every file the package makes, the command
+line's manifest and timings file included: it writes the whole file in
+one call and makes the file's missing directory first.
 
 Three layouts:
   series - one value per line, no header (flux measurements, profiles)
@@ -11,6 +14,8 @@ Three layouts:
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +29,9 @@ def fmt(x) -> str:
 
 
 def _write(path, text):
-    """Write a whole file in one call, LF line endings."""
+    """Write a whole file in one call, LF line endings, after making its
+    missing directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 

@@ -7,7 +7,10 @@ _checked_array, the one intake rule of the package, every scalar through
 _real or _integer (each with its lower bound), every object-valued
 argument through _instance, every end through _checked_end and every
 callable through _sampled; array payloads are copied and marked
-read-only, so instances are safe to share.
+read-only, so instances are safe to share. A grid or operator larger than
+numpy's largest array is refused by _checked_size before any allocation,
+and a refusal prints the caller's value through _shown, which names the
+type of a value Python will not print.
 """
 
 from __future__ import annotations
@@ -36,13 +39,30 @@ RIGHT = "right"
 COMPATIBILITY_TOL = 1e-12
 
 
+def _shown(value):
+    """repr(value) for a message, or a stand-in naming its type where
+    Python prints no repr: an int of over 4,300 digits, in a list too."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _checked_size(shape, needs):
+    """InvalidDimension when an array of doubles of `shape` exceeds numpy's
+    largest array, refused before numpy tries to allocate it; `needs`
+    names what needs that array."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise InvalidDimension(f"{needs}, beyond numpy's largest array")
+
+
 def _real(value, name="value", least=None):
     """`value` as a float, finite and >= `least` when a bound is given: the
     intake rule for scalars. Bools, text, arrays and an int beyond the
     doubles are rejected, never converted."""
     if type(value) not in (float, int) and (  # the common cases skip the abstract-class check
             isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)):
-        raise InvalidDimension(f"{name} must be a real number, got {value!r}")
+        raise InvalidDimension(f"{name} must be a real number, got {_shown(value)}")
     try:
         v = float(value)
     except OverflowError:  # no int in the message: Python prints none of over 4,300 digits
@@ -57,7 +77,7 @@ def _integer(value, name="value", least=None):
     non-integral numbers are rejected, never truncated."""
     # int(10.9) would silently give 10
     if not _real(value, name).is_integer():
-        raise InvalidDimension(f"{name} must be an integer, got {value!r}")
+        raise InvalidDimension(f"{name} must be an integer, got {_shown(value)}")
     n = int(value)
     if least is not None and n < least:
         raise InvalidDimension(f"{name} must be >= {least}, got {value}")
@@ -106,7 +126,7 @@ def _checked_end(end):
     """`end` if it names an end of the string, else DimensionMismatch: the
     intake rule for end arguments."""
     if not isinstance(end, str) or end not in (LEFT, RIGHT):
-        raise DimensionMismatch(f"end must be {LEFT!r} or {RIGHT!r}, got {end!r}")
+        raise DimensionMismatch(f"end must be {LEFT!r} or {RIGHT!r}, got {_shown(end)}")
     return end
 
 
@@ -155,7 +175,9 @@ class GridSpec:
 
     The ratio r = c*dt/dx must satisfy r <= 1; the explicit scheme is
     unstable otherwise and construction fails with CFLViolation. r = 1
-    is allowed (it is the exact-propagation case).
+    is allowed (it is the exact-propagation case). A grid whose
+    (M+1) x (N+1) doubles exceed numpy's largest array fails with
+    InvalidDimension.
     """
 
     L: float
@@ -172,6 +194,7 @@ class GridSpec:
             object.__setattr__(self, name, v)
         object.__setattr__(self, "M", _integer(self.M, "M", least=2))
         object.__setattr__(self, "N", _integer(self.N, "N", least=1))
+        _checked_size((self.M + 1, self.N + 1), "a grid needs (M+1) x (N+1) doubles")
         if self.r > 1.0:
             raise CFLViolation(f"r = c*dt/dx = {self.r:.6g} exceeds the stability bound 1")
 

@@ -136,7 +136,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .inverse import InverseSystem
-from .model import ForceVector, _checked_array, _instance, _integer, _real
+from .model import ForceVector, _checked_array, _checked_size, _instance, _integer, _real
 
 #: singular values below RANK_TOL * sv(1) count as zero in rank decisions
 RANK_TOL = 1e-12
@@ -213,9 +213,7 @@ def difference_operator(order: int, m: int) -> np.ndarray:
         numpy's largest array.
     """
     order, m = _checked_nodes(order, m)
-    if m * m * 8 > np.iinfo(np.intp).max:  # refused before numpy tries to allocate it
-        raise InvalidDimension("an operator on m entries needs m x m doubles, "
-                               "beyond numpy's largest array")
+    _checked_size((m, m), "an operator on m entries needs m x m doubles")
     D = np.eye(m)
     for _ in range(order):
         D = D[:-1] - D[1:]

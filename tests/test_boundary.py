@@ -47,11 +47,16 @@ def _catalogue(valid):
 #: an int beyond the doubles, which float() refuses with OverflowError
 HUGE = 10**400
 
+#: an int of over 4,300 digits, which Python refuses to print
+UNPRINTABLE = 10**5000
+
 #: malformed stand-ins for a scalar slot
-BAD_SCALARS = [RAGGED, [1.0], np.ones((2, 2, 2)), np.nan, np.inf, True, "abc", None, HUGE]
+BAD_SCALARS = [RAGGED, [1.0], np.ones((2, 2, 2)), np.nan, np.inf, True, "abc", None, HUGE,
+               [UNPRINTABLE]]
 
 #: malformed stand-ins for an end slot
-BAD_ENDS = ["middle", None, True, [wf.LEFT, wf.RIGHT], np.array([wf.LEFT, wf.RIGHT])]
+BAD_ENDS = ["middle", None, True, [wf.LEFT, wf.RIGHT], np.array([wf.LEFT, wf.RIGHT]),
+            [UNPRINTABLE]]
 
 # slot -> (valid value, call with the slot filled); the other arguments are valid
 ARRAY_SLOTS = {
@@ -104,9 +109,10 @@ OTHER_SLOTS = {
     "measured_flux.end": (wf.LEFT, lambda v: wf.measured_flux(2, G, v), BAD_ENDS),
     "noise_sigma.p": (0.01, lambda v: wf.noise_sigma(BG[0], v), BAD_SCALARS + ["0.1", -1.0]),
     "example_spec.example_id": (2, wf.example_spec,
-                                [0, 6, 2.5, None, "2", RAGGED, True, np.True_, HUGE]),
+                                [0, 6, 2.5, None, "2", RAGGED, True, np.True_, HUGE, UNPRINTABLE]),
     # sizes beyond numpy's largest array, refused before any allocation
     "difference_operator.m (size)": (3, lambda v: wf.difference_operator(1, v), [1e300, 2**40]),
+    "GridSpec (size)": (4, lambda v: wf.GridSpec(1.0, 1.0, v, v), [1e300, 2**40]),
     "ForceVector.components (count)": (2, lambda v: wf.ForceVector(np.zeros(4), v), [3, 0, -1]),
     "WaveProblem.with_force (count)": (
         (np.zeros(3),), lambda v: P1.with_force(*v), [(), (np.zeros(3),) * 2]),

@@ -315,6 +315,39 @@ def test_error_reporting(tmp_path, capsys):
         assert capsys.readouterr().err == f"WaveforceError: {line}\n"
 
 
+# runs refused before their first write: a grid size, the stability
+# bound, the scenario's domain, a scenario tables lacks, identification
+# without data, a missing data file, and a grid beyond numpy's largest array
+REFUSED_BEFORE_WRITING = {
+    "size": (("invert", "--example", 2, "--M", 1), "InvalidDimension: M must be >= 2, got 1"),
+    "cfl": (("direct", "--example", 1, "--M", 80, "--N", 10),
+            "CFLViolation: r = c*dt/dx = 8 exceeds the stability bound 1"),
+    "domain": (("invert", "--example", 2, "--L", 2),
+               "WaveforceError: scenario 2 is defined for c = L = 1, got c=1.0, L=2.0"),
+    "tables": (("tables", "--example", 5), "WaveforceError: tables cover scenarios 1..4, got 5"),
+    "no-data": (("invert", "--M", 10),
+                "WaveforceError: identification needs --example or --measured-left"),
+    "missing-file": (("invert", "--M", 10, "--measured-left", "missing.csv"),
+                     "FileNotFoundError: [Errno 2] No such file or directory: 'missing.csv'"),
+    "oversize-grid": (("invert", "--config", "big.json"),
+                      "InvalidDimension: a grid needs (M+1) x (N+1) doubles, "
+                      "beyond numpy's largest array"),
+}
+
+
+@pytest.mark.parametrize("argv, line", REFUSED_BEFORE_WRITING.values(),
+                         ids=list(REFUSED_BEFORE_WRITING))
+def test_refused_run_leaves_no_directory(tmp_path, capsys, monkeypatch, argv, line):
+    # a file's directory is made as the file is written, so a refused run
+    # makes neither --out nor the --timings directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text(json.dumps({"example": 2, "M": 1e300}))
+    timings = () if argv[0] == "direct" else ("--timings", "td/t.json")
+    assert run(*argv, "--out", "o/p", *timings) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
+
+
 def test_refining_an_analytic_flux_fails_before_any_march(tmp_path, capsys, monkeypatch):
     # scenarios 1 and 5 measure an analytic flux, which no finer mesh
     # simulates: --data-refine above 1 is refused, not recorded unread

@@ -27,9 +27,10 @@ SCALES = (0.0, 1e-320, 1e-300, 1.0, 1e150, 1e160, 1e300, -1e300)
 #: odd scalars the public functions take as weights, orders and scales
 ODD = (*SCALES, np.inf, -np.inf, np.nan, -1.0, 0.5, 3)
 
-#: ODD and an int beyond the doubles, for the scalar slots; matrix() writes
-#: ODD entries into a float array, which refuses that int itself
-ODD_SCALARS = (*ODD, 10**400)
+#: ODD, an int beyond the doubles and a list holding an int too long to
+#: print, for the scalar slots; matrix() writes ODD entries into a float
+#: array, which would refuse both itself
+ODD_SCALARS = (*ODD, 10**400, [10**5000])
 
 #: odd profile sizes: a size beyond numpy's largest array is refused before
 #: any allocation, and sizes that fit but would allocate gigabytes of
