@@ -9,11 +9,16 @@ from it. Problems come either from a benchmark scenario (--example 1..5)
 or from external data files (series and matrices in the csvio formats).
 Every run writes manifest.json recording the resolved configuration,
 seed, and package version; identical configuration yields byte-identical
-artifacts. --timings FILE writes the wall time of each stage as one JSON
-object; it is not an artifact, so it stays out of the manifest. Every file
-goes through csvio's one writer, which makes the file's missing directory
-as it writes, so a run refused before its first write leaves no directory
-behind. Failures,
+artifacts. A command only computes: its runner returns its files as one
+dict, artifact name -> (csvio writer, the writer's arguments), and main
+is the one place that writes a run: the dict's entries, then
+manifest.json, whose artifact list is the dict's names. --timings FILE
+writes the wall time of each stage as one JSON object, last; it is not an
+artifact, so it stays out of the manifest, and a --timings path that
+resolves to a file of the run is refused before the first write. Every
+file goes through csvio's one writer, which makes the file's missing
+directory as it writes, so a run refused before its first write leaves
+no directory behind. Failures,
 a malformed flag or config value included, exit with status 1 and a
 single "ErrorClass: message" line on stderr; a flag the command does not
 take is an argparse usage error (status 2). A setting the run's mode does
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields as dc_fields
@@ -296,15 +302,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_manifest(outdir: Path, cfg: RunConfig, artifacts: list) -> None:
-    doc = {
+def _manifest(cfg: RunConfig, files: dict) -> str:
+    """manifest.json's text: the version, the command, its settings and
+    the artifacts, `files` and the manifest itself."""
+    return json.dumps({
         "version": __version__,
         "command": cfg.command,
         "config": {name: getattr(cfg, f.name) for name, f in _SETTINGS.items()
                    if not f.metadata["flag_only"]},
-        "artifacts": sorted(artifacts),
-    }
-    _write(outdir / "manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        "artifacts": sorted([*files, "manifest.json"]),
+    }, indent=2, sort_keys=True) + "\n"
 
 
 def _external_problem(cfg: RunConfig, grid: GridSpec) -> WaveProblem:
@@ -322,7 +329,7 @@ def _external_problem(cfg: RunConfig, grid: GridSpec) -> WaveProblem:
     return WaveProblem(grid, InitialData(u0, v0), BoundaryData(left, right), Source(modulations))
 
 
-def _run_direct(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
+def _run_direct(cfg: RunConfig, stages: _Stages) -> dict:
     grid = cfg.grid()
     if cfg.example is not None:
         problem = direct_problem(cfg.example, grid)
@@ -330,10 +337,9 @@ def _run_direct(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
         profile = read_series(cfg.force) if cfg.force else np.zeros(grid.M - 1)
         problem = _external_problem(cfg, grid).with_force(profile)
     field = solve_direct(problem)
-    write_matrix(outdir / "field.csv", field.values)
-    write_series(outdir / "flux_left.csv", flux(field, LEFT).values)
-    write_series(outdir / "flux_right.csv", flux(field, RIGHT).values)
-    return ["field.csv", "flux_left.csv", "flux_right.csv"]
+    return {"field.csv": (write_matrix, field.values),
+            "flux_left.csv": (write_series, flux(field, LEFT).values),
+            "flux_right.csv": (write_series, flux(field, RIGHT).values)}
 
 
 def _identify(cfg: RunConfig, stages: _Stages):
@@ -374,24 +380,23 @@ def _identify(cfg: RunConfig, stages: _Stages):
     return system, exact, points, best
 
 
-def _write_lcurve(outdir: Path, points) -> str:
-    write_rows(outdir / "lcurve.csv", ["lambda", "residual_norm", "solution_norm"],
-               [(p.lam, p.residual_norm, p.solution_norm) for p in points])
-    return "lcurve.csv"
+def _lcurve_file(points) -> tuple:
+    """lcurve.csv's writer and its arguments: one row per point of the sweep."""
+    return (write_rows, ["lambda", "residual_norm", "solution_norm"],
+            [(p.lam, p.residual_norm, p.solution_norm) for p in points])
 
 
-def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
+def _run_invert(cfg: RunConfig, stages: _Stages) -> dict:
     system, exact, points, best = _identify(cfg, stages)
     lam = float(cfg.lam) if best is None else best.lam
     solution = tikhonov_solve(system, RegConfig(order=cfg.reg_order, lam=lam))
     stages.lap("solve")
     cond = condition_number(system.A)
     stages.lap("cond")
-    artifacts = [] if points is None else [_write_lcurve(outdir, points)]
+    files = {} if points is None else {"lcurve.csv": _lcurve_file(points)}
     k = system.components
-    write_rows(outdir / "force.csv", ["x", "f", "g"][:1 + k],
-               zip(system.grid.interior_x.tolist(), *solution.values.reshape(k, -1).tolist()))
-    artifacts.append("force.csv")
+    files["force.csv"] = (write_rows, ["x", "f", "g"][:1 + k],
+                          zip(system.grid.interior_x.tolist(), *solution.values.reshape(k, -1).tolist()))
     metrics = [
         ("lambda", lam),
         ("reg_order", str(cfg.reg_order)),
@@ -401,29 +406,26 @@ def _run_invert(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
     ]
     if exact is not None:
         metrics.append(("accuracy_error", accuracy_error(solution, exact)))
-    write_rows(outdir / "metrics.csv", ["metric", "value"], metrics)
-    artifacts.append("metrics.csv")
+    files["metrics.csv"] = (write_rows, ["metric", "value"], metrics)
     if cfg.dump_system:
-        write_matrix(outdir / "system_A.csv", system.A)
-        write_series(outdir / "system_b.csv", system.b)
-        artifacts += ["system_A.csv", "system_b.csv"]
-    return artifacts
+        files["system_A.csv"] = (write_matrix, system.A)
+        files["system_b.csv"] = (write_series, system.b)
+    return files
 
 
-def _run_lcurve(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
+def _run_lcurve(cfg: RunConfig, stages: _Stages) -> dict:
     _, _, points, best = _identify(cfg, stages)
-    write_rows(outdir / "metrics.csv", ["metric", "value"], [
+    return {"metrics.csv": (write_rows, ["metric", "value"], [
         ("lambda_corner", best.lam),
         ("residual_norm", best.residual_norm),
         ("solution_norm", best.solution_norm),
         ("reg_order", str(cfg.reg_order)),
         ("noise_pct", cfg.noise_pct),
         ("seed", str(cfg.seed)),
-    ])
-    return [_write_lcurve(outdir, points), "metrics.csv"]
+    ]), "lcurve.csv": _lcurve_file(points)}
 
 
-def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
+def _run_tables(cfg: RunConfig, stages: _Stages) -> dict:
     if cfg.example not in (None, 1, 2, 3, 4):
         raise WaveforceError(f"tables cover scenarios 1..4, got {cfg.example}")
     wanted = (cfg.example,) if cfg.example is not None else (1, 2, 3, 4)
@@ -444,15 +446,16 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
         # M = 80
         systems.update(zip(problems, _systems(list(problems.values()))))
         stages.lap("assembly")
-    # table name -> (header, rows), written together at the end
-    tables = {"table1.csv": (["example", "M", "cond"], [(str(ex), str(m), condition_number(systems[ex, m].A))
-                                                        for ex in wanted for m in _TABLE_SIZES])}
+    cond = [(str(ex), str(m), condition_number(systems[ex, m].A)) for ex in wanted for m in _TABLE_SIZES]
+    # table name -> (writer, header, rows)
+    tables = {"table1.csv": (write_rows, ["example", "M", "cond"], cond)}
     stages.lap("cond")
 
     for ex, name in ((1, "table2.csv"), (2, "table3.csv")):
         if ex in wanted:
-            tables[name] = (["M", "t", "flux"], [(str(m), t, series[ex, m].values[round(t * m) - 1])
-                                                 for m in _TABLE_SIZES for t in REFERENCE_FLUX_TIMES])
+            tables[name] = (write_rows, ["M", "t", "flux"],
+                            [(str(m), t, series[ex, m].values[round(t * m) - 1])
+                             for m in _TABLE_SIZES for t in REFERENCE_FLUX_TIMES])
     stages.lap("flux_tables")
 
     # each penalty order factors the solved systems as one stack, whose
@@ -473,12 +476,9 @@ def _run_tables(cfg: RunConfig, outdir: Path, stages: _Stages) -> list:
                 solution = tikhonov_solve(noisy[pct], RegConfig(order=order, lam=lam))
                 rows.append((str(ex), str(order), str(pct), lam,
                              accuracy_error(solution, exact[ex, 80])))
-        tables[name] = (["example", "reg_order", "noise_pct", "lambda", "accuracy_error"], rows)
+        tables[name] = (write_rows, ["example", "reg_order", "noise_pct", "lambda", "accuracy_error"], rows)
     stages.lap("solves")
-
-    for name, (header, rows) in tables.items():
-        write_rows(outdir / name, header, rows)
-    return list(tables)
+    return tables
 
 
 # command -> (runner, help)
@@ -499,9 +499,13 @@ def main(argv=None) -> int:
     stages = _Stages()
     try:
         cfg = _resolve(args)
-        outdir = Path(cfg.out)
-        artifacts = _COMMANDS[cfg.command][0](cfg, outdir, stages)
-        _write_manifest(outdir, cfg, artifacts + ["manifest.json"])
+        files = _COMMANDS[cfg.command][0](cfg, stages)
+        files["manifest.json"] = (_write, _manifest(cfg, files))
+        # the timings file must not replace a file of the run
+        if cfg.timings and os.path.realpath(cfg.timings) in {os.path.realpath(Path(cfg.out, n)) for n in files}:
+            raise WaveforceError(f"--timings {cfg.timings} names a file the run writes")
+        for name, (writer, *data) in files.items():
+            writer(Path(cfg.out, name), *data)
         stages.lap("output")
         if cfg.timings:
             _write(cfg.timings, json.dumps(stages.seconds, indent=2) + "\n")

@@ -39,11 +39,12 @@ RIGHT = "right"
 COMPATIBILITY_TOL = 1e-12
 
 
-def _shown(value):
-    """repr(value) for a message, or a stand-in naming its type where
-    Python prints no repr: an int of over 4,300 digits, in a list too."""
+def _shown(value, form=repr):
+    """form(value) for a message, or a stand-in naming its type where
+    Python prints no value: an int of over 4,300 digits, in a list or a
+    Fraction too."""
     try:
-        return repr(value)
+        return form(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
 
@@ -68,19 +69,20 @@ def _real(value, name="value", least=None):
     except OverflowError:  # no int in the message: Python prints none of over 4,300 digits
         raise InvalidDimension(f"{name} lies beyond the range of the doubles") from None
     if least is not None and not (math.isfinite(v) and v >= least):
-        raise InvalidDimension(f"{name} must be finite and >= {least}, got {value}")
+        raise InvalidDimension(f"{name} must be finite and >= {least}, got {_shown(value, str)}")
     return v
 
 
 def _integer(value, name="value", least=None):
     """`value` as an int, >= `least` when a bound is given. Bools and
     non-integral numbers are rejected, never truncated."""
-    # int(10.9) would silently give 10
-    if not _real(value, name).is_integer():
+    # int(10.9) would silently give 10; a non-integral value whose nearest
+    # double is integral fails the exact comparison
+    if not _real(value, name).is_integer() or int(value) != value:
         raise InvalidDimension(f"{name} must be an integer, got {_shown(value)}")
     n = int(value)
     if least is not None and n < least:
-        raise InvalidDimension(f"{name} must be >= {least}, got {value}")
+        raise InvalidDimension(f"{name} must be >= {least}, got {_shown(value, str)}")
     return n
 
 
@@ -187,10 +189,10 @@ class GridSpec:
     c: float = 1.0
 
     def __post_init__(self):
-        for name in ("L", "T", "c"):
-            v = _real(getattr(self, name), name)
+        for name, value in (("L", self.L), ("T", self.T), ("c", self.c)):
+            v = _real(value, name)
             if not math.isfinite(v) or v <= 0:
-                raise InvalidDimension(f"{name} must be a positive real, got {getattr(self, name)}")
+                raise InvalidDimension(f"{name} must be a positive real, got {_shown(value, str)}")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "M", _integer(self.M, "M", least=2))
         object.__setattr__(self, "N", _integer(self.N, "N", least=1))

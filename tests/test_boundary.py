@@ -3,6 +3,7 @@ with a WaveforceError subclass, never a plain numpy or Python error."""
 
 import inspect
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,9 +51,25 @@ HUGE = 10**400
 #: an int of over 4,300 digits, which Python refuses to print
 UNPRINTABLE = 10**5000
 
+#: a Fraction just below -10 whose str and repr Python refuses to print
+#: (its numerator and denominator have over 4,300 digits); its nearest
+#: double is the integer -10.0
+UNPRINTABLE_FRACTION = Fraction(-(10**5000 + 1), 10**4999)
+
 #: malformed stand-ins for a scalar slot
 BAD_SCALARS = [RAGGED, [1.0], np.ones((2, 2, 2)), np.nan, np.inf, True, "abc", None, HUGE,
-               [UNPRINTABLE]]
+               [UNPRINTABLE], UNPRINTABLE_FRACTION]
+
+
+def _near_integral(n):
+    """Two non-integral values whose nearest double is the int `n`: an
+    exact Fraction, and a long double one unit in its last place above `n`
+    where long doubles are wider than doubles (the x87 format's 2**-61 at
+    n = 4)."""
+    near = [Fraction(n * 10**17 + 1, 10**17)]
+    if np.finfo(np.longdouble).nmant > np.finfo(float).nmant:
+        near.append(np.longdouble(n) + np.longdouble(2.0) ** -61)
+    return near
 
 #: malformed stand-ins for an end slot
 BAD_ENDS = ["middle", None, True, [wf.LEFT, wf.RIGHT], np.array([wf.LEFT, wf.RIGHT]),
@@ -109,7 +126,8 @@ OTHER_SLOTS = {
     "measured_flux.end": (wf.LEFT, lambda v: wf.measured_flux(2, G, v), BAD_ENDS),
     "noise_sigma.p": (0.01, lambda v: wf.noise_sigma(BG[0], v), BAD_SCALARS + ["0.1", -1.0]),
     "example_spec.example_id": (2, wf.example_spec,
-                                [0, 6, 2.5, None, "2", RAGGED, True, np.True_, HUGE, UNPRINTABLE]),
+                                [0, 6, 2.5, None, "2", RAGGED, True, np.True_, HUGE, UNPRINTABLE,
+                                 *_near_integral(2)]),
     # sizes beyond numpy's largest array, refused before any allocation
     "difference_operator.m (size)": (3, lambda v: wf.difference_operator(1, v), [1e300, 2**40]),
     "GridSpec (size)": (4, lambda v: wf.GridSpec(1.0, 1.0, v, v), [1e300, 2**40]),
@@ -214,7 +232,8 @@ def _cases():
     for slot, (valid, call) in ARRAY_SLOTS.items():
         yield slot, valid, call, _catalogue(valid)
     for slot, (valid, call) in SCALAR_SLOTS.items():
-        yield slot, valid, call, BAD_SCALARS
+        # an integer slot also refuses a value that only rounds to an integer
+        yield slot, valid, call, BAD_SCALARS + (_near_integral(valid) if type(valid) is int else [])
     for slot, (valid, call, bad) in OTHER_SLOTS.items():
         yield slot, valid, call, bad
     for slot, (valid, call, axes) in CALLABLE_SLOTS.items():
@@ -233,10 +252,20 @@ def test_malformed_input_raises_only_typed_errors():
             except wf.WaveforceError:
                 continue
             except Exception as exc:  # noqa: BLE001 - reported below
-                escaped.append(f"{slot} <- {bad!r}: {type(exc).__name__}: {exc}")
+                # named by type: repr fails on an unprintable value
+                escaped.append(f"{slot} <- {type(bad).__name__}: {type(exc).__name__}: {exc}")
             else:
-                escaped.append(f"{slot} <- {bad!r}: accepted")
+                escaped.append(f"{slot} <- {type(bad).__name__}: accepted")
     assert not escaped, "\n".join(escaped)
+
+
+def test_float_slots_take_near_integral_values():
+    # only an integer slot compares the value with its int; a float slot
+    # takes the nearest double
+    for slot, (valid, call) in SCALAR_SLOTS.items():
+        if type(valid) is float:
+            for value in _near_integral(1):
+                call(value)
 
 
 def test_every_public_entry_point_has_a_row():

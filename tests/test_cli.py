@@ -348,6 +348,17 @@ def test_refused_run_leaves_no_directory(tmp_path, capsys, monkeypatch, argv, li
     assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
 
+def test_timings_naming_a_file_of_the_run_is_refused(tmp_path, capsys, monkeypatch):
+    # the timings file would replace an artifact or the manifest, however
+    # its path is spelled: refused before the first write, so no directory
+    monkeypatch.chdir(tmp_path)
+    for timings in ("o/force.csv", "./o/../o/manifest.json"):
+        assert run("invert", "--example", 2, "--M", 10, "--out", "o", "--timings", timings) == 1
+        assert capsys.readouterr().err == \
+            f"WaveforceError: --timings {timings} names a file the run writes\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_refining_an_analytic_flux_fails_before_any_march(tmp_path, capsys, monkeypatch):
     # scenarios 1 and 5 measure an analytic flux, which no finer mesh
     # simulates: --data-refine above 1 is refused, not recorded unread
